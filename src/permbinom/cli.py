@@ -171,7 +171,6 @@ def main(argv=None) -> int:
 
     sp = sub.add_parser("search", help="sweep a q-range for permutation binomials")
     sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--t", type=int, default=2)
     sp.add_argument("--q-max", type=int, required=True)
     sp.add_argument("--include-norm-one", action="store_true")
     sp.add_argument("--jobs", type=int, default=1)

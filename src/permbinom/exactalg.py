@@ -40,7 +40,6 @@ __all__ = [
     "mp_divmod",
     "mp_monic",
     "mp_gcd",
-    "mp_eval",
     "mp_powmod",
     "mp_irreducible",
     "mp_resultant",
@@ -69,10 +68,6 @@ def _padd(a, b):
 
 def _pneg(a):
     return [-c for c in a]
-
-
-def _psub(a, b):
-    return _padd(a, _pneg(b))
 
 
 def _pmul(a, b):
@@ -114,10 +109,6 @@ class _BasePoly:
     @classmethod
     def const(cls, c):
         return cls((c,))
-
-    @classmethod
-    def monomial(cls, c, k):
-        return cls((0,) * k + (c,))
 
     @property
     def degree(self):
@@ -304,9 +295,6 @@ class RatPoly(_BasePoly):
             out.append(c.numerator * pow(c.denominator, -1, p) % p)
         return _trim(out)
 
-    def to_int(self) -> IntPoly:
-        return IntPoly(self.coeffs)
-
 
 class BiPolyRZ:
     """Polynomial in z whose coefficients are exact rational polynomials in r."""
@@ -379,18 +367,9 @@ class BiPolyRZ:
 
     __rmul__ = __mul__
 
-    def shift_z(self, k: int) -> "BiPolyRZ":
-        return BiPolyRZ((RatPoly.zero(),) * k + self.zcoeffs)
-
     def eval_r(self, x) -> RatPoly:
         """Substitute a rational value for r; the result is a polynomial in z."""
         return RatPoly([c.eval(Fraction(x)) for c in self.zcoeffs])
-
-    def eval_z(self, x) -> RatPoly:
-        acc = RatPoly.zero()
-        for c in reversed(self.zcoeffs):
-            acc = acc * RatPoly.const(Fraction(x)) + c
-        return acc
 
     def eval_rz(self, rx, zx) -> Fraction:
         return self.eval_r(rx).eval(Fraction(zx))
@@ -679,13 +658,6 @@ def mp_gcd(a, b, p):
     while b:
         a, b = b, mp_divmod(a, b, p)[1]
     return mp_monic(a, p)
-
-
-def mp_eval(a, x, p):
-    acc = 0
-    for c in reversed(a):
-        acc = (acc * x + c) % p
-    return acc
 
 
 def mp_powmod(base, e, f, p):

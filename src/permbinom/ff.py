@@ -61,6 +61,18 @@ class PrimePower:
         if not is_probable_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
 
+    @classmethod
+    def from_q(cls, q: int) -> "PrimePower":
+        """Split q = p^m; ValueError unless q is a prime power."""
+        primes = _prime_factors(q)
+        if len(primes) != 1:
+            raise ValueError(f"{q} is not a prime power")
+        p, m = primes[0], 0
+        while q > 1:
+            q //= p
+            m += 1
+        return cls(p, m)
+
     @property
     def q(self) -> int:
         return self.p**self.m
@@ -278,13 +290,6 @@ class FieldCtx:
             raise ValueError("dlog of zero")
         return self._log[i]
 
-    def smul(self, c: int, i: int) -> int:
-        """Scalar multiple by c in 0..p-1 (prime-subfield action)."""
-        c %= self.char
-        if c == 0 or i == 0:
-            return 0
-        return self.mul(c, i)
-
     # --- structure ---
 
     def coeffs(self, idx: int) -> list[int]:
@@ -292,12 +297,6 @@ class FieldCtx:
         if self.base is None:
             return [idx]
         return self._decode(idx)
-
-    def from_coeffs(self, digs) -> int:
-        if self.base is None:
-            (d,) = digs
-            return d % self.char
-        return self._encode(list(digs))
 
     def in_subfield(self, idx: int) -> bool:
         """Is this element in the base field (coefficients above c_0 all zero)?"""
@@ -491,13 +490,8 @@ def _tower_cached(p: int, m: int, cap: int) -> tuple[FieldCtx, FieldCtx]:
         raise ValueError("extension degree must be >= 1")
     if p ** (2 * m) > cap:
         raise CapExceededError(f"q^2 = {p**(2*m)} exceeds the enumeration cap {cap}")
-    fp = FieldCtx(None, None, p=p)
-    if m == 1:
-        fq = fp
-    else:
-        fq = FieldCtx(fp, _lex_smallest_irreducible_prime(p, m))
-    fq2 = FieldCtx(fq, _lex_smallest_irreducible_quadratic(fq))
-    return fq, fq2
+    fq = build_subfield(p, m, cap)
+    return fq, FieldCtx(fq, _lex_smallest_irreducible_quadratic(fq))
 
 
 def build_tower(p: int, m: int, cap: int | None = None) -> tuple[FieldCtx, FieldCtx]:

@@ -7,6 +7,11 @@ binomial brackets in the derived value z = (-a)^(-q(q+1)/2) (t = 2) or in
 a^(-(q+1)) (t = 1).  Which bracket terms survive is controlled by the
 division-with-remainder pair (c, d) of (alpha+1)r - 2*alpha by q+1.
 
+Every bracket is built from one memoised row kernel, bracket_row(alpha,
+shift, p): the coefficients binom(alpha,i)(-1)^i binom(i+shift, alpha) mod p.
+The t = 2 even and odd halves, the d = q-1 branch and the t = 1 bracket
+differ only in shift.
+
 Binomial coefficients come in three exact flavours: rational falling
 factorials, residue falling factorials mod p (with 1/2 read as the inverse
 of 2, valid for lower index < p), and Lucas digit products.  The closed
@@ -20,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .exactalg import BiPolyRZ, RatPoly
 from .ff import FieldCtx, FieldElement, compute_z
@@ -35,6 +41,8 @@ __all__ = [
     "binom_intmod",
     "binom_generalized",
     "cd_pair",
+    "bracket_row",
+    "t2_bracket",
     "power_sum_t2_closed",
     "power_sum_t1_closed",
     "power_sum_brute",
@@ -91,18 +99,20 @@ def binom_lucas(n: int, k: int, p: int) -> int:
     return out
 
 
-def binom_intmod(n: int, k: int, p: int) -> int:
-    """binom(n, k) mod p for any integer n (negative allowed).
-
-    binom(., k) mod p is periodic in its argument with period p^L whenever
-    p^L > k, so reduce n into [0, p^L) and apply the digit product.
-    """
-    if k < 0:
-        raise ValueError("negative lower index")
+def _period(k: int, p: int) -> int:
+    """The smallest power p^L > k: binom(., k) mod p has period p^L."""
     period = p
     while period <= k:
         period *= p
-    return binom_lucas(n % period, k, p)
+    return period
+
+
+def binom_intmod(n: int, k: int, p: int) -> int:
+    """binom(n, k) mod p for any integer n (negative allowed), by reducing n
+    into [0, p^L) with p^L > k and applying the digit product."""
+    if k < 0:
+        raise ValueError("negative lower index")
+    return binom_lucas(n % _period(k, p), k, p)
 
 
 def binom_generalized(x, k: int, mode: str = "rational", p: int | None = None):
@@ -189,40 +199,37 @@ def _as_index(s, q: int) -> PowerSumIndex:
 
 # ----------------------------------------------------- bracket coefficients
 
-def bracket_coeffs(alpha: int, dhalf: int, halfstep: int, p: int):
-    """Coefficient rows of the t=2 bracket, reduced mod p.
+BRACKET_ROW_CACHE = 256
 
-    evens[i] multiplies z^(2i), odds[i] multiplies z^(2i+1):
-      evens[i] = binom(alpha,i) (-1)^i binom(i + dhalf, alpha)
-      odds[i]  = binom(alpha,i) (-1)^i binom(i + dhalf + halfstep, alpha)
-    dhalf and halfstep are integer representatives; any representatives that
-    are correct mod p^L with p^L > alpha give the same rows.
+
+@lru_cache(maxsize=BRACKET_ROW_CACHE)
+def bracket_row(alpha: int, shift: int, p: int) -> tuple:
+    """The bracket row binom(alpha,i) (-1)^i binom(i + shift, alpha) mod p,
+    for i = 0..alpha.
+
+    shift is an integer representative; any representative correct mod p^L
+    with p^L > alpha gives the same row.  Memoised: a sweep evaluates the
+    same few rows at every z of a field.
     """
-    evens, odds = [], []
-    sign = 1
-    for i in range(alpha + 1):
-        row = binom_lucas(alpha, i, p)
-        if row:
-            evens.append(sign * row * binom_intmod(i + dhalf, alpha, p) % p)
-            odds.append(sign * row * binom_intmod(i + dhalf + halfstep, alpha, p) % p)
-        else:
-            evens.append(0)
-            odds.append(0)
-        sign = -sign
-    return evens, odds
-
-
-def bracket_coeffs_deficient(alpha: int, q: int, p: int):
-    """Even-power row of the d = q-1 branch: binom(alpha,i)(-1)^i
-    binom(i + (q-1)/2, alpha)."""
-    dh = (q - 1) // 2
     out = []
     sign = 1
     for i in range(alpha + 1):
         row = binom_lucas(alpha, i, p)
-        out.append(sign * row * binom_intmod(i + dh, alpha, p) % p if row else 0)
+        out.append(sign * row * binom_intmod(i + shift, alpha, p) % p if row else 0)
         sign = -sign
-    return out
+    return tuple(out)
+
+
+def bracket_coeffs(alpha: int, dhalf: int, halfstep: int, p: int):
+    """Coefficient rows (evens, odds) of the t=2 bracket, reduced mod p:
+    evens[i] multiplies z^(2i) and has shift dhalf, odds[i] multiplies
+    z^(2i+1) and has shift dhalf + halfstep."""
+    return bracket_row(alpha, dhalf, p), bracket_row(alpha, dhalf + halfstep, p)
+
+
+def bracket_coeffs_deficient(alpha: int, q: int, p: int):
+    """Even-power row of the d = q-1 branch: shift (q-1)/2."""
+    return bracket_row(alpha, (q - 1) // 2, p)
 
 
 def _horner_sub(coeffs, y_idx: int, sub: FieldCtx) -> int:
@@ -231,6 +238,22 @@ def _horner_sub(coeffs, y_idx: int, sub: FieldCtx) -> int:
     for c in reversed(coeffs):
         acc = sub.add(sub.mul(acc, y_idx), c)
     return acc
+
+
+def t2_bracket(alpha: int, r: int, sub: FieldCtx, y_idx: int) -> tuple[int, int, int]:
+    """The t=2 bracket at odd alpha as (d, E(y), O(y)), with y = z^2 an F_q
+    index; the bracket is E(y) + z*O(y) up to a nonzero prefactor.
+
+    In the d = q-1 branch the bracket is the even row alone (times z), so
+    O is 0 there.
+    """
+    q = sub.order
+    p = sub.char
+    d = cd_pair(alpha, r, q, "t2").d
+    if d == q - 1:
+        return d, _horner_sub(bracket_coeffs_deficient(alpha, q, p), y_idx, sub), 0
+    evens, odds = bracket_coeffs(alpha, d // 2, (q + 1) // 2, p)
+    return d, _horner_sub(evens, y_idx, sub), _horner_sub(odds, y_idx, sub)
 
 
 # ------------------------------------------------------------ closed forms
@@ -246,7 +269,6 @@ def power_sum_t2_closed(r: int, a: FieldElement, s) -> FieldElement:
     if sub is None:
         raise ValueError("a must live in the quadratic extension")
     q = sub.order
-    p = ctx2.char
     if q % 2 == 0:
         raise ValueError("closed form requires odd q")
     if math.gcd(r, q - 1) != 1:
@@ -257,23 +279,17 @@ def power_sum_t2_closed(r: int, a: FieldElement, s) -> FieldElement:
     alpha, beta = idx.alpha, idx.beta
     if alpha % 2 == 0 or alpha + beta != q - 1:
         return ctx2.zero()
-    pair = cd_pair(alpha, r, q, "t2")
-    d = pair.d
     n = ctx2.order - 1
     z = compute_z(a)
     y = ctx2.mul(z.idx, z.idx)
     if not ctx2.in_subfield(y):  # pragma: no cover - z^2 is always in F_q
         raise AssertionError("z^2 outside the subfield")
+    d, e_val, o_val = t2_bracket(alpha, r, sub, y)
     if d == q - 1:
-        evens = bracket_coeffs_deficient(alpha, q, p)
-        e_val = _horner_sub(evens, y, sub)
         pref = ctx2.pow(a.idx, (alpha + 1) % n)
         out = ctx2.neg(ctx2.mul(ctx2.mul(pref, z.idx), e_val))
         return FieldElement(ctx2, out)
     dh = d // 2
-    evens, odds = bracket_coeffs(alpha, dh, (q + 1) // 2, p)
-    e_val = _horner_sub(evens, y, sub)
-    o_val = _horner_sub(odds, y, sub)
     bracket = ctx2.add(e_val, ctx2.mul(z.idx, o_val))
     pref = ctx2.pow(a.idx, (alpha + 1 - q * (1 + dh)) % n)
     out = ctx2.mul(pref, bracket)
@@ -293,7 +309,6 @@ def power_sum_t1_closed(r: int, a: FieldElement, s) -> FieldElement:
     if sub is None:
         raise ValueError("a must live in the quadratic extension")
     q = sub.order
-    p = ctx2.char
     if math.gcd(r, q - 1) != 1:
         raise ValueError("closed form requires gcd(r, q-1) = 1")
     if a.idx == 0:
@@ -309,13 +324,7 @@ def power_sum_t1_closed(r: int, a: FieldElement, s) -> FieldElement:
     n = ctx2.order - 1
     nrm = ctx2.pow(a.idx, q + 1)
     h = sub.inv(nrm)  # a^(-(q+1)), an element of F_q
-    coeffs = []
-    sign = 1
-    for i in range(alpha + 1):
-        row = binom_lucas(alpha, i, p)
-        coeffs.append(sign * row * binom_intmod(i + d, alpha, p) % p if row else 0)
-        sign = -sign
-    t_val = _horner_sub(coeffs, h, sub)
+    t_val = _horner_sub(bracket_row(alpha, d, ctx2.char), h, sub)
     pref = ctx2.pow(a.idx, (alpha + 1 - q * (1 + d)) % n)
     out = ctx2.mul(pref, t_val)
     if (alpha + d + 1) % 2:
@@ -411,10 +420,7 @@ def theta_modp_poly(alpha: int, dhalf: int, p: int, halfstep: int | None = None)
     """The bracket as a polynomial in z over F_p, for a residue representative
     dhalf of d/2 (taken mod p^L with p^L > alpha)."""
     if halfstep is None:
-        period = p
-        while period <= alpha:
-            period *= p
-        halfstep = (period + 1) // 2
+        halfstep = (_period(alpha, p) + 1) // 2
     evens, odds = bracket_coeffs(alpha, dhalf, halfstep, p)
     out = [0] * (2 * alpha + 2)
     for i in range(alpha + 1):
@@ -432,19 +438,13 @@ def theta_numeric(alpha: int, dhalf, z: FieldElement, halfstep: int | None = Non
     denominator is inverted mod p^L with p^L > alpha).
     """
     p = z.ctx.char
-    period = p
-    while period <= alpha:
-        period *= p
     if isinstance(dhalf, Fraction):
         if math.gcd(dhalf.denominator, p) != 1:
             raise ValueError("dhalf denominator not invertible")
+        period = _period(alpha, p)
         dhalf = dhalf.numerator * pow(dhalf.denominator, -1, period) % period
     coeffs = theta_modp_poly(alpha, dhalf, p, halfstep)
-    ctx = z.ctx
-    acc = 0
-    for c in reversed(coeffs):
-        acc = ctx.add(ctx.mul(acc, z.idx), c)
-    return FieldElement(ctx, acc)
+    return FieldElement(z.ctx, _horner_sub(coeffs, z.idx, z.ctx))
 
 
 # ------------------------------------------------- exact rational identities

@@ -20,18 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .ff import FieldCtx, FieldElement, build_subfield, compute_z, enumeration_cap
-from .powersum import (
-    PowerSumIndex,
-    bracket_coeffs,
-    bracket_coeffs_deficient,
-    binom_intmod,
-    binom_lucas,
-    cd_pair,
-    _horner_sub,
-)
+from .powersum import PowerSumIndex, _horner_sub, bracket_row, cd_pair, t2_bracket
 
 __all__ = [
     "BinomialParams",
@@ -164,14 +155,6 @@ class NormalizeTrace:
     pp_equivalent: bool
 
 
-def _eval_f(ctx2: FieldCtx, r: int, t: int, a_idx: int, k: int, te: int, n: int) -> int:
-    """f(g^k) as an index, via exp/log tables."""
-    u = ctx2.add(a_idx, ctx2._exp[te * k % n])
-    if u == 0:
-        return 0
-    return ctx2._exp[(r * k + ctx2._log[u]) % n]
-
-
 def is_pp_brute(params: BinomialParams) -> PPVerdict:
     """Evaluate f on every element; bijection iff no collision.
 
@@ -222,23 +205,13 @@ def t2_z_first_failure(sub: FieldCtx, q: int, r: int, y_idx: int, z_sub_idx: int
     y_idx is z^2 as an F_q index; z_sub_idx is z itself when z lies in F_q,
     None when it does not (then a bracket vanishes iff both of its halves do).
     """
-    p = sub.char
     for alpha in range(1, q - 1, 2):
-        d = cd_pair(alpha, r, q, "t2").d
-        if d == q - 1:
-            evens = bracket_coeffs_deficient(alpha, q, p)
-            if _horner_sub(evens, y_idx, sub) != 0:
+        _, e_val, o_val = t2_bracket(alpha, r, sub, y_idx)
+        if z_sub_idx is None:
+            if e_val or o_val:
                 return alpha
-            continue
-        evens, odds = bracket_coeffs(alpha, d // 2, (q + 1) // 2, p)
-        e_val = _horner_sub(evens, y_idx, sub)
-        o_val = _horner_sub(odds, y_idx, sub)
-        if z_sub_idx is not None:
-            if sub.add(e_val, sub.mul(z_sub_idx, o_val)) != 0:
-                return alpha
-        else:
-            if e_val != 0 or o_val != 0:
-                return alpha
+        elif sub.add(e_val, sub.mul(z_sub_idx, o_val)):
+            return alpha
     return None
 
 
@@ -251,7 +224,6 @@ def is_pp_powersum(params: BinomialParams) -> PPVerdict:
     """
     q, r, t = params.q, params.r, params.t
     ctx2, sub = params.ctx2, params.sub
-    p = params.p
     if t not in (1, 2):
         raise ValueError("power-sum test covers t in {1, 2} only")
     if t == 2 and q % 2 == 0:
@@ -278,13 +250,7 @@ def is_pp_powersum(params: BinomialParams) -> PPVerdict:
         d = cd_pair(alpha, r, q, "t1").d
         if d == q:
             continue
-        coeffs = []
-        sign = 1
-        for i in range(alpha + 1):
-            row = binom_lucas(alpha, i, p)
-            coeffs.append(sign * row * binom_intmod(i + d, alpha, p) % p if row else 0)
-            sign = -sign
-        if _horner_sub(coeffs, h, sub) != 0:
+        if _horner_sub(bracket_row(alpha, d, params.p), h, sub) != 0:
             s = PowerSumIndex.useful(alpha, q)
             return PPVerdict(False, "powersum", NonzeroPowerSum(s.s, alpha))
     return PPVerdict(True, "powersum")
@@ -374,11 +340,6 @@ def classify_family(params: BinomialParams) -> FamilyTag:
 
 # ------------------------------------------------------- z-level sweeping
 
-@lru_cache(maxsize=128)
-def _subfield_cached(p: int, m: int) -> FieldCtx:
-    return build_subfield(p, m)
-
-
 def _nonsquares(sub: FieldCtx) -> list[int]:
     """Nonsquare elements of F_q*, in index order."""
     q = sub.order
@@ -400,7 +361,7 @@ def t2_passing_z(p: int, m: int, r: int, include_norm_one: bool = False) -> list
     a has norm one iff z = +-1; z = 1 never passes (extra roots), z = -1 is
     included only when include_norm_one is set.
     """
-    sub = _subfield_cached(p, m)
+    sub = build_subfield(p, m)
     q = sub.order
     if q % 2 == 0:
         raise ValueError("t = 2 sweep requires odd q")

@@ -28,7 +28,7 @@ from .exactalg import (
     resultant_univar,
     to_modp,
 )
-from .ff import build_subfield
+from .ff import PrimePower, build_subfield
 from .powersum import (
     binom_intmod,
     cd_pair,
@@ -189,10 +189,7 @@ class Sec6Instance:
             raise ValueError("need l >= 1 and 1 <= k < p")
         if self.r % 2 == 0:
             raise ValueError("r = k*p^l + 3 must be odd (k must be even)")
-        qq = self.q
-        while qq % self.p == 0:
-            qq //= self.p
-        if qq != 1:
+        if PrimePower.from_q(self.q).p != self.p:
             raise ValueError("q must be a power of p")
         if self.q < self.r * self.r - 4 * self.r + 5:
             raise ValueError("q below the quotient-1 threshold")

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 
 from . import __version__
-from .ff import build_tower, enumeration_cap, enumerate_elements
+from .ff import PrimePower, build_tower, enumeration_cap, enumerate_elements
 from .powersum import (
     PowerSumIndex,
     power_sum_brute,
@@ -77,8 +77,22 @@ class SearchRecord:
     def from_dict(cls, d: dict) -> "SearchRecord":
         return cls(**{k: d[k] for k in RECORD_KEYS})
 
-    def sort_key(self):
-        return (self.q, self.r, self.t, self.a_index)
+
+def _record_key(d: dict) -> tuple:
+    """Catalog order and uniqueness key of a record dict."""
+    return (d["q"], d["r"], d["t"], d["a_index"])
+
+
+def _pmap(fn, tasks: list, jobs: int) -> list:
+    """[fn(task) for task in tasks], on min(jobs, len(tasks)) forked workers
+    when that is more than one."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
+        return [fn(task) for task in tasks]
+    with multiprocessing.get_context("fork").Pool(processes=workers) as pool:
+        return list(pool.imap(fn, tasks))
 
 
 def odd_prime_powers(lo: int, hi: int) -> list[tuple[int, int, int]]:
@@ -104,13 +118,12 @@ def odd_prime_powers(lo: int, hi: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def _sweep_one_q(task) -> tuple[int, list[dict], dict]:
+def _sweep_one_q(task) -> list[dict]:
     """Worker: decide every a of one field through its z values; expand hits."""
     p, m, q, r, t, include_norm_one = task
     hits = t2_passing_z(p, m, r, include_norm_one)
-    stats = {"q": q, "p": p, "m": m, "z_hits": len(hits), "records": 0}
     if not hits:
-        return q, [], stats
+        return []
     fq, fq2 = build_tower(p, m)
     desc = fq2.describe()
     records = []
@@ -129,8 +142,7 @@ def _sweep_one_q(task) -> tuple[int, list[dict], dict]:
                     version=__version__, modulus=desc["modulus"],
                 ).to_dict()
             )
-    stats["records"] = len(records)
-    return q, records, stats
+    return records
 
 
 def _write_catalog(path: str, header: dict, records: list[dict], done: list[dict]):
@@ -202,7 +214,7 @@ def search_exceptional(
         if q * q <= cap and math.gcd(r, q - 1) == 1
     ]
     done_pairs: set[tuple[int, int]] = set()
-    old_records: list[dict] = []
+    records: list[dict] = []
     if resume and out and os.path.exists(out):
         old_header, old, done = read_catalog(out)
         params_now = {"r": r, "t": t, "q_min": q_min, "q_max": q_max,
@@ -210,28 +222,15 @@ def search_exceptional(
         if old_header.get("params") != params_now or old_header.get("cap") != cap:
             raise ValueError("cannot resume: existing catalog was produced with different flags")
         done_pairs = {(d["q"], d["r"]) for d in done}
-        old_records = [rec.to_dict() for rec in old if (rec.q, rec.r) in done_pairs]
+        records = [rec.to_dict() for rec in old if (rec.q, rec.r) in done_pairs]
     tasks = [(p, m, q, r, t, include_norm_one) for (p, m, q) in qs if (q, r) not in done_pairs]
 
-    all_stats = []
-    new_records: list[dict] = []
-    if jobs > 1 and len(tasks) > 1:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=jobs) as pool:
-            for _, records, stats in pool.imap_unordered(_sweep_one_q, tasks):
-                new_records.extend(records)
-                all_stats.append(stats)
-    else:
-        for task in tasks:
-            _, records, stats = _sweep_one_q(task)
-            new_records.extend(records)
-            all_stats.append(stats)
-
-    records = old_records + new_records
-    records.sort(key=lambda d: (d["q"], d["r"], d["t"], d["a_index"]))
+    for q_records in _pmap(_sweep_one_q, tasks, jobs):
+        records.extend(q_records)
+    records.sort(key=_record_key)
     seen = set()
     for d in records:
-        key = (d["q"], d["r"], d["t"], d["a_index"])
+        key = _record_key(d)
         if key in seen:
             raise AssertionError(f"duplicate catalog key {key}")
         seen.add(key)
@@ -240,7 +239,7 @@ def search_exceptional(
     # family_i tag is the authoritative norm marker
     below = above = sporadic_below = 0
     for d in records:
-        bound = thm21_bound(r, _char_of(d["q"]))
+        bound = thm21_bound(r, d["p"])
         if d["q"] >= bound:
             if d["family"] != "family_i":
                 above += 1
@@ -279,13 +278,6 @@ def search_exceptional(
     return summary
 
 
-def _char_of(q: int) -> int:
-    for p in range(2, q + 1):
-        if q % p == 0:
-            return p
-    raise ValueError("bad q")  # pragma: no cover
-
-
 def _roundtrip_sample(path: str, limit: int = 100):
     """Re-verify a sample of persisted records by replaying the fast test."""
     _, records, _ = read_catalog(path)
@@ -319,14 +311,8 @@ def cross_validate(
     """
     reports = []
     for q in q_list:
-        p, m = _char_of(q), 0
-        qq = q
-        while qq > 1:
-            qq //= p
-            m += 1
-        if q != p**m:
-            raise ValueError(f"{q} is not a prime power")
-        fq, fq2 = build_tower(p, m)
+        pp = PrimePower.from_q(q)
+        fq, fq2 = build_tower(pp.p, pp.m)
         for t in t_list:
             if t == 2 and q % 2 == 0:
                 reports.append(
@@ -418,27 +404,16 @@ def thm21_desk_sweep(r: int, q_cap_sq: int | None = None, jobs: int = 1) -> dict
     with norm(a) != 1.  Expected zero everywhere."""
     cap = enumeration_cap() if q_cap_sq is None else q_cap_sq
     q_hi = math.isqrt(cap)
-    failures = []
-    swept = 0
-    tasks = []
-    for (p, m, q) in odd_prime_powers(3, q_hi):
-        if math.gcd(r, q - 1) != 1:
-            continue
-        if q < thm21_bound(r, p):
-            continue
-        tasks.append((p, m, q))
-    if jobs > 1:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=jobs) as pool:
-            results = pool.starmap(_thm21_one, [(p, m, q, r) for (p, m, q) in tasks])
-    else:
-        results = [_thm21_one(p, m, q, r) for (p, m, q) in tasks]
-    for q, hits in results:
-        swept += 1
-        if hits:
-            failures.append((q, hits))
-    return {"r": r, "q_swept": swept, "failures": failures, "confirmed": not failures}
+    tasks = [
+        (p, m, q, r)
+        for (p, m, q) in odd_prime_powers(3, q_hi)
+        if math.gcd(r, q - 1) == 1 and q >= thm21_bound(r, p)
+    ]
+    results = _pmap(_thm21_one, tasks, jobs)
+    failures = [(q, hits) for q, hits in results if hits]
+    return {"r": r, "q_swept": len(results), "failures": failures, "confirmed": not failures}
 
 
-def _thm21_one(p: int, m: int, q: int, r: int):
+def _thm21_one(task):
+    p, m, q, r = task
     return q, t2_passing_z(p, m, r, include_norm_one=False)

@@ -16,7 +16,7 @@ from permbinom.exactalg import (
     resultant_bivar_z,
     resultant_univar,
 )
-from permbinom.ff import build_tower, enumerate_elements
+from permbinom.ff import PrimePower, build_tower, enumerate_elements
 from permbinom.powersum import theta_symbolic
 from permbinom.ppcheck import BinomialParams, classify_family, is_pp_brute
 from permbinom.refcheck import identities_check, sec6_suite, sec7_p3_check, sec7_p181_check
@@ -114,7 +114,8 @@ def test_07_family_reproduction():
         # r = 1 and r = 3 with t = 2: permutation iff the half-norm value is
         # -1 or 3 (r = 1), resp. -1 or 1/3 with q != 1 mod 3 (r = 3)
         for q in (5, 7, 9, 11, 13):
-            fq, fq2 = build_tower(_char(q), _deg(q))
+            pp = PrimePower.from_q(q)
+            fq, fq2 = build_tower(pp.p, pp.m)
             three = fq2.element(fq2.embed_int(3))
             for a in enumerate_elements(fq2, "nonzero"):
                 w = (-a) ** ((q + 1) // 2)
@@ -133,7 +134,8 @@ def test_07_family_reproduction():
 
         # t = 1 exhaustively for q <= 13
         for q in (3, 4, 5, 7, 8, 9, 11, 13):
-            fq, fq2 = build_tower(_char(q), _deg(q))
+            pp = PrimePower.from_q(q)
+            fq, fq2 = build_tower(pp.p, pp.m)
             for r in range(1, q * q - 1):
                 for a in enumerate_elements(fq2, "nonzero"):
                     expected = (
@@ -145,7 +147,8 @@ def test_07_family_reproduction():
 
         # norm-one criterion exhaustively for q <= 9, every t <= q
         for q in (3, 4, 5, 7, 8, 9):
-            fq, fq2 = build_tower(_char(q), _deg(q))
+            pp = PrimePower.from_q(q)
+            fq, fq2 = build_tower(pp.p, pp.m)
             norm_one = [a for a in enumerate_elements(fq2, "nonzero") if a ** (q + 1) == 1]
             assert len(norm_one) == q + 1
             for t in range(1, q + 1):
@@ -188,17 +191,3 @@ def test_10_harness_determinism(tmp_path):
     assert blobs[0] == blobs[1] == blobs[2]
     print(f"ACCEPTANCE 10 harness determinism: PASS ({time.monotonic()-t0:.1f}s)")
 
-
-def _char(q):
-    for p in range(2, q + 1):
-        if q % p == 0:
-            return p
-    raise AssertionError
-
-
-def _deg(q):
-    p, m = _char(q), 0
-    while q > 1:
-        q //= p
-        m += 1
-    return m

@@ -1,0 +1,24 @@
+"""Guard for the benchmark's traced mode: bench/tracer.py wraps package
+functions by name, so a rename or deletion in the package breaks traced runs.
+Installing and removing the wrappers catches that in milliseconds."""
+
+import os
+
+from permbinom import ff, powersum, ppcheck
+
+BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+
+
+def test_tracer_installs_over_the_package(monkeypatch):
+    monkeypatch.syspath_prepend(BENCH_DIR)
+    import tracer
+
+    originals = (ff.FieldCtx.__init__, powersum.bracket_coeffs, ppcheck.t2_z_first_failure)
+    t = tracer.Tracer()
+    t.install()
+    try:
+        assert powersum.bracket_coeffs is not originals[1]
+        assert ppcheck.t2_z_first_failure is not originals[2]
+    finally:
+        t.uninstall()
+    assert (ff.FieldCtx.__init__, powersum.bracket_coeffs, ppcheck.t2_z_first_failure) == originals

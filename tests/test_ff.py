@@ -22,6 +22,18 @@ def test_prime_power_validation():
         PrimePower(5, 0)
 
 
+@pytest.mark.parametrize("q,p,m", [(3, 3, 1), (9, 3, 2), (2**10, 2, 10), (3**5, 3, 5),
+                                   (1009, 1009, 1)])
+def test_prime_power_from_q(q, p, m):
+    assert PrimePower.from_q(q) == PrimePower(p, m)
+
+
+@pytest.mark.parametrize("q", [0, 1, -9, 6, 12])
+def test_prime_power_from_q_rejects(q):
+    with pytest.raises(ValueError):
+        PrimePower.from_q(q)
+
+
 def test_build_tower_examples():
     fq, fq2 = build_tower(3, 1)
     assert fq.order == 3 and fq2.order == 9

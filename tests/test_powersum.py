@@ -14,6 +14,9 @@ from permbinom.powersum import (
     binom_lucas,
     binom_rational,
     binom_residue,
+    bracket_coeffs,
+    bracket_coeffs_deficient,
+    bracket_row,
     cd_pair,
     identity_value,
     power_sum_brute,
@@ -89,6 +92,32 @@ def test_binom_generalized_dispatch():
     assert binom_generalized(7, 3, mode="lucas", p=5) == 0
     with pytest.raises(ValueError):
         binom_generalized(1, 1, mode="bogus")
+
+
+# ------------------------------------------------------------- bracket rows
+
+def test_bracket_row_matches_rational_reference():
+    # exact integers binom(alpha,i) (-1)^i binom(i+shift, alpha), reduced
+    # mod p only at the end; alpha >= p exercises the Lucas digit products,
+    # and the shifts reach below zero and past the period p^L > alpha
+    for p in (3, 5, 7):
+        for alpha in range(1, 30, 2):
+            period = p
+            while period <= alpha:
+                period *= p
+            for shift in (-2 * period - 1, -alpha, -1, 0, 1, (p - 1) // 2,
+                          alpha, period, period + 3, 3 * period + 2):
+                expected = []
+                for i in range(alpha + 1):
+                    exact = binom_rational(alpha, i) * (-1) ** i * binom_rational(i + shift, alpha)
+                    assert exact.denominator == 1
+                    expected.append(exact.numerator % p)
+                assert bracket_row(alpha, shift, p) == tuple(expected), (p, alpha, shift)
+
+
+def test_bracket_entry_points_are_rows():
+    assert bracket_coeffs(7, 4, 13, 5) == (bracket_row(7, 4, 5), bracket_row(7, 17, 5))
+    assert bracket_coeffs_deficient(5, 25, 5) == bracket_row(5, 12, 5)
 
 
 # -------------------------------------------------------------------- cd

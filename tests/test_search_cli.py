@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -197,10 +198,30 @@ def test_cli_search_and_cross_validate(tmp_path, capsys):
 
 def test_cli_usage_errors(capsys):
     assert run_cli("is-pp", "--p", "4", "--m", "1", "--r", "1", "--t", "1", "--a", "1") == 2
+    assert run_cli("cross-validate", "--q", "6") == 2
     capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
         run_cli("verify", "--suite", "bogus")
     assert exc.value.code == 2
+
+
+def test_cli_search_rejects_t(tmp_path, capsys):
+    # the search covers t = 2 only and has no --t option
+    out = str(tmp_path / "cat.jsonl")
+    with pytest.raises(SystemExit) as exc:
+        run_cli("search", "--r", "5", "--t", "1", "--q-max", "13", "--out", out)
+    assert exc.value.code == 2
+    assert not os.path.exists(out)
+
+
+def test_jobs_below_one_rejected(tmp_path, capsys):
+    out = str(tmp_path / "cat.jsonl")
+    assert run_cli("search", "--r", "5", "--q-max", "13", "--jobs", "0", "--out", out) == 2
+    assert not os.path.exists(out)
+    with pytest.raises(ValueError):
+        search_exceptional(5, 13, jobs=0)
+    with pytest.raises(ValueError):
+        thm21_desk_sweep(5, q_cap_sq=10000, jobs=0)
 
 
 def test_cap_env_override(tmp_path, monkeypatch):
