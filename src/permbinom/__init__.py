@@ -13,7 +13,6 @@ from .exactalg import (
     Factorization,
     IntPoly,
     RatPoly,
-    gcd_irred_mod_p,
     is_probable_prime,
     primality_and_factor_check,
     resultant_bivar_z,

@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 all checks pass (or query answered), 1 check failure or
-permutation-claim mismatch, 2 usage error.  The enumeration cap can be
-overridden with the PERMBINOM_CAP environment variable.
+permutation-claim mismatch, 2 usage error, bad input or a file that cannot
+be read or written.  The enumeration cap can be overridden with the
+PERMBINOM_CAP environment variable.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ def _cmd_power_sum(args) -> int:
     return 0
 
 
-def _cmd_is_pp(args) -> int:
+def _cmd_is_permutation(args) -> int:
     params = _params_from(args)
     verdict = is_pp_brute(params) if args.method == "brute" else is_pp_powersum(params)
     out = {"is_pp": verdict.is_pp, "method": verdict.method}
@@ -158,7 +159,7 @@ def main(argv=None) -> int:
     sp = sub.add_parser("is-pp", help="permutation test")
     _add_field_args(sp)
     sp.add_argument("--method", choices=("brute", "powersum"), default="powersum")
-    sp.set_defaults(fn=_cmd_is_pp)
+    sp.set_defaults(fn=_cmd_is_permutation)
 
     sp = sub.add_parser("classify", help="match against the known families")
     _add_field_args(sp)
@@ -193,7 +194,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

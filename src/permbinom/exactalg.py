@@ -2,10 +2,12 @@
 
 Dense representation throughout: a polynomial is its coefficient sequence,
 lowest degree first, with no trailing zeros (the zero polynomial is the
-empty sequence).  IntPoly / RatPoly / BiPolyRZ are immutable wrappers;
-polynomials over F_p are plain lists of residues handled by the mp_*
-functions.  Everything is exact: Python ints and fractions.Fraction, no
-floating point.
+empty sequence).  IntPoly / RatPoly / BiPolyRZ are immutable wrappers on one
+shared dense base: BiPolyRZ is the same type with RatPoly coefficients, a
+polynomial in z over Q[r].  One long division serves all three, dividing
+coefficients exactly.  Polynomials over F_p are plain lists of residues
+handled by the mp_* functions, which callers use directly.  Everything is
+exact: Python ints and fractions.Fraction, no floating point.
 
 Resultants come in two independent flavours so they can cross-check each
 other: fraction-free Bareiss elimination on the Sylvester matrix, and a
@@ -32,9 +34,7 @@ __all__ = [
     "resultant_bivar_z",
     "resultant_bivar_z_sylvester",
     "rational_gcd",
-    "gcd_irred_mod_p",
     "to_modp",
-    "mp_add",
     "mp_sub",
     "mp_mul",
     "mp_divmod",
@@ -172,6 +172,36 @@ class _BasePoly:
             return type(self).const(self._coerce(other))
         raise TypeError(f"cannot mix {type(other).__name__} with {type(self).__name__}")
 
+    @classmethod
+    def _cdiv(cls, a, b):
+        """Exact quotient of two coefficients, through Fraction so that an
+        integer pair never reaches float division."""
+        return cls._coerce(Fraction(a) / b)
+
+    def divmod(self, other):
+        """Long division: (quotient, remainder) with deg remainder < deg other."""
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = list(self.coeffs)
+        dv = other.coeffs
+        dd = len(dv) - 1
+        if len(rem) - 1 < dd:
+            return type(self).zero(), self
+        quo = [0] * (len(rem) - dd)
+        for k in range(len(rem) - 1, dd - 1, -1):
+            if rem[k]:
+                c = self._cdiv(rem[k], dv[-1])
+                quo[k - dd] = c
+                for i in range(dd + 1):
+                    rem[k - dd + i] = rem[k - dd + i] - c * dv[i]
+        return type(self)(quo), type(self)(rem)
+
+    def divexact(self, other):
+        q, r = self.divmod(other)
+        if not r.is_zero():
+            raise ValueError("inexact polynomial division")
+        return q
+
     def eval(self, x):
         return _peval(self.coeffs, x)
 
@@ -252,30 +282,6 @@ class RatPoly(_BasePoly):
         inv = 1 / self.lc
         return RatPoly(c * inv for c in self.coeffs)
 
-    def divmod(self, other: "RatPoly"):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dv = other.coeffs
-        dd = len(dv) - 1
-        if len(rem) - 1 < dd:
-            return RatPoly.zero(), self
-        quo = [Fraction(0)] * (len(rem) - dd)
-        inv_lc = 1 / dv[-1]
-        for k in range(len(rem) - 1, dd - 1, -1):
-            c = rem[k] * inv_lc
-            if c:
-                quo[k - dd] = c
-                for i in range(dd + 1):
-                    rem[k - dd + i] -= c * dv[i]
-        return RatPoly(quo), RatPoly(_trim(rem))
-
-    def divexact(self, other: "RatPoly") -> "RatPoly":
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise ValueError("inexact polynomial division")
-        return q
-
     def clear_denominators(self):
         """Return (scale, prim) with self == scale * prim, prim a primitive IntPoly."""
         if self.is_zero():
@@ -296,118 +302,37 @@ class RatPoly(_BasePoly):
         return _trim(out)
 
 
-class BiPolyRZ:
+class BiPolyRZ(_BasePoly):
     """Polynomial in z whose coefficients are exact rational polynomials in r."""
 
-    __slots__ = ("zcoeffs",)
+    __slots__ = ()
 
-    def __init__(self, zcoeffs=()):
-        zc = [c if isinstance(c, RatPoly) else RatPoly.const(c) for c in zcoeffs]
-        while zc and zc[-1].is_zero():
-            zc.pop()
-        self.zcoeffs = tuple(zc)
+    @staticmethod
+    def _coerce(c):
+        return c if isinstance(c, RatPoly) else RatPoly.const(c)
 
-    @classmethod
-    def zero(cls):
-        return cls(())
-
-    @classmethod
-    def from_z_terms(cls, terms):
-        """terms: iterable of (z_degree, RatPoly-in-r)."""
-        zc: dict[int, RatPoly] = {}
-        for k, c in terms:
-            zc[k] = zc.get(k, RatPoly.zero()) + c
-        top = max(zc) if zc else -1
-        return cls([zc.get(k, RatPoly.zero()) for k in range(top + 1)])
-
-    @property
-    def z_degree(self):
-        return len(self.zcoeffs) - 1
+    @staticmethod
+    def _cdiv(a, b):
+        return a.divexact(b)
 
     @property
     def r_degree(self):
-        return max((c.degree for c in self.zcoeffs), default=-1)
-
-    def is_zero(self):
-        return not self.zcoeffs
-
-    def __eq__(self, other):
-        return isinstance(other, BiPolyRZ) and self.zcoeffs == other.zcoeffs
-
-    def __hash__(self):
-        return hash(self.zcoeffs)
-
-    def __add__(self, other):
-        a, b = self.zcoeffs, other.zcoeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return BiPolyRZ(out)
-
-    def __neg__(self):
-        return BiPolyRZ([-c for c in self.zcoeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, RatPoly)):
-            other = BiPolyRZ([other if isinstance(other, RatPoly) else RatPoly.const(other)])
-        if self.is_zero() or other.is_zero():
-            return BiPolyRZ.zero()
-        out = [RatPoly.zero()] * (len(self.zcoeffs) + len(other.zcoeffs) - 1)
-        for i, ca in enumerate(self.zcoeffs):
-            if ca.is_zero():
-                continue
-            for j, cb in enumerate(other.zcoeffs):
-                out[i + j] = out[i + j] + ca * cb
-        return BiPolyRZ(out)
-
-    __rmul__ = __mul__
+        return max((c.degree for c in self.coeffs), default=-1)
 
     def eval_r(self, x) -> RatPoly:
         """Substitute a rational value for r; the result is a polynomial in z."""
-        return RatPoly([c.eval(Fraction(x)) for c in self.zcoeffs])
-
-    def eval_rz(self, rx, zx) -> Fraction:
-        return self.eval_r(rx).eval(Fraction(zx))
-
-    def divexact_z(self, other: "BiPolyRZ") -> "BiPolyRZ":
-        """Exact division as polynomials in z over Q[r]."""
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero")
-        rem = list(self.zcoeffs)
-        dv = other.zcoeffs
-        dd = len(dv) - 1
-        if len(rem) - 1 < dd:
-            raise ValueError("inexact division: degree too small")
-        quo = [RatPoly.zero()] * (len(rem) - dd)
-        for k in range(len(rem) - 1, dd - 1, -1):
-            c = rem[k]
-            if not c.is_zero():
-                c = c.divexact(dv[-1])
-                quo[k - dd] = c
-                for i in range(dd + 1):
-                    rem[k - dd + i] = rem[k - dd + i] - c * dv[i]
-        if any(not c.is_zero() for c in rem):
-            raise ValueError("inexact division: nonzero remainder")
-        return BiPolyRZ(quo)
+        return RatPoly([c.eval(Fraction(x)) for c in self.coeffs])
 
     def render(self) -> str:
         if self.is_zero():
             return "0"
         parts = []
-        for k, c in enumerate(self.zcoeffs):
+        for k, c in enumerate(self.coeffs):
             if c.is_zero():
                 continue
             zpow = "" if k == 0 else ("*z" if k == 1 else f"*z^{k}")
             parts.append(f"({c.render('r')}){zpow}")
         return " + ".join(parts)
-
-    def __repr__(self):
-        return f"BiPolyRZ({self.render()})"
 
 
 # -------------------------------------------------------------- resultants
@@ -520,16 +445,16 @@ def resultant_bivar_z(F: BiPolyRZ, G: BiPolyRZ) -> RatPoly:
     points where either leading z-coefficient vanishes, which would drop the
     degree) and interpolates.
     """
-    if F.z_degree <= 0 and G.z_degree <= 0:
+    if F.degree <= 0 and G.degree <= 0:
         raise ValueError("both arguments have z-degree 0")
-    if F.z_degree <= 0:
-        c = F.zcoeffs[0] if F.zcoeffs else RatPoly.zero()
-        return c**G.z_degree
-    if G.z_degree <= 0:
-        c = G.zcoeffs[0] if G.zcoeffs else RatPoly.zero()
-        return c**F.z_degree
-    bound = F.r_degree * G.z_degree + G.r_degree * F.z_degree
-    lf, lg = F.zcoeffs[-1], G.zcoeffs[-1]
+    if F.degree <= 0:
+        c = F.coeffs[0] if F.coeffs else RatPoly.zero()
+        return c**G.degree
+    if G.degree <= 0:
+        c = G.coeffs[0] if G.coeffs else RatPoly.zero()
+        return c**F.degree
+    bound = F.r_degree * G.degree + G.r_degree * F.degree
+    lf, lg = F.lc, G.lc
     xs: list[Fraction] = []
     ys: list[Fraction] = []
     x = 0
@@ -561,9 +486,9 @@ def _lagrange(xs: list[Fraction], ys: list[Fraction]) -> RatPoly:
 
 def resultant_bivar_z_sylvester(F: BiPolyRZ, G: BiPolyRZ) -> RatPoly:
     """Direct route: Bareiss elimination over the polynomial ring Q[r]."""
-    if F.z_degree <= 0 or G.z_degree <= 0:
+    if F.degree <= 0 or G.degree <= 0:
         return resultant_bivar_z(F, G)
-    rows = _sylvester(list(F.zcoeffs), list(G.zcoeffs), RatPoly.zero())
+    rows = _sylvester(list(F.coeffs), list(G.coeffs), RatPoly.zero())
     n = len(rows)
     M = [row[:] for row in rows]
     sign = 1
@@ -595,15 +520,6 @@ def to_modp(f, p: int) -> list[int]:
     if isinstance(f, (IntPoly, RatPoly)):
         return f.reduce_mod(p)
     return _trim([c % p for c in f])
-
-
-def mp_add(a, b, p):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % p
-    return _trim(out)
 
 
 def mp_sub(a, b, p):
@@ -708,30 +624,6 @@ def mp_resultant(a, b, p) -> int:
         k = len(r) - 1
         acc = acc * pow(-1, m * n, p) % p * pow(b[-1], m - k, p) % p
         a, b = b, r
-
-
-def gcd_irred_mod_p(f, g=None, *, p: int, mode: str = "gcd"):
-    """gcd / irreducibility / exact divisibility over F_p.
-
-    f, g may be IntPoly, RatPoly or residue lists; rational coefficients are
-    reduced mod p (raises if a denominator is divisible by p).  The gcd is
-    returned monic as an IntPoly with coefficients in 0..p-1.
-    """
-    fm = to_modp(f, p)
-    if mode == "gcd":
-        if g is None:
-            raise ValueError("gcd mode needs two polynomials")
-        return IntPoly(mp_gcd(fm, to_modp(g, p), p))
-    if mode == "irreducible":
-        return mp_irreducible(fm, p)
-    if mode == "divides":
-        if g is None:
-            raise ValueError("divides mode needs two polynomials")
-        gm = to_modp(g, p)
-        if not fm:
-            return not gm
-        return not mp_divmod(gm, fm, p)[1]
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 # ----------------------------------------------------------- primality

@@ -39,7 +39,6 @@ __all__ = [
     "binom_residue",
     "binom_lucas",
     "binom_intmod",
-    "binom_generalized",
     "cd_pair",
     "bracket_row",
     "t2_bracket",
@@ -113,21 +112,6 @@ def binom_intmod(n: int, k: int, p: int) -> int:
     if k < 0:
         raise ValueError("negative lower index")
     return binom_lucas(n % _period(k, p), k, p)
-
-
-def binom_generalized(x, k: int, mode: str = "rational", p: int | None = None):
-    """Single entry point over the three binomial flavours."""
-    if mode == "rational":
-        return binom_rational(x, k)
-    if mode == "residue":
-        if p is None:
-            raise ValueError("residue mode needs p")
-        return binom_residue(x, k, p)
-    if mode == "lucas":
-        if p is None:
-            raise ValueError("lucas mode needs p")
-        return binom_lucas(x, k, p)
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 # ------------------------------------------------------ (c, d) index pairs
@@ -220,11 +204,11 @@ def bracket_row(alpha: int, shift: int, p: int) -> tuple:
     return tuple(out)
 
 
-def bracket_coeffs(alpha: int, dhalf: int, halfstep: int, p: int):
+def bracket_coeffs(alpha: int, dhalf: int, odd_offset: int, p: int):
     """Coefficient rows (evens, odds) of the t=2 bracket, reduced mod p:
     evens[i] multiplies z^(2i) and has shift dhalf, odds[i] multiplies
-    z^(2i+1) and has shift dhalf + halfstep."""
-    return bracket_row(alpha, dhalf, p), bracket_row(alpha, dhalf + halfstep, p)
+    z^(2i+1) and has shift dhalf + odd_offset."""
+    return bracket_row(alpha, dhalf, p), bracket_row(alpha, dhalf + odd_offset, p)
 
 
 def bracket_coeffs_deficient(alpha: int, q: int, p: int):
@@ -406,22 +390,18 @@ def theta_symbolic(alpha: int) -> ThetaPoly:
         raise ValueError("alpha must be odd and >= 1")
     half = Fraction(1, 2)
     slope = -Fraction(alpha + 1, 2)
-    terms = []
+    coeffs = []
     for i in range(alpha + 1):
         sgn = math.comb(alpha, i) * (-1) ** i
-        e1 = _binom_affine_poly(Fraction(i) + half + alpha, slope, alpha)
-        e2 = _binom_affine_poly(Fraction(i + 1) + alpha, slope, alpha)
-        terms.append((2 * i, e1 * sgn))
-        terms.append((2 * i + 1, e2 * sgn))
-    return ThetaPoly(alpha, BiPolyRZ.from_z_terms(terms))
+        coeffs.append(_binom_affine_poly(Fraction(i) + half + alpha, slope, alpha) * sgn)
+        coeffs.append(_binom_affine_poly(Fraction(i + 1) + alpha, slope, alpha) * sgn)
+    return ThetaPoly(alpha, BiPolyRZ(coeffs))
 
 
-def theta_modp_poly(alpha: int, dhalf: int, p: int, halfstep: int | None = None) -> list[int]:
+def theta_modp_poly(alpha: int, dhalf: int, p: int) -> list[int]:
     """The bracket as a polynomial in z over F_p, for a residue representative
     dhalf of d/2 (taken mod p^L with p^L > alpha)."""
-    if halfstep is None:
-        halfstep = (_period(alpha, p) + 1) // 2
-    evens, odds = bracket_coeffs(alpha, dhalf, halfstep, p)
+    evens, odds = bracket_coeffs(alpha, dhalf, (_period(alpha, p) + 1) // 2, p)
     out = [0] * (2 * alpha + 2)
     for i in range(alpha + 1):
         out[2 * i] = evens[i]
@@ -431,7 +411,7 @@ def theta_modp_poly(alpha: int, dhalf: int, p: int, halfstep: int | None = None)
     return out
 
 
-def theta_numeric(alpha: int, dhalf, z: FieldElement, halfstep: int | None = None) -> FieldElement:
+def theta_numeric(alpha: int, dhalf, z: FieldElement) -> FieldElement:
     """Evaluate the bracket at a concrete field value z.
 
     dhalf may be an integer representative or a Fraction such as 1/2 (whose
@@ -443,7 +423,7 @@ def theta_numeric(alpha: int, dhalf, z: FieldElement, halfstep: int | None = Non
             raise ValueError("dhalf denominator not invertible")
         period = _period(alpha, p)
         dhalf = dhalf.numerator * pow(dhalf.denominator, -1, period) % period
-    coeffs = theta_modp_poly(alpha, dhalf, p, halfstep)
+    coeffs = theta_modp_poly(alpha, dhalf, p)
     return FieldElement(z.ctx, _horner_sub(coeffs, z.idx, z.ctx))
 
 
@@ -475,12 +455,11 @@ def identity_value(alpha: int, which: str) -> Fraction:
     return total
 
 
-def verify_identities(alpha_max: int, which: str = "both") -> list[CheckReport]:
-    """Evaluate the identities for every odd alpha <= alpha_max and report
+def verify_identities(alpha_max: int) -> list[CheckReport]:
+    """Evaluate both identities for every odd alpha <= alpha_max and report
     exact vanishing."""
-    names = ("id310", "id311") if which == "both" else (which,)
     reports = []
-    for name in names:
+    for name in ("id310", "id311"):
         bad = []
         for alpha in range(1, alpha_max + 1, 2):
             v = identity_value(alpha, name)

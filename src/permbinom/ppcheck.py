@@ -294,21 +294,14 @@ def normalize(params: BinomialParams) -> tuple[BinomialParams, NormalizeTrace]:
     return out, NormalizeTrace(tuple(steps), all(s[2] for s in steps))
 
 
-def _is_pp(params: BinomialParams) -> PPVerdict:
-    if params.ctx2.order <= enumeration_cap():
-        return is_pp_brute(params)
-    if params.t in (1, 2):
-        return is_pp_powersum(params)
-    raise ValueError("parameters too large to test")
-
-
 def classify_family(params: BinomialParams) -> FamilyTag:
     """Match the parameters against the known infinite families.
 
     Every predicate that holds is recorded; the tag is the first holder in a
     fixed precedence order, sporadic if the map permutes but nothing fired,
     not_pp if it does not permute.  For t > 2 only the norm-one family
-    applies.
+    applies.  The permutation verdict is the brute test's, so the field must
+    lie within the enumeration cap (ValueError above it).
     """
     ctx2, sub = params.ctx2, params.sub
     q, r, t, p = params.q, params.r, params.t, params.p
@@ -329,7 +322,7 @@ def classify_family(params: BinomialParams) -> FamilyTag:
     if t == 1 and gcd_r and (r - 1) % (q + 1) == 0 and not norm_one:
         fired.append("thm42")
         fired.append("family_ii")
-    verdict = _is_pp(params)
+    verdict = is_pp_brute(params)
     if not verdict.is_pp:
         return FamilyTag("not_pp", tuple(fired))
     for name in FAMILY_ORDER:

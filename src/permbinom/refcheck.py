@@ -19,8 +19,9 @@ from .exactalg import (
     IntPoly,
     RatPoly,
     BiPolyRZ,
-    gcd_irred_mod_p,
+    mp_divmod,
     mp_gcd,
+    mp_irreducible,
     mp_mul,
     mp_resultant,
     primality_and_factor_check,
@@ -110,7 +111,7 @@ def sec5_check() -> list[CheckReport]:
                 note,
             )
         )
-        cof = th.poly.divexact_z(one_plus_z)
+        cof = th.poly.divexact(one_plus_z)
         reports.append(
             check(f"sec5.theta.{alpha}.cofactor", target,
                   cof * (1 / REG.theta_prefactors[alpha]))
@@ -314,11 +315,11 @@ def sec7_p3_check() -> list[CheckReport]:
         )
     )
     reports.append(
-        check("sec7p3.divides.a3", True, gcd_irred_mod_p(a14, a34, p=p, mode="divides"))
+        check("sec7p3.divides.a3", True, not mp_divmod(a34, a14, p)[1])
     )
     a54_full = to_modp(REG.A5.eval_r(4), p)
     reports.append(
-        check("sec7p3.divides.a5", True, gcd_irred_mod_p(a14, a54_full, p=p, mode="divides"))
+        check("sec7p3.divides.a5", True, not mp_divmod(a54_full, a14, p)[1])
     )
 
     inv2 = pow(2, -1, 9)  # alpha = 7 needs representatives mod 3^2
@@ -328,7 +329,7 @@ def sec7_p3_check() -> list[CheckReport]:
     reports.append(check("sec7p3.theta7.c2", _expand_modp(REG.theta7_c2_factors, p), th_c2))
 
     a7 = _expand_modp([(f, 1) for f in REG.A7_factors], p)
-    g = gcd_irred_mod_p(a14, a7, p=p, mode="gcd")
+    g = IntPoly(mp_gcd(a14, a7, p))
     reports.append(check("sec7p3.gcd.a1-a7", IntPoly((1,)), g))
     return reports
 
@@ -366,7 +367,7 @@ def sec7_p181_check() -> list[CheckReport]:
     for f in REG.p181_nonlinear:
         reports.append(
             check(f"sec7p181.irreducible.deg{f.degree}", True,
-                  gcd_irred_mod_p(f, p=p, mode="irreducible"))
+                  mp_irreducible(to_modp(f, p), p))
         )
     g = mp_gcd(mp_gcd(mods["A1"], mods["A3"], p), mods["A5"], p)
     root = (-g[0]) % p if len(g) == 2 else None
@@ -379,7 +380,7 @@ def sec7_p181_check() -> list[CheckReport]:
 
 
 def identities_check(alpha_max: int = 99) -> list[CheckReport]:
-    return verify_identities(alpha_max, "both")
+    return verify_identities(alpha_max)
 
 
 SUITES = {

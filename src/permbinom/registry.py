@@ -36,7 +36,7 @@ def _parse_bipoly(text: str) -> BiPolyRZ:
         k = int(head.strip().removeprefix("z^"))
         rows[k] = RatPoly(Fraction(c) for c in rest.split())
     top = max(rows)
-    return BiPolyRZ([rows.get(k, RatPoly.zero()) for k in range(top + 1)])
+    return BiPolyRZ([rows.get(k, 0) for k in range(top + 1)])
 
 
 def _parse_intpoly(text: str) -> IntPoly:

@@ -120,7 +120,7 @@ def odd_prime_powers(lo: int, hi: int) -> list[tuple[int, int, int]]:
 
 def _sweep_one_q(task) -> list[dict]:
     """Worker: decide every a of one field through its z values; expand hits."""
-    p, m, q, r, t, include_norm_one = task
+    p, m, q, r, include_norm_one = task
     hits = t2_passing_z(p, m, r, include_norm_one)
     if not hits:
         return []
@@ -129,14 +129,14 @@ def _sweep_one_q(task) -> list[dict]:
     records = []
     for h in hits:
         for a_index, a in expand_z_to_a(fq2, h):
-            params = BinomialParams(a, r, t)
+            params = BinomialParams(a, r, 2)
             verdict = is_pp_powersum(params)
             if not verdict.is_pp:  # pragma: no cover - sweep and per-a agree
                 raise AssertionError("z-level hit disagreed with the per-a test")
             tag = classify_family(params)  # brute-force confirmation inside
             records.append(
                 SearchRecord(
-                    p=p, m=m, q=q, r=r, t=t,
+                    p=p, m=m, q=q, r=r, t=2,
                     a=a.text, a_index=a_index, z=params.z.text,
                     is_pp=True, family=tag.tag, method="powersum",
                     version=__version__, modulus=desc["modulus"],
@@ -154,21 +154,31 @@ def _write_catalog(path: str, header: dict, records: list[dict], done: list[dict
             fh.write(json.dumps(rec) + "\n")
 
 
+def _entry(text: str, keys: tuple, where: str) -> dict:
+    """The JSON object in text; ValueError naming where if a key is missing."""
+    d = json.loads(text)
+    missing = [k for k in keys if k not in d] if isinstance(d, dict) else list(keys)
+    if missing:
+        raise ValueError(f"{where}: catalog entry lacks {', '.join(missing)}")
+    return d
+
+
 def read_catalog(path: str) -> tuple[dict, list[SearchRecord], list[dict]]:
     header = {}
     records = []
     done = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
+            where = f"{path} line {lineno}"
             if line.startswith("#PERMBINOM-CATALOG "):
                 header = json.loads(line.split(" ", 1)[1])
             elif line.startswith("#DONE "):
-                done.append(json.loads(line.split(" ", 1)[1]))
+                done.append(_entry(line.split(" ", 1)[1], ("q", "r"), where))
             elif not line.startswith("#"):
-                records.append(SearchRecord.from_dict(json.loads(line)))
+                records.append(SearchRecord.from_dict(_entry(line, RECORD_KEYS, where)))
     return header, records, done
 
 
@@ -189,8 +199,6 @@ def search_exceptional(
     r: int,
     q_max: int,
     *,
-    t: int = 2,
-    q_min: int = 3,
     include_norm_one: bool = False,
     jobs: int = 1,
     out: str | None = None,
@@ -203,27 +211,24 @@ def search_exceptional(
     The summary counts sporadic hits below the nonexistence threshold and
     confirms the absence of norm-not-one hits at or above it.
     """
-    if t != 2:
-        raise ValueError("the search harness covers t = 2")
     if r <= 3 or r % 2 == 0:
         raise ValueError("search needs odd r > 3")
     cap = enumeration_cap()
     qs = [
         (p, m, q)
-        for (p, m, q) in odd_prime_powers(q_min, q_max)
+        for (p, m, q) in odd_prime_powers(3, q_max)
         if q * q <= cap and math.gcd(r, q - 1) == 1
     ]
+    params = {"r": r, "t": 2, "q_min": 3, "q_max": q_max, "include_norm_one": include_norm_one}
     done_pairs: set[tuple[int, int]] = set()
     records: list[dict] = []
     if resume and out and os.path.exists(out):
         old_header, old, done = read_catalog(out)
-        params_now = {"r": r, "t": t, "q_min": q_min, "q_max": q_max,
-                      "include_norm_one": include_norm_one}
-        if old_header.get("params") != params_now or old_header.get("cap") != cap:
+        if old_header.get("params") != params or old_header.get("cap") != cap:
             raise ValueError("cannot resume: existing catalog was produced with different flags")
         done_pairs = {(d["q"], d["r"]) for d in done}
         records = [rec.to_dict() for rec in old if (rec.q, rec.r) in done_pairs]
-    tasks = [(p, m, q, r, t, include_norm_one) for (p, m, q) in qs if (q, r) not in done_pairs]
+    tasks = [(p, m, q, r, include_norm_one) for (p, m, q) in qs if (q, r) not in done_pairs]
 
     for q_records in _pmap(_sweep_one_q, tasks, jobs):
         records.extend(q_records)
@@ -249,11 +254,7 @@ def search_exceptional(
                 sporadic_below += 1
 
     summary = {
-        "r": r,
-        "t": t,
-        "q_min": q_min,
-        "q_max": q_max,
-        "include_norm_one": include_norm_one,
+        **params,
         "q_swept": len(qs),
         "records": len(records),
         "hits_below_bound": below,
@@ -266,7 +267,7 @@ def search_exceptional(
             "schema": SCHEMA_VERSION,
             "version": __version__,
             "kind": "permbinom-search",
-            "params": {k: summary[k] for k in ("r", "t", "q_min", "q_max", "include_norm_one")},
+            "params": params,
             # tower construction is deterministic given (p, m); each record
             # carries its own modulus vectors
             "cap": cap,
@@ -309,6 +310,10 @@ def cross_validate(
     field from a seeded generator, mixing arbitrary exponents with the
     surviving family.  Deterministic for a fixed seed.
     """
+    if not q_list:
+        raise ValueError("no field orders to cross-validate")
+    if samples is not None and samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     reports = []
     for q in q_list:
         pp = PrimePower.from_q(q)

@@ -51,7 +51,7 @@ def test_01_symbolic_regeneration():
             th = theta_symbolic(alpha)
             assert th.poly == one_plus_z * target * REG.theta_prefactors[alpha]
         # spot coefficient called out by the contract
-        assert REG.A5.zcoeffs[10] == RatPoly((-591360, 1011008, -686880, 231840, -38880, 2592))
+        assert REG.A5.coeffs[10] == RatPoly((-591360, 1011008, -686880, 231840, -38880, 2592))
 
 
 def test_02_resultants_exact():

@@ -8,10 +8,10 @@ from permbinom.exactalg import (
     Factorization,
     IntPoly,
     RatPoly,
-    gcd_irred_mod_p,
     is_probable_prime,
     mp_divmod,
     mp_gcd,
+    mp_irreducible,
     mp_mul,
     mp_resultant,
     primality_and_factor_check,
@@ -69,6 +69,39 @@ def test_ratpoly_divmod_and_monic():
     assert RatPoly([2, 4]).monic().coeffs == (Fraction(1, 2), Fraction(1))
 
 
+def _no_float(poly):
+    flat = [c for cs in poly.coeffs for c in cs.coeffs] if isinstance(poly, BiPolyRZ) else poly.coeffs
+    return not any(isinstance(c, float) for c in flat)
+
+
+def test_shared_long_division_seeded():
+    # one long division serves Z, Q and Q[r]: exact quotients, never a float
+    rng = random.Random(31)
+
+    def ints(deg):
+        return [rng.randint(-9, 9) for _ in range(deg)] + [rng.choice((-3, -2, -1, 1, 2, 3))]
+
+    def rats(deg):
+        return RatPoly([Fraction(c, rng.randint(1, 5)) for c in ints(deg)])
+
+    def bipoly(deg):
+        return BiPolyRZ([rats(rng.randint(0, 2)) for _ in range(deg)] + [rats(1)])
+
+    for make in (lambda deg: IntPoly(ints(deg)), rats, bipoly):
+        for _ in range(30):
+            a, b = make(rng.randint(0, 4)), make(rng.randint(1, 3))
+            q = (a * b).divexact(b)
+            assert q == a and type(q) is type(a) and _no_float(q)
+            with pytest.raises(ValueError):  # b divides a*b, so b^2 cannot divide a*b + 1
+                (a * b + 1).divexact(b * b)
+    for _ in range(30):
+        a, b = rats(rng.randint(0, 6)), rats(rng.randint(0, 3))
+        q, r = a.divmod(b)
+        assert a == q * b + r and r.degree < b.degree and _no_float(q)
+    with pytest.raises(ValueError):
+        IntPoly([1, 2]).divexact(IntPoly([2, 2]))  # quotient 1/2 is not an integer
+
+
 def test_ratpoly_clear_denominators():
     f = RatPoly([Fraction(1, 2), Fraction(3, 4)])
     scale, prim = f.clear_denominators()
@@ -84,17 +117,17 @@ def test_reduce_mod_denominator_error():
 def test_bipoly_roundtrip():
     A = BiPolyRZ([RatPoly([1, 2]), RatPoly([0, 0, 1])])
     B = BiPolyRZ([RatPoly([5])])
-    assert (A * B).zcoeffs[0] == RatPoly([5, 10])
+    assert (A * B).coeffs[0] == RatPoly([5, 10])
     assert A.eval_r(2) == RatPoly([5, 4])
-    assert A.z_degree == 1 and A.r_degree == 2
+    assert A.degree == 1 and A.r_degree == 2
 
 
-def test_bipoly_divexact_z():
+def test_bipoly_divexact():
     one_plus_z = BiPolyRZ([RatPoly.const(1), RatPoly.const(1)])
     A = one_plus_z * BiPolyRZ([RatPoly([1, 1]), RatPoly([3])])
-    assert A.divexact_z(one_plus_z) == BiPolyRZ([RatPoly([1, 1]), RatPoly([3])])
+    assert A.divexact(one_plus_z) == BiPolyRZ([RatPoly([1, 1]), RatPoly([3])])
     with pytest.raises(ValueError):
-        BiPolyRZ([RatPoly([1])]).divexact_z(one_plus_z)
+        BiPolyRZ([RatPoly([1])]).divexact(one_plus_z)
 
 
 # --------------------------------------------------------------- resultants
@@ -151,7 +184,7 @@ def test_bivar_resultant_small_and_direct_agree():
     for _ in range(25):
         F = BiPolyRZ([RatPoly([rng.randint(-4, 4) for _ in range(3)]) for _ in range(rng.randint(2, 4))])
         G = BiPolyRZ([RatPoly([rng.randint(-4, 4) for _ in range(3)]) for _ in range(rng.randint(2, 4))])
-        if F.z_degree < 1 or G.z_degree < 1:
+        if F.degree < 1 or G.degree < 1:
             continue
         assert resultant_bivar_z(F, G) == resultant_bivar_z_sylvester(F, G)
 
@@ -186,11 +219,11 @@ def test_modp_gcd_properties():
 
 def test_gcd_irred_modes():
     # x^2 + 1: irreducible mod 3, splits mod 5
-    assert gcd_irred_mod_p(IntPoly([1, 0, 1]), p=3, mode="irreducible")
-    assert not gcd_irred_mod_p(IntPoly([1, 0, 1]), p=5, mode="irreducible")
-    assert gcd_irred_mod_p(IntPoly([1, 1]), IntPoly([1, 0, 0, 1]), p=5, mode="divides")
-    g = gcd_irred_mod_p(IntPoly([-1, 0, 1]), IntPoly([1, 1]), p=7, mode="gcd")
-    assert g == IntPoly([1, 1])
+    assert mp_irreducible(to_modp(IntPoly([1, 0, 1]), 3), 3)
+    assert not mp_irreducible(to_modp(IntPoly([1, 0, 1]), 5), 5)
+    assert not mp_divmod(to_modp(IntPoly([1, 0, 0, 1]), 5), to_modp(IntPoly([1, 1]), 5), 5)[1]
+    g = mp_gcd(to_modp(IntPoly([-1, 0, 1]), 7), to_modp(IntPoly([1, 1]), 7), 7)
+    assert IntPoly(g) == IntPoly([1, 1])
 
 
 def test_mp_resultant_matches_integer_reduction():

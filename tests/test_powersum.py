@@ -9,7 +9,6 @@ from permbinom.ff import build_tower, build_subfield, enumerate_elements
 from permbinom.powersum import (
     CDPair,
     PowerSumIndex,
-    binom_generalized,
     binom_intmod,
     binom_lucas,
     binom_rational,
@@ -86,12 +85,10 @@ def test_binom_intmod_periodicity_and_negatives():
         assert binom_intmod(n, k, p) == exact.numerator % p
 
 
-def test_binom_generalized_dispatch():
-    assert binom_generalized(Fraction(1, 2), 2) == Fraction(-1, 8)
-    assert binom_generalized(2, 2, mode="residue", p=5) == 1
-    assert binom_generalized(7, 3, mode="lucas", p=5) == 0
-    with pytest.raises(ValueError):
-        binom_generalized(1, 1, mode="bogus")
+def test_binom_flavours_direct():
+    assert binom_rational(Fraction(1, 2), 2) == Fraction(-1, 8)
+    assert binom_residue(2, 2, 5) == 1
+    assert binom_lucas(7, 3, 5) == 0
 
 
 # ------------------------------------------------------------- bracket rows
@@ -272,13 +269,13 @@ def test_theta_symbolic_invariants():
     one_plus_z = BiPolyRZ([RatPoly.const(1), RatPoly.const(1)])
     for alpha in (1, 3, 5):
         th = theta_symbolic(alpha).poly
-        assert th.z_degree == 2 * alpha + 1
+        assert th.degree == 2 * alpha + 1
         assert th.r_degree == alpha
-        th.divexact_z(one_plus_z)  # raises if inexact
+        th.divexact(one_plus_z)  # raises if inexact
     # divisibility at alpha = 7 is recorded, not asserted
     th7 = theta_symbolic(7).poly
     try:
-        th7.divexact_z(one_plus_z)
+        th7.divexact(one_plus_z)
         divisible = True
     except ValueError:
         divisible = False
@@ -287,7 +284,7 @@ def test_theta_symbolic_invariants():
 
 def test_theta_symbolic_vanishes_at_3_3():
     for alpha in range(1, 16, 2):
-        assert theta_symbolic(alpha).poly.eval_rz(3, 3) == 0
+        assert theta_symbolic(alpha).poly.eval_r(3).eval(Fraction(3)) == 0
 
 
 def test_theta_numeric_181():
@@ -326,5 +323,5 @@ def test_identity_alpha1_by_hand():
 
 
 def test_identities_sweep():
-    for rep in verify_identities(25, "both"):
+    for rep in verify_identities(25):
         assert rep.ok

@@ -1,7 +1,9 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
+from permbinom.cli import main
 from permbinom.exactalg import IntPoly, resultant_univar
 from permbinom.refcheck import (
     Sec6Instance,
@@ -31,7 +33,7 @@ def test_registry_shapes():
     assert REG.h15.degree == 7
     assert REG.h35.degree == 28
     assert REG.h35.lc == 21119053438918950050070528
-    assert REG.A5.z_degree == 10 and REG.A5.r_degree == 5
+    assert REG.A5.degree == 10 and REG.A5.r_degree == 5
     assert REG.B5.degree == 10
 
 
@@ -120,3 +122,12 @@ def test_p181_registry_is_checked_not_trusted():
     for f in (fs[0], IntPoly((138, 1))):
         bad = mp_mul(bad, to_modp(f, 181), 181)
     assert good != bad
+
+
+def test_verify_report_bytes_pinned(tmp_path, capsys):
+    # the machine-readable report of every suite, byte for byte
+    path = tmp_path / "all.jsonl"
+    assert main(["verify", "--suite", "all", "--json", str(path)]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "287486524eef8551988756958db6f1e098733961ac5be7fc59b73af04b9bf22a"

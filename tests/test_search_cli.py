@@ -26,8 +26,6 @@ def test_odd_prime_powers():
 def test_search_validation():
     with pytest.raises(ValueError):
         search_exceptional(4, 25)
-    with pytest.raises(ValueError):
-        search_exceptional(5, 25, t=1)
 
 
 def test_search_empty_range(tmp_path):
@@ -229,3 +227,46 @@ def test_cap_env_override(tmp_path, monkeypatch):
     from permbinom.ff import enumeration_cap
     assert enumeration_cap() == 50
     assert run_cli("field-info", "--p", "11", "--m", "1") == 2  # 121 > 50
+
+
+def _assert_usage_error(capsys, *argv):
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    return err
+
+
+def test_cli_unwritable_paths_exit_2(tmp_path, capsys):
+    missing = tmp_path / "no-such-dir"
+    _assert_usage_error(capsys, "verify", "--suite", "sec5r32", "--json", str(missing / "r.jsonl"))
+    _assert_usage_error(capsys, "search", "--r", "5", "--q-max", "20",
+                        "--out", str(missing / "c.jsonl"))
+
+
+def test_cli_resume_damaged_catalog_exit_2(tmp_path, capsys):
+    out = str(tmp_path / "cat.jsonl")
+    search_exceptional(5, 13, out=out)
+    lines = open(out).read().splitlines()
+    last = json.loads(lines[-1])
+    del last["z"]
+    with open(out, "w") as fh:
+        fh.write("\n".join(lines[:-1] + [json.dumps(last)]) + "\n")
+    err = _assert_usage_error(capsys, "search", "--r", "5", "--q-max", "13", "--out", out, "--resume")
+    assert f"line {len(lines)}" in err and "z" in err
+
+
+def test_read_catalog_rejects_done_marker_without_keys(tmp_path):
+    path = str(tmp_path / "cat.jsonl")
+    with open(path, "w") as fh:
+        fh.write('#PERMBINOM-CATALOG {}\n#DONE {"q": 5, "r": 5}\n#DONE {"q": 7}\n')
+    with pytest.raises(ValueError, match="line 3.*r"):
+        read_catalog(path)
+
+
+def test_cross_validate_rejects_nothing_to_check(capsys):
+    with pytest.raises(ValueError):
+        cross_validate([])
+    with pytest.raises(ValueError):
+        cross_validate([3], samples=0)
+    _assert_usage_error(capsys, "cross-validate", "--q", ",")
+    _assert_usage_error(capsys, "cross-validate", "--q", "3", "--samples", "-3")
