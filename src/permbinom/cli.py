@@ -14,12 +14,7 @@ import sys
 
 from . import __version__
 from .ff import build_tower, enumeration_cap
-from .powersum import (
-    PowerSumIndex,
-    power_sum_brute,
-    power_sum_t1_closed,
-    power_sum_t2_closed,
-)
+from .powersum import PowerSumIndex, power_sum_brute, power_sum_closed
 from .ppcheck import BinomialParams, classify_family, is_pp_brute, is_pp_powersum, thm21_bound
 from .refcheck import SUITES, run_suite
 from .report import all_ok, render_table
@@ -66,11 +61,7 @@ def _cmd_power_sum(args) -> int:
         value = power_sum_brute(params.r, params.t, params.a, s.s)
         method = "brute"
     else:
-        if params.t not in (1, 2):
-            print("closed form covers t in {1, 2}; use --brute", file=sys.stderr)
-            return 2
-        closed = power_sum_t2_closed if params.t == 2 else power_sum_t1_closed
-        value = closed(params.r, params.a, s)
+        value = power_sum_closed(params.r, params.t, params.a, s)
         method = "closed"
     print(json.dumps({"s": s.s, "alpha": s.alpha, "beta": s.beta,
                       "method": method, "value": value.text}))

@@ -2,10 +2,12 @@
 and by brute force.
 
 For exponents s = alpha + beta*q the sum vanishes unless alpha + beta = q-1
-(and, for t = 2, unless alpha is odd); the surviving sums collapse to short
-binomial brackets in the derived value z = (-a)^(-q(q+1)/2) (t = 2) or in
-a^(-(q+1)) (t = 1).  Which bracket terms survive is controlled by the
-division-with-remainder pair (c, d) of (alpha+1)r - 2*alpha by q+1.
+and alpha is in surviving_alphas(q, t) (for t = 2, alpha odd); the
+surviving sums collapse to short binomial brackets, t2_bracket in the
+derived value z = (-a)^(-q(q+1)/2) and t1_bracket in a^(-(q+1)).  Which
+bracket terms survive is controlled by the division-with-remainder pair
+(c, d) of (alpha+1)r - t*alpha by q+1.  Each of these rules is stated once
+here; the permutation test and the search call it.
 
 Every bracket is built from one memoised row kernel, bracket_row(alpha,
 shift, p): the coefficients binom(alpha,i)(-1)^i binom(i+shift, alpha) mod p.
@@ -40,8 +42,11 @@ __all__ = [
     "binom_lucas",
     "binom_intmod",
     "cd_pair",
+    "surviving_alphas",
     "bracket_row",
     "t2_bracket",
+    "t1_bracket",
+    "power_sum_closed",
     "power_sum_t2_closed",
     "power_sum_t1_closed",
     "power_sum_brute",
@@ -118,36 +123,29 @@ def binom_intmod(n: int, k: int, p: int) -> int:
 
 @dataclass(frozen=True)
 class CDPair:
-    """Quotient/remainder data selecting the surviving bracket terms.
-
-    t2 variant: (alpha+1)r - 2*alpha = c(q+1) - d, 0 <= d < q+1, d even.
-    t1 variant: (alpha+1)r - alpha  = c(q+1) - d, 0 <= d < q+1.
-    In both, c is the ceiling of the left side divided by q+1.
+    """Quotient/remainder data selecting the surviving bracket terms:
+    (alpha+1)r - t*alpha = c(q+1) - d with 0 <= d < q+1, so c is the ceiling
+    of the left side divided by q+1.  For t = 2, alpha is odd and d even.
     """
 
     c: int
     d: int
-    variant: str
+    t: int
 
 
-def cd_pair(alpha: int, r: int, q: int, variant: str = "t2") -> CDPair:
-    if variant == "t2":
-        if alpha % 2 == 0 or alpha < 1:
-            raise ValueError("t2 pairs are defined for odd alpha >= 1")
-        lhs = (alpha + 1) * r - 2 * alpha
-    elif variant == "t1":
-        if alpha < 0:
-            raise ValueError("alpha must be >= 0")
-        lhs = (alpha + 1) * r - alpha
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+def cd_pair(alpha: int, r: int, q: int, t: int = 2) -> CDPair:
+    if t not in (1, 2):
+        raise ValueError(f"(c, d) pairs are defined for t in {{1, 2}}, got t={t}")
+    if alpha < 0 or (t == 2 and alpha % 2 == 0):
+        raise ValueError("alpha must be >= 0, and odd for t = 2")
+    lhs = (alpha + 1) * r - t * alpha
     c = -((-lhs) // (q + 1))  # ceiling for either sign
     d = c * (q + 1) - lhs
     if not 0 <= d <= q:
         raise AssertionError("remainder out of range")  # pragma: no cover
-    if variant == "t2" and d % 2:
-        raise AssertionError("t2 remainder must be even")  # pragma: no cover
-    return CDPair(c, d, variant)
+    if t == 2 and d % 2:
+        raise AssertionError("remainder must be even for t = 2")  # pragma: no cover
+    return CDPair(c, d, t)
 
 
 # --------------------------------------------------------- exponent index
@@ -175,10 +173,14 @@ class PowerSumIndex:
         return cls.from_s(alpha + (q - 1 - alpha) * q, q)
 
 
-def _as_index(s, q: int) -> PowerSumIndex:
-    if isinstance(s, PowerSumIndex):
-        return s
-    return PowerSumIndex.from_s(int(s), q)
+def surviving_alphas(q: int, t: int) -> range:
+    """The alphas, ascending, whose useful sum can be nonzero: every
+    alpha < q for t = 1, the odd alphas < q-1 for t = 2."""
+    if t == 2:
+        return range(1, q - 1, 2)
+    if t == 1:
+        return range(q)
+    raise ValueError(f"the power-sum criterion covers t in {{1, 2}}, got t={t}")
 
 
 # ----------------------------------------------------- bracket coefficients
@@ -233,14 +235,56 @@ def t2_bracket(alpha: int, r: int, sub: FieldCtx, y_idx: int) -> tuple[int, int,
     """
     q = sub.order
     p = sub.char
-    d = cd_pair(alpha, r, q, "t2").d
+    d = cd_pair(alpha, r, q).d
     if d == q - 1:
         return d, _horner_sub(bracket_coeffs_deficient(alpha, q, p), y_idx, sub), 0
     evens, odds = bracket_coeffs(alpha, d // 2, (q + 1) // 2, p)
     return d, _horner_sub(evens, y_idx, sub), _horner_sub(odds, y_idx, sub)
 
 
+def t1_bracket(alpha: int, r: int, sub: FieldCtx, h_idx: int) -> tuple[int, int]:
+    """The t=1 bracket at alpha as (d, T(h)), with h = a^(-(q+1)) an F_q
+    index; the sum is T(h) up to a nonzero prefactor.
+
+    In the d = q branch the sum vanishes, so T is 0 there.
+    """
+    q = sub.order
+    d = cd_pair(alpha, r, q, 1).d
+    if d == q:
+        return d, 0
+    return d, _horner_sub(bracket_row(alpha, d, sub.char), h_idx, sub)
+
+
 # ------------------------------------------------------------ closed forms
+
+def _closed_alpha(r: int, t: int, a: FieldElement, s) -> int | None:
+    """The checks both closed forms make, in order; then the alpha of s if
+    its sum can be nonzero, None if the sum vanishes outright."""
+    sub = a.ctx.base
+    if sub is None:
+        raise ValueError("a must live in the quadratic extension")
+    q = sub.order
+    if t == 2 and q % 2 == 0:
+        raise ValueError("closed form requires odd q")
+    if math.gcd(r, q - 1) != 1:
+        raise ValueError("closed form requires gcd(r, q-1) = 1")
+    if a.idx == 0:
+        raise ValueError("a must be nonzero")
+    idx = s if isinstance(s, PowerSumIndex) else PowerSumIndex.from_s(int(s), q)
+    if idx.alpha + idx.beta == q - 1 and idx.alpha in surviving_alphas(q, t):
+        return idx.alpha
+    return None
+
+
+def power_sum_closed(r: int, t: int, a: FieldElement, s) -> FieldElement:
+    """The closed form for t in {1, 2}: power_sum_t2_closed or
+    power_sum_t1_closed, looked up by name at each call."""
+    if t == 2:
+        return power_sum_t2_closed(r, a, s)
+    if t == 1:
+        return power_sum_t1_closed(r, a, s)
+    raise ValueError(f"closed form covers t in {{1, 2}}, got t={t}")
+
 
 def power_sum_t2_closed(r: int, a: FieldElement, s) -> FieldElement:
     """Sum of f(x)^s over F_{q^2} for f = x^r (a + x^(2(q-1))), in closed form.
@@ -248,27 +292,17 @@ def power_sum_t2_closed(r: int, a: FieldElement, s) -> FieldElement:
     Requires q odd, gcd(r, q-1) = 1, a != 0.  Zero unless alpha is odd and
     alpha + beta = q-1; otherwise the three-branch bracket formula in z.
     """
+    alpha = _closed_alpha(r, 2, a, s)
     ctx2 = a.ctx
-    sub = ctx2.base
-    if sub is None:
-        raise ValueError("a must live in the quadratic extension")
-    q = sub.order
-    if q % 2 == 0:
-        raise ValueError("closed form requires odd q")
-    if math.gcd(r, q - 1) != 1:
-        raise ValueError("closed form requires gcd(r, q-1) = 1")
-    if a.idx == 0:
-        raise ValueError("a must be nonzero")
-    idx = _as_index(s, q)
-    alpha, beta = idx.alpha, idx.beta
-    if alpha % 2 == 0 or alpha + beta != q - 1:
+    if alpha is None:
         return ctx2.zero()
+    q = ctx2.base.order
     n = ctx2.order - 1
     z = compute_z(a)
     y = ctx2.mul(z.idx, z.idx)
     if not ctx2.in_subfield(y):  # pragma: no cover - z^2 is always in F_q
         raise AssertionError("z^2 outside the subfield")
-    d, e_val, o_val = t2_bracket(alpha, r, sub, y)
+    d, e_val, o_val = t2_bracket(alpha, r, ctx2.base, y)
     if d == q - 1:
         pref = ctx2.pow(a.idx, (alpha + 1) % n)
         out = ctx2.neg(ctx2.mul(ctx2.mul(pref, z.idx), e_val))
@@ -288,27 +322,17 @@ def power_sum_t1_closed(r: int, a: FieldElement, s) -> FieldElement:
     Requires gcd(r, q-1) = 1, a != 0; valid for even q as well.  Zero unless
     alpha + beta = q-1 and the remainder d is < q.
     """
+    alpha = _closed_alpha(r, 1, a, s)
     ctx2 = a.ctx
-    sub = ctx2.base
-    if sub is None:
-        raise ValueError("a must live in the quadratic extension")
-    q = sub.order
-    if math.gcd(r, q - 1) != 1:
-        raise ValueError("closed form requires gcd(r, q-1) = 1")
-    if a.idx == 0:
-        raise ValueError("a must be nonzero")
-    idx = _as_index(s, q)
-    alpha, beta = idx.alpha, idx.beta
-    if alpha + beta != q - 1:
+    if alpha is None:
         return ctx2.zero()
-    pair = cd_pair(alpha, r, q, "t1")
-    d = pair.d
+    sub = ctx2.base
+    q = sub.order
+    h = sub.inv(ctx2.pow(a.idx, q + 1))  # a^(-(q+1)), an element of F_q
+    d, t_val = t1_bracket(alpha, r, sub, h)
     if d == q:
         return ctx2.zero()
     n = ctx2.order - 1
-    nrm = ctx2.pow(a.idx, q + 1)
-    h = sub.inv(nrm)  # a^(-(q+1)), an element of F_q
-    t_val = _horner_sub(bracket_row(alpha, d, ctx2.char), h, sub)
     pref = ctx2.pow(a.idx, (alpha + 1 - q * (1 + d)) % n)
     out = ctx2.mul(pref, t_val)
     if (alpha + d + 1) % 2:

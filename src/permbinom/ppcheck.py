@@ -13,7 +13,9 @@ z = (-a)^(-q(q+1)/2): the root condition is z != 1 and each bracket is
 E(z^2) + z*O(z^2) with E, O over F_q.  Since z^2 is always in F_q, a
 verdict needs only F_q arithmetic; when z is outside F_q the bracket
 vanishes iff E and O both do.  The sweep helpers exploit this to test every
-a of a large field through at most 2(q-1) distinct z values.
+a of a large field through at most 2(q-1) distinct z values.  The t = 2
+families are z values too: (r, z) = (1, 1/3) is family (iii) and
+(r, z) = (3, 3) is family (iv).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .ff import FieldCtx, FieldElement, build_subfield, compute_z, enumeration_cap
-from .powersum import PowerSumIndex, _horner_sub, bracket_row, cd_pair, t2_bracket
+from .powersum import PowerSumIndex, surviving_alphas, t1_bracket, t2_bracket
 
 __all__ = [
     "BinomialParams",
@@ -88,18 +90,6 @@ class BinomialParams:
         if self._z is None:
             self._z = compute_z(self.a)
         return self._z
-
-    def describe(self) -> dict:
-        d = self.ctx2.describe()
-        return {
-            "p": self.p,
-            "m": self.sub.prime_power.m,
-            "q": self.q,
-            "r": self.r,
-            "t": self.t,
-            "a": self.a.text,
-            "modulus": d["modulus"],
-        }
 
     def __repr__(self):
         return f"BinomialParams(q={self.q}, r={self.r}, t={self.t}, a={self.a.text})"
@@ -205,7 +195,7 @@ def t2_z_first_failure(sub: FieldCtx, q: int, r: int, y_idx: int, z_sub_idx: int
     y_idx is z^2 as an F_q index; z_sub_idx is z itself when z lies in F_q,
     None when it does not (then a bracket vanishes iff both of its halves do).
     """
-    for alpha in range(1, q - 1, 2):
+    for alpha in surviving_alphas(q, 2):
         _, e_val, o_val = t2_bracket(alpha, r, sub, y_idx)
         if z_sub_idx is None:
             if e_val or o_val:
@@ -234,26 +224,15 @@ def is_pp_powersum(params: BinomialParams) -> PPVerdict:
     if excess is not None:
         return PPVerdict(False, "powersum", RootCountExcess(1 + excess))
     if t == 2:
-        nrm = ctx2.pow(params.a.idx, q + 1)
-        y = sub.inv(nrm)  # z^2 = a^(-(q+1))
-        w = ctx2.pow(ctx2.neg(params.a.idx), (q + 1) // 2)
-        z_sub = sub.inv(w) if ctx2.in_subfield(w) else None
-        alpha = t2_z_first_failure(sub, q, r, y, z_sub)
-        if alpha is not None:
-            s = PowerSumIndex.useful(alpha, q)
-            return PPVerdict(False, "powersum", NonzeroPowerSum(s.s, alpha))
+        z = params.z.idx
+        z_sub = z if ctx2.in_subfield(z) else None
+        alpha = t2_z_first_failure(sub, q, r, ctx2.mul(z, z), z_sub)
+    else:
+        h = sub.inv(ctx2.pow(params.a.idx, q + 1))  # a^(-(q+1))
+        alpha = next((al for al in surviving_alphas(q, 1) if t1_bracket(al, r, sub, h)[1]), None)
+    if alpha is None:
         return PPVerdict(True, "powersum")
-    # t = 1
-    nrm = ctx2.pow(params.a.idx, q + 1)
-    h = sub.inv(nrm)
-    for alpha in range(q):
-        d = cd_pair(alpha, r, q, "t1").d
-        if d == q:
-            continue
-        if _horner_sub(bracket_row(alpha, d, params.p), h, sub) != 0:
-            s = PowerSumIndex.useful(alpha, q)
-            return PPVerdict(False, "powersum", NonzeroPowerSum(s.s, alpha))
-    return PPVerdict(True, "powersum")
+    return PPVerdict(False, "powersum", NonzeroPowerSum(PowerSumIndex.useful(alpha, q).s, alpha))
 
 
 def thm21_bound(r: int, p: int) -> int:
@@ -300,24 +279,22 @@ def classify_family(params: BinomialParams) -> FamilyTag:
     Every predicate that holds is recorded; the tag is the first holder in a
     fixed precedence order, sporadic if the map permutes but nothing fired,
     not_pp if it does not permute.  For t > 2 only the norm-one family
-    applies.  The permutation verdict is the brute test's, so the field must
-    lie within the enumeration cap (ValueError above it).
+    applies; families (iii) and (iv) are read off the cached z.  The
+    permutation verdict is the brute test's, so the field must lie within
+    the enumeration cap (ValueError above it).
     """
-    ctx2, sub = params.ctx2, params.sub
+    ctx2 = params.ctx2
     q, r, t, p = params.q, params.r, params.t, params.p
-    a_idx = params.a.idx
     fired = []
-    norm_one = ctx2.pow(a_idx, q + 1) == 1
+    norm_one = ctx2.pow(params.a.idx, q + 1) == 1
     gcd_r = math.gcd(r, q - 1) == 1
-    g = math.gcd(q + 1, t)
-    root_ok = ctx2.pow(ctx2.neg(a_idx), (q + 1) // g) != 1
-    if norm_one and gcd_r and math.gcd(r - t, q + 1) == 1 and root_ok:
+    if norm_one and gcd_r and math.gcd(r - t, q + 1) == 1 and _root_excess(params) is None:
         fired.append("family_i")
-    if t == 2 and q % 2 == 1:
-        w = ctx2.pow(ctx2.neg(a_idx), (q + 1) // 2)
-        if r == 1 and w == ctx2.embed_int(3) and p != 3:
+    if t == 2 and q % 2 == 1 and p != 3:
+        z, three = params.z.idx, ctx2.embed_int(3)
+        if r == 1 and ctx2.mul(three, z) == 1:
             fired.append("family_iii")
-        if r == 3 and p != 3 and (q - 1) % 3 != 0 and w == ctx2.pow(ctx2.embed_int(3), -1):
+        if r == 3 and (q - 1) % 3 != 0 and z == three:
             fired.append("family_iv")
     if t == 1 and gcd_r and (r - 1) % (q + 1) == 0 and not norm_one:
         fired.append("thm42")

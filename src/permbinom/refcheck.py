@@ -194,7 +194,7 @@ class Sec6Instance:
             raise ValueError("q must be a power of p")
         if self.q < self.r * self.r - 4 * self.r + 5:
             raise ValueError("q below the quotient-1 threshold")
-        if cd_pair(self.p**self.l, self.r, self.q, "t2").c != 1:
+        if cd_pair(self.p**self.l, self.r, self.q).c != 1:
             raise ValueError("instance does not sit in the c = 1 regime")
 
     @property
@@ -219,7 +219,7 @@ def sec6_check(inst: Sec6Instance) -> list[CheckReport]:
     alpha, r = inst.alpha, inst.r
     tag = f"sec6.p{p}.l{l}.k{k}.q{q}"
     dh = (q + 1) // 2 + alpha - r * (alpha + 1) // 2
-    pair = cd_pair(alpha, r, q, "t2")
+    pair = cd_pair(alpha, r, q)
     reports = [check(f"{tag}.index-data", (1, 2 * dh), (pair.c, pair.d))]
     if not 0 <= pair.d < q - 1:
         reports.append(CheckReport(f"{tag}.d-range", FAIL, "0 <= d < q-1", str(pair.d)))

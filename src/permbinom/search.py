@@ -16,16 +16,11 @@ import math
 import multiprocessing
 import os
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import __version__
 from .ff import PrimePower, build_tower, enumeration_cap, enumerate_elements
-from .powersum import (
-    PowerSumIndex,
-    power_sum_brute,
-    power_sum_t1_closed,
-    power_sum_t2_closed,
-)
+from .powersum import PowerSumIndex, power_sum_brute, power_sum_closed, surviving_alphas
 from .ppcheck import (
     BinomialParams,
     classify_family,
@@ -47,8 +42,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-RECORD_KEYS = ("p", "m", "q", "r", "t", "a", "a_index", "z", "is_pp",
-               "family", "method", "version", "modulus")
 
 
 @dataclass(frozen=True)
@@ -76,6 +69,10 @@ class SearchRecord:
     @classmethod
     def from_dict(cls, d: dict) -> "SearchRecord":
         return cls(**{k: d[k] for k in RECORD_KEYS})
+
+
+# catalog key order, which fixes the catalog bytes: the field order above
+RECORD_KEYS = tuple(f.name for f in fields(SearchRecord))
 
 
 def _record_key(d: dict) -> tuple:
@@ -155,8 +152,12 @@ def _write_catalog(path: str, header: dict, records: list[dict], done: list[dict
 
 
 def _entry(text: str, keys: tuple, where: str) -> dict:
-    """The JSON object in text; ValueError naming where if a key is missing."""
-    d = json.loads(text)
+    """The JSON object in text; ValueError naming where if it is malformed
+    or a key is missing."""
+    try:
+        d = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{where}: malformed catalog entry: {exc.msg}") from None
     missing = [k for k in keys if k not in d] if isinstance(d, dict) else list(keys)
     if missing:
         raise ValueError(f"{where}: catalog entry lacks {', '.join(missing)}")
@@ -174,7 +175,7 @@ def read_catalog(path: str) -> tuple[dict, list[SearchRecord], list[dict]]:
                 continue
             where = f"{path} line {lineno}"
             if line.startswith("#PERMBINOM-CATALOG "):
-                header = json.loads(line.split(" ", 1)[1])
+                header = _entry(line.split(" ", 1)[1], (), where)
             elif line.startswith("#DONE "):
                 done.append(_entry(line.split(" ", 1)[1], ("q", "r"), where))
             elif not line.startswith("#"):
@@ -213,6 +214,10 @@ def search_exceptional(
     """
     if r <= 3 or r % 2 == 0:
         raise ValueError("search needs odd r > 3")
+    out_dir = os.path.dirname(out) if out else ""
+    if out_dir and not os.path.isdir(out_dir):
+        # fail before the sweep; the file itself is left alone for --resume
+        raise FileNotFoundError(f"output directory {out_dir} does not exist")
     cap = enumeration_cap()
     qs = [
         (p, m, q)
@@ -332,54 +337,47 @@ def cross_validate(
     return reports
 
 
-def _admissible_r(q: int, t: int):
+def _admissible_r(q: int):
     return [r for r in range(1, q * q - 1) if math.gcd(r, q - 1) == 1]
+
+
+def _tally(name: str, expected: str, checked: str, bad: list, noun: str) -> CheckReport:
+    """One cross-validation report: pass iff nothing in bad."""
+    return CheckReport(name, FAIL if bad else PASS, expected,
+                       f"{checked}, {len(bad)} {noun}" + (f"; first {bad[:3]}" if bad else ""))
 
 
 def _xval_exhaustive(fq2, q: int, t: int, modes=("oracle", "pp")) -> list[CheckReport]:
     out = []
     if "oracle" in modes:
-        closed = power_sum_t2_closed if t == 2 else power_sum_t1_closed
-        alphas = list(range(1, q - 1, 2)) if t == 2 else list(range(q))
         mismatches = []
         n_sums = 0
-        for r in _admissible_r(q, t):
+        for r in _admissible_r(q):
             for a in enumerate_elements(fq2, "nonzero"):
-                for alpha in alphas:
+                for alpha in surviving_alphas(q, t):
                     s = PowerSumIndex.useful(alpha, q)
                     n_sums += 1
-                    if closed(r, a, s) != power_sum_brute(r, t, a, s.s):
+                    if power_sum_closed(r, t, a, s) != power_sum_brute(r, t, a, s.s):
                         mismatches.append((r, a.text, alpha))
-        out.append(CheckReport(
-            f"xval.q{q}.t{t}.oracle",
-            PASS if not mismatches else FAIL,
-            "closed form == brute force",
-            f"{n_sums} sums, {len(mismatches)} mismatches"
-            + (f"; first {mismatches[:3]}" if mismatches else ""),
-        ))
+        out.append(_tally(f"xval.q{q}.t{t}.oracle", "closed form == brute force",
+                          f"{n_sums} sums", mismatches, "mismatches"))
     if "pp" in modes:
         disagreements = []
         n_params = 0
-        for r in _admissible_r(q, t):
+        for r in _admissible_r(q):
             for a in enumerate_elements(fq2, "nonzero"):
                 params = BinomialParams(a, r, t)
                 n_params += 1
                 if is_pp_powersum(params).is_pp != is_pp_brute(params).is_pp:
                     disagreements.append((r, a.text))
-        out.append(CheckReport(
-            f"xval.q{q}.t{t}.pp",
-            PASS if not disagreements else FAIL,
-            "fast test == brute test",
-            f"{n_params} parameter sets, {len(disagreements)} disagreements"
-            + (f"; first {disagreements[:3]}" if disagreements else ""),
-        ))
+        out.append(_tally(f"xval.q{q}.t{t}.pp", "fast test == brute test",
+                          f"{n_params} parameter sets", disagreements, "disagreements"))
     return out
 
 
 def _xval_random(fq2, q: int, t: int, samples: int, seed: int) -> list[CheckReport]:
     rng = random.Random((seed, q, t).__repr__())
-    closed = power_sum_t2_closed if t == 2 else power_sum_t1_closed
-    rs = _admissible_r(q, t)
+    rs = _admissible_r(q)
     n = q * q - 1
     mismatches = []
     for i in range(samples):
@@ -388,19 +386,11 @@ def _xval_random(fq2, q: int, t: int, samples: int, seed: int) -> list[CheckRepo
         if i % 2 == 0:
             s = PowerSumIndex.from_s(rng.randrange(1, n - 1), q)
         else:
-            alpha = rng.choice(list(range(1, q - 1, 2)) if t == 2 else list(range(q)))
-            s = PowerSumIndex.useful(alpha, q)
-        if closed(r, a, s) != power_sum_brute(r, t, a, s.s):
+            s = PowerSumIndex.useful(rng.choice(surviving_alphas(q, t)), q)
+        if power_sum_closed(r, t, a, s) != power_sum_brute(r, t, a, s.s):
             mismatches.append((r, a.text, s.s))
-    return [
-        CheckReport(
-            f"xval.q{q}.t{t}.random{samples}",
-            PASS if not mismatches else FAIL,
-            "closed form == brute force",
-            f"{samples} sampled sums, {len(mismatches)} mismatches"
-            + (f"; first {mismatches[:3]}" if mismatches else ""),
-        )
-    ]
+    return [_tally(f"xval.q{q}.t{t}.random{samples}", "closed form == brute force",
+                   f"{samples} sampled sums", mismatches, "mismatches")]
 
 
 def thm21_desk_sweep(r: int, q_cap_sq: int | None = None, jobs: int = 1) -> dict:

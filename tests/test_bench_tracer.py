@@ -5,6 +5,7 @@ Installing and removing the wrappers catches that in milliseconds."""
 import os
 
 from permbinom import ff, powersum, ppcheck
+from permbinom.ff import build_tower
 
 BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
@@ -22,3 +23,22 @@ def test_tracer_installs_over_the_package(monkeypatch):
     finally:
         t.uninstall()
     assert (ff.FieldCtx.__init__, powersum.bracket_coeffs, ppcheck.t2_z_first_failure) == originals
+
+
+def test_tracer_counts_closed_dispatch_once(monkeypatch):
+    # power_sum_closed resolves both closed forms at call time, so the
+    # wrapped ones count each call once under powersum.closed
+    monkeypatch.syspath_prepend(BENCH_DIR)
+    import tracer
+
+    _, fq2 = build_tower(5, 1)
+    a = fq2.element(fq2.exp(1))
+    s = powersum.PowerSumIndex.useful(1, 5)
+    t = tracer.Tracer()
+    t.install()
+    try:
+        for calls, tt in enumerate((1, 2), 1):
+            powersum.power_sum_closed(3, tt, a, s)
+            assert t.hot["powersum.closed"][0] == calls
+    finally:
+        t.uninstall()

@@ -120,9 +120,9 @@ def test_bracket_entry_points_are_rows():
 # -------------------------------------------------------------------- cd
 
 def test_cd_pair_examples():
-    assert cd_pair(1, 5, 31) == CDPair(1, 24, "t2")
-    assert cd_pair(1, 5, 5) == CDPair(2, 4, "t2")     # d = q-1 branch
-    assert cd_pair(5, 3, 31) == CDPair(1, 24, "t2")
+    assert cd_pair(1, 5, 31) == CDPair(1, 24, 2)
+    assert cd_pair(1, 5, 5) == CDPair(2, 4, 2)     # d = q-1 branch
+    assert cd_pair(5, 3, 31) == CDPair(1, 24, 2)
     # invariant holds on a grid
     for q in (3, 5, 7, 9):
         for alpha in range(1, q - 1, 2):
@@ -138,9 +138,27 @@ def test_cd_pair_t1():
         for alpha in range(q):
             for k in range(3):
                 r = 1 + k * (q + 1)
-                assert cd_pair(alpha, r, q, "t1").d == q
-    pair = cd_pair(0, 3, 5, "t1")
+                assert cd_pair(alpha, r, q, 1).d == q
+    pair = cd_pair(0, 3, 5, 1)
     assert 1 * 3 - 0 == pair.c * 6 - pair.d
+    # invariant holds on a grid
+    for q in (2, 3, 4, 5, 8, 9):
+        for alpha in range(q):
+            for r in range(1, q * q - 1):
+                pair = cd_pair(alpha, r, q, 1)
+                assert (alpha + 1) * r - alpha == pair.c * (q + 1) - pair.d
+                assert 0 <= pair.d <= q and pair.t == 1
+
+
+def test_cd_pair_rejects_bad_t_and_alpha():
+    for t in (0, 3, 4):
+        with pytest.raises(ValueError):
+            cd_pair(1, 5, 7, t)
+    for alpha in (0, 2, 4):
+        with pytest.raises(ValueError):
+            cd_pair(alpha, 5, 7, 2)
+    with pytest.raises(ValueError):
+        cd_pair(-1, 5, 7, 1)
 
 
 def test_power_sum_index():

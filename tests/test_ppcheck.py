@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from permbinom.ff import build_tower, compute_z, enumerate_elements
+from permbinom.ff import PrimePower, build_tower, compute_z, enumerate_elements
 from permbinom.ppcheck import (
     BinomialParams,
     Collision,
@@ -16,6 +16,7 @@ from permbinom.ppcheck import (
     t2_passing_z,
     thm21_bound,
 )
+from permbinom.powersum import PowerSumIndex, power_sum_closed, surviving_alphas
 
 
 def params(p, m, r, t, a_idx):
@@ -85,6 +86,30 @@ def test_powersum_equals_brute_exhaustive_small():
                     assert is_pp_powersum(ps).is_pp == is_pp_brute(ps).is_pp
 
 
+def test_powersum_verdict_matches_closed_forms():
+    # the fast test's witness is the first surviving alpha with a nonzero
+    # closed form, and a permutation has every surviving closed form zero
+    cases = [(q, 2) for q in (3, 5, 7, 9, 11)] + [(q, 1) for q in (3, 4, 5, 7, 8, 9)]
+    branches = set()
+    for q, t in cases:
+        pp = PrimePower.from_q(q)
+        fq, fq2 = build_tower(pp.p, pp.m)
+        alphas = surviving_alphas(q, t)
+        for r in range(1, q * q - 1):
+            if math.gcd(r, q - 1) != 1:
+                continue
+            for a in enumerate_elements(fq2, "nonzero"):
+                v = is_pp_powersum(BinomialParams(a, r, t))
+                sums = (power_sum_closed(r, t, a, PowerSumIndex.useful(al, q)) for al in alphas)
+                if isinstance(v.witness, NonzeroPowerSum):
+                    first = next(al for al, val in zip(alphas, sums) if val != 0)
+                    assert (v.witness.alpha, v.witness.s) == (first, PowerSumIndex.useful(first, q).s)
+                elif v.is_pp:
+                    assert all(val == 0 for val in sums), (q, t, r, a.text)
+                branches.add((t, type(v.witness).__name__))
+    assert {(t, w) for t in (1, 2) for w in ("NoneType", "NonzeroPowerSum")} <= branches
+
+
 def test_powersum_witnesses():
     # gcd failure is a verdict with a note, not an error
     v = is_pp_powersum(params(5, 1, 2, 2, 3))
@@ -137,12 +162,14 @@ def test_classify_examples():
         if (-a) ** 3 == 3:
             tag = classify_family(BinomialParams(a, 1, 2))
             assert tag.tag == "family_iii"
+            assert compute_z(a) * 3 == 1  # the paper's (r, z) = (1, 1/3)
             hits += 1
     assert hits == 3
     # family_iv: r = 3, t = 2, (-a)^((q+1)/2) = 1/3 = 2 in F_5
     for a in enumerate_elements(fq2, "nonzero"):
         if (-a) ** 3 == 2:
             assert classify_family(BinomialParams(a, 3, 2)).tag == "family_iv"
+            assert compute_z(a) == 3  # the paper's (r, z) = (3, 3)
     fq, fq2 = build_tower(3, 1)
     for a in enumerate_elements(fq2, "nonzero"):
         if a**4 != 1:

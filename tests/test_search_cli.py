@@ -1,8 +1,10 @@
+import hashlib
 import json
 import os
 
 import pytest
 
+from permbinom import search
 from permbinom.cli import main
 from permbinom.ff import build_tower
 from permbinom.ppcheck import BinomialParams, is_pp_brute, is_pp_powersum
@@ -63,6 +65,15 @@ def test_search_records_brute_confirm(tmp_path):
         assert is_pp_powersum(ps).is_pp == rec.is_pp
         assert fq2.dlog(a.idx) == rec.a_index
         assert ps.z.text == rec.z
+
+
+def test_catalog_bytes_pinned(tmp_path):
+    # a drift in any verdict, z text, family tag or key order changes the bytes
+    out = tmp_path / "cat7.jsonl"
+    summary = search_exceptional(7, 40, include_norm_one=True, out=str(out))
+    assert summary["records"] == 146
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "0fd6b88f9c0b77b1708c1b4e43ab4509ba0239c9ecc3520dc596d2f6641ef505"
 
 
 def test_search_determinism_and_jobs(tmp_path):
@@ -261,6 +272,34 @@ def test_read_catalog_rejects_done_marker_without_keys(tmp_path):
         fh.write('#PERMBINOM-CATALOG {}\n#DONE {"q": 5, "r": 5}\n#DONE {"q": 7}\n')
     with pytest.raises(ValueError, match="line 3.*r"):
         read_catalog(path)
+    with open(path, "w") as fh:
+        fh.write('\n#PERMBINOM-CATALOG {"schema": 1,\n')
+    with pytest.raises(ValueError, match="line 2"):
+        read_catalog(path)
+
+
+def test_cli_resume_malformed_catalog_line_exit_2(tmp_path, capsys):
+    out = str(tmp_path / "cat.jsonl")
+    search_exceptional(5, 13, out=out)
+    lines = open(out).read().splitlines()
+    lines[2] = '{"p": 5,'
+    with open(out, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    err = _assert_usage_error(capsys, "search", "--r", "5", "--q-max", "13", "--out", out, "--resume")
+    assert f"{out} line 3" in err
+
+
+def test_search_missing_out_dir_fails_before_sweep(tmp_path, capsys, monkeypatch):
+    calls = []
+    sweep = search.t2_passing_z
+    monkeypatch.setattr(search, "t2_passing_z", lambda *args: calls.append(args) or sweep(*args))
+    out = str(tmp_path / "no-such-dir" / "c.jsonl")
+    _assert_usage_error(capsys, "search", "--r", "5", "--q-max", "150", "--include-norm-one",
+                        "--out", out)
+    assert calls == []
+    # the counter does see a sweep that runs
+    assert run_cli("search", "--r", "5", "--q-max", "13", "--out", str(tmp_path / "c.jsonl")) == 0
+    assert calls
 
 
 def test_cross_validate_rejects_nothing_to_check(capsys):
