@@ -7,7 +7,13 @@ index of a base-field element.  Flattened all the way down this is the
 base-p digit expansion, so addition is digit-wise mod p and the subfield
 F_q sits inside F_{q^2} as the indexes below q.
 
-Multiplication runs on generator exp/log tables built once per context.
+Multiplication runs on generator exp/log tables built once per context by
+stepping through the powers of the generator g.  A prime field steps
+k -> k*g mod p; F_{p^2} = F_p[X]/(X^2 + m1*X + m0), the F_{q^2} of every
+prime q, steps the coefficient pair (c0, c1) of g^k with two fixed linear
+forms mod p; every other field multiplies by g with the schoolbook
+`_mul_raw`.
+
 Construction is fully deterministic: the modulus is the lexicographically
 smallest monic irreducible (coefficients compared low-degree-first), the
 generator the smallest index that generates the multiplicative group, so
@@ -211,6 +217,19 @@ class FieldCtx:
                 exp[k] = cur
                 log[cur] = k
                 cur = cur * g % p
+        elif self.degree == 2 and self.base.base is None:
+            # F_p[X]/(X^2 + m1*X + m0) with g = g0 + g1*X: (c0 + c1*X)*g is
+            # (c0*g0 - c1*k0) + (c0*g1 + c1*k1)*X, k0 = g1*m0, k1 = g0 - g1*m1
+            p = self.char
+            g1, g0 = divmod(g, p)
+            k0, k1 = g1 * self.modulus[0], g0 - g1 * self.modulus[1]
+            c0, c1 = 1, 0
+            for k in range(n):
+                cur = c0 + c1 * p
+                exp[k] = cur
+                log[cur] = k
+                c0, c1 = (c0 * g0 - c1 * k0) % p, (c0 * g1 + c1 * k1) % p
+            cur = c0 + c1 * p
         else:
             for k in range(n):
                 exp[k] = cur

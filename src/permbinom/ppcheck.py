@@ -57,8 +57,8 @@ class BinomialParams:
         if ctx2.base is None:
             raise ValueError("a must live in the quadratic extension")
         q = ctx2.base.order
-        if not 1 <= r <= q * q - 2:
-            raise ValueError(f"r={r} out of range 1..{q*q-2}")
+        if r < 1:
+            raise ValueError(f"r={r} must be >= 1")
         if not 1 <= t <= q:
             raise ValueError(f"t={t} out of range 1..{q}")
         if a.idx == 0:
@@ -261,7 +261,7 @@ def normalize(params: BinomialParams) -> tuple[BinomialParams, NormalizeTrace]:
     r, t = params.r, params.t
     steps = []
     while t % p == 0:
-        r_new = r * pow(p, -1, n) % n
+        r_new = r * pow(p, -1, n) % n or n  # x^n, not x^0: it maps 0 to 0
         steps.append(("frobenius-fold", {"r": r, "t": t, "r_new": r_new, "t_new": t // p}, True))
         r, t = r_new, t // p
     d = math.gcd(r, t)
@@ -279,12 +279,14 @@ def classify_family(params: BinomialParams) -> FamilyTag:
     Every predicate that holds is recorded; the tag is the first holder in a
     fixed precedence order, sporadic if the map permutes but nothing fired,
     not_pp if it does not permute.  For t > 2 only the norm-one family
-    applies; families (iii) and (iv) are read off the cached z.  The
+    applies; families (iii) and (iv) are read off the cached z, with r
+    taken mod q^2-1 since x^r depends only on that residue.  The
     permutation verdict is the brute test's, so the field must lie within
     the enumeration cap (ValueError above it).
     """
     ctx2 = params.ctx2
     q, r, t, p = params.q, params.r, params.t, params.p
+    n = q * q - 1
     fired = []
     norm_one = ctx2.pow(params.a.idx, q + 1) == 1
     gcd_r = math.gcd(r, q - 1) == 1
@@ -292,9 +294,9 @@ def classify_family(params: BinomialParams) -> FamilyTag:
         fired.append("family_i")
     if t == 2 and q % 2 == 1 and p != 3:
         z, three = params.z.idx, ctx2.embed_int(3)
-        if r == 1 and ctx2.mul(three, z) == 1:
+        if (r - 1) % n == 0 and ctx2.mul(three, z) == 1:
             fired.append("family_iii")
-        if r == 3 and (q - 1) % 3 != 0 and z == three:
+        if (r - 3) % n == 0 and (q - 1) % 3 != 0 and z == three:
             fired.append("family_iv")
     if t == 1 and gcd_r and (r - 1) % (q + 1) == 0 and not norm_one:
         fired.append("thm42")

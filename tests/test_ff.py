@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -226,3 +227,31 @@ def test_generator_has_full_order():
                 seen.add(x.idx)
             assert x == 1  # g has exact multiplicative order n
             assert len(seen) == n
+
+
+# the tables built by the degree-2 step equal the schoolbook product chain
+TABLE_GRID = [(2, 1), (3, 1), (5, 1), (31, 1), (101, 1),
+              (2, 2), (3, 2), (5, 2), (7, 2), (11, 2),
+              (2, 3), (3, 3), (5, 3), (2, 4), (3, 4), (2, 5)]
+
+
+@pytest.mark.parametrize("p,m", TABLE_GRID)
+def test_tables_match_mul_raw(p, m):
+    for ctx in build_tower(p, m):
+        exp, log, g, n = ctx._exp, ctx._log, ctx.gen_idx, ctx.order - 1
+        assert type(exp) is list and type(log) is list
+        assert len(exp) == n and len(log) == ctx.order and log[0] is None
+        for k in range(n):
+            assert ctx._mul_raw(exp[k], g) == exp[(k + 1) % n]
+            assert log[exp[k]] == k
+
+
+@pytest.mark.parametrize("p,m,modulus,gen,digest", [
+    (1009, 1, (1, 9, 1), 1019, "b7eca70aa9d891f24163d0105a9b3540806f779e9772a12747ce9ef7b8e41368"),
+    (13, 2, (1, 13, 1), 170, "0ba69d70d898afcdf013be6503a9e60c4b9453745026d736cd477df18520a992"),
+])
+def test_quadratic_tables_pinned(p, m, modulus, gen, digest):
+    # SHA-256 of the exp table of F_{q^2} as space-separated decimal indexes
+    _, fq2 = build_tower(p, m)
+    assert fq2.modulus == modulus and fq2.gen_idx == gen
+    assert hashlib.sha256(" ".join(map(str, fq2._exp)).encode()).hexdigest() == digest

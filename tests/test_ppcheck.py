@@ -29,7 +29,7 @@ def test_binomial_params_validation():
     with pytest.raises(ValueError):
         BinomialParams(fq2.zero(), 1, 2)
     with pytest.raises(ValueError):
-        BinomialParams(fq2.one(), 8, 2)  # r = q^2 - 1 out of range
+        BinomialParams(fq2.one(), 0, 2)  # r < 1
     with pytest.raises(ValueError):
         BinomialParams(fq2.one(), 1, 4)  # t > q
 
@@ -74,13 +74,14 @@ def test_brute_family_i_q5():
 # ---------------------------------------------------------------- fast test
 
 def test_powersum_equals_brute_exhaustive_small():
-    for p, m in ((3, 1), (5, 1), (2, 2)):
+    # on F_{q^2}, f depends on r only through x -> x^r, so r > q^2-2 is valid
+    for p, m in ((3, 1), (5, 1), (7, 1), (2, 2)):
         fq, fq2 = build_tower(p, m)
         q = fq.order
         for t in (1, 2):
             if t == 2 and q % 2 == 0:
                 continue
-            for r in range(1, q * q - 1):
+            for r in range(1, 2 * (q * q - 1) + 2):
                 for a in enumerate_elements(fq2, "nonzero"):
                     ps = BinomialParams(a, r, t)
                     assert is_pp_powersum(ps).is_pp == is_pp_brute(ps).is_pp
@@ -170,6 +171,12 @@ def test_classify_examples():
         if (-a) ** 3 == 2:
             assert classify_family(BinomialParams(a, 3, 2)).tag == "family_iv"
             assert compute_z(a) == 3  # the paper's (r, z) = (3, 3)
+    # r enters only mod q^2-1: r = 25 is family (iii) and r = 27 family (iv)
+    for a in enumerate_elements(fq2, "nonzero"):
+        for r in (1, 3):
+            assert classify_family(BinomialParams(a, r + 24, 2)) == classify_family(BinomialParams(a, r, 2))
+    tags = {classify_family(BinomialParams(a, r, 2)).tag for a in enumerate_elements(fq2, "nonzero") for r in (25, 27)}
+    assert {"family_iii", "family_iv"} <= tags
     fq, fq2 = build_tower(3, 1)
     for a in enumerate_elements(fq2, "nonzero"):
         if a**4 != 1:
@@ -267,6 +274,9 @@ def test_normalize_frobenius_fold():
     assert (pr.r, pr.t) == (2, 1)
     assert trace.pp_equivalent
     assert trace.steps[0][0] == "frobenius-fold"
+    # r = q^2-1 folds to x^8 (0 at 0, 1 elsewhere), not to the invalid x^0
+    pr, trace = normalize(params(3, 1, 8, 3, 5))
+    assert (pr.r, pr.t) == (8, 1) and trace.pp_equivalent
 
 
 def test_normalize_gcd_division():
@@ -286,7 +296,7 @@ def test_normalize_preserves_pp_when_trace_says_so():
         fq, fq2 = build_tower(p, m)
         q = fq.order
         for t in range(1, q + 1):
-            for r in range(1, q * q - 1):
+            for r in range(1, q * q + 1):
                 for a in enumerate_elements(fq2, "nonzero"):
                     ps = BinomialParams(a, r, t)
                     pr, trace = normalize(ps)

@@ -205,6 +205,18 @@ def test_cli_search_and_cross_validate(tmp_path, capsys):
     assert "pass" in capsys.readouterr().out
 
 
+def test_cli_search_r_above_q2_at_small_q(tmp_path, capsys):
+    # q = 3 has a norm-one hit for r = 9 > q^2 - 2
+    out = str(tmp_path / "r9.jsonl")
+    assert run_cli("search", "--r", "9", "--q-max", "50", "--include-norm-one", "--out", out) == 0
+    _, records, _ = read_catalog(out)
+    small = [rec for rec in records if rec.q == 3]
+    assert small
+    for rec in small:
+        _, fq2 = build_tower(rec.p, rec.m)
+        assert is_pp_brute(BinomialParams(fq2.element(fq2.parse(rec.a)), 9, 2)).is_pp
+
+
 def test_cli_usage_errors(capsys):
     assert run_cli("is-pp", "--p", "4", "--m", "1", "--r", "1", "--t", "1", "--a", "1") == 2
     assert run_cli("cross-validate", "--q", "6") == 2
