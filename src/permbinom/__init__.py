@@ -25,7 +25,6 @@ from .ff import (
     build_tower,
     compute_z,
     enumerate_elements,
-    norm_and_frobenius,
 )
 from .powersum import (
     PowerSumIndex,
@@ -42,7 +41,6 @@ from .ppcheck import (
     classify_family,
     is_pp_brute,
     is_pp_powersum,
-    normalize,
     thm21_bound,
 )
 from .report import CheckReport

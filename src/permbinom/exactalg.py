@@ -89,10 +89,6 @@ def _peval(cs, x):
     return acc
 
 
-def _pderiv(cs):
-    return _trim([i * c for i, c in enumerate(cs)][1:])
-
-
 class _BasePoly:
     """Shared plumbing for the dense wrappers."""
 
@@ -205,17 +201,6 @@ class _BasePoly:
     def eval(self, x):
         return _peval(self.coeffs, x)
 
-    def derivative(self):
-        return type(self)(_pderiv(self.coeffs))
-
-    def compose(self, other):
-        """Substitute `other` for the variable."""
-        other = self._wrap(other)
-        acc = type(self).zero()
-        for c in reversed(self.coeffs):
-            acc = acc * other + type(self).const(c)
-        return acc
-
     def render(self, var="r"):
         if not self.coeffs:
             return "0"
@@ -256,12 +241,6 @@ class IntPoly(_BasePoly):
         for c in self.coeffs:
             g = math.gcd(g, c)
         return g
-
-    def primitive_part(self) -> "IntPoly":
-        g = self.content()
-        if g <= 1:
-            return self
-        return IntPoly(c // g for c in self.coeffs)
 
     def reduce_mod(self, p: int) -> list[int]:
         return _trim([c % p for c in self.coeffs])
@@ -692,14 +671,6 @@ class Factorization:
             else:
                 acc = acc * base**mult
         return acc
-
-    def render(self) -> str:
-        unit = "+1" if self.unit == 1 else "-1"
-        parts = []
-        for base, mult in self.factors:
-            b = f"({base.render()})" if isinstance(base, IntPoly) else str(base)
-            parts.append(b if mult == 1 else f"{b}^{mult}")
-        return " * ".join([unit] + parts)
 
 
 def primality_and_factor_check(n: int, claimed: Factorization | None = None) -> str:

@@ -38,7 +38,6 @@ __all__ = [
     "build_tower",
     "build_subfield",
     "compute_z",
-    "norm_and_frobenius",
     "enumerate_elements",
 ]
 
@@ -503,10 +502,6 @@ def _lex_smallest_irreducible_quadratic(base: FieldCtx) -> tuple[int, ...]:
 
 @lru_cache(maxsize=64)
 def _tower_cached(p: int, m: int, cap: int) -> tuple[FieldCtx, FieldCtx]:
-    if not is_probable_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if m < 1:
-        raise ValueError("extension degree must be >= 1")
     if p ** (2 * m) > cap:
         raise CapExceededError(f"q^2 = {p**(2*m)} exceeds the enumeration cap {cap}")
     fq = build_subfield(p, m, cap)
@@ -523,10 +518,12 @@ def build_tower(p: int, m: int, cap: int | None = None) -> tuple[FieldCtx, Field
 
 
 def build_subfield(p: int, m: int, cap: int | None = None) -> FieldCtx:
-    """F_q alone (cheap: only needs q <= cap, not q^2)."""
+    """F_q alone (cheap: only needs q <= cap, not q^2); checks p and m for every tower."""
     cap = enumeration_cap() if cap is None else cap
     if not is_probable_prime(p):
         raise ValueError(f"{p} is not prime")
+    if m < 1:
+        raise ValueError("extension degree must be >= 1")
     if p**m > cap:
         raise CapExceededError(f"q = {p**m} exceeds the enumeration cap {cap}")
     fp = FieldCtx(None, None, p=p)
@@ -553,26 +550,9 @@ def compute_z(a: FieldElement) -> FieldElement:
     return FieldElement(ctx2, ctx2.pow(ctx2.neg(a.idx), e))
 
 
-def norm_and_frobenius(x: FieldElement) -> tuple[FieldElement, FieldElement]:
-    """(x^q, x^(q+1)) for x in the quadratic extension; the norm is returned
-    as an element of the subfield context."""
-    ctx2 = x.ctx
-    if ctx2.base is None:
-        raise ValueError("needs an element of the quadratic extension")
-    q = ctx2.base.order
-    frob = ctx2.pow(x.idx, q)
-    nrm = ctx2.pow(x.idx, q + 1)
-    if not ctx2.in_subfield(nrm):  # pragma: no cover - algebraically impossible
-        raise AssertionError("norm landed outside the subfield")
-    return FieldElement(ctx2, frob), FieldElement(ctx2.base, nrm)
-
-
 def enumerate_elements(ctx: FieldCtx, which: str = "all"):
-    """Deterministic element stream: g^0, g^1, ..., then zero.
-
-    which='norm_one_excluded' omits exactly the elements x with x^(q+1) = 1,
-    where q is the order of the base field (quadratic contexts only).
-    """
+    """Deterministic element stream: g^0, g^1, ..., then zero ('all'), or
+    without the zero ('nonzero')."""
     n = ctx.order - 1
     if which == "all":
         for k in range(n):
@@ -581,12 +561,5 @@ def enumerate_elements(ctx: FieldCtx, which: str = "all"):
     elif which == "nonzero":
         for k in range(n):
             yield FieldElement(ctx, ctx._exp[k])
-    elif which == "norm_one_excluded":
-        if ctx.base is None:
-            raise ValueError("norm_one_excluded needs an extension context")
-        step = ctx.base.order - 1  # x^(q+1)=1 iff (q-1) | dlog x
-        for k in range(n):
-            if k % step != 0:
-                yield FieldElement(ctx, ctx._exp[k])
     else:
         raise ValueError(f"unknown enumeration mode {which!r}")

@@ -435,19 +435,9 @@ def theta_modp_poly(alpha: int, dhalf: int, p: int) -> list[int]:
     return out
 
 
-def theta_numeric(alpha: int, dhalf, z: FieldElement) -> FieldElement:
-    """Evaluate the bracket at a concrete field value z.
-
-    dhalf may be an integer representative or a Fraction such as 1/2 (whose
-    denominator is inverted mod p^L with p^L > alpha).
-    """
-    p = z.ctx.char
-    if isinstance(dhalf, Fraction):
-        if math.gcd(dhalf.denominator, p) != 1:
-            raise ValueError("dhalf denominator not invertible")
-        period = _period(alpha, p)
-        dhalf = dhalf.numerator * pow(dhalf.denominator, -1, period) % period
-    coeffs = theta_modp_poly(alpha, dhalf, p)
+def theta_numeric(alpha: int, dhalf: int, z: FieldElement) -> FieldElement:
+    """The bracket at a field value z, for an integer representative dhalf of d/2."""
+    coeffs = theta_modp_poly(alpha, dhalf, z.ctx.char)
     return FieldElement(z.ctx, _horner_sub(coeffs, z.idx, z.ctx))
 
 

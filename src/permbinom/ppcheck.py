@@ -33,8 +33,6 @@ __all__ = [
     "RootCountExcess",
     "PPVerdict",
     "FamilyTag",
-    "NormalizeTrace",
-    "normalize",
     "is_pp_brute",
     "is_pp_powersum",
     "classify_family",
@@ -137,12 +135,6 @@ class FamilyTag:
 
     tag: str
     fired: tuple
-
-
-@dataclass(frozen=True)
-class NormalizeTrace:
-    steps: tuple
-    pp_equivalent: bool
 
 
 def is_pp_brute(params: BinomialParams) -> PPVerdict:
@@ -249,30 +241,6 @@ def thm21_bound(r: int, p: int) -> int:
     return 6 * r - 11
 
 
-def normalize(params: BinomialParams) -> tuple[BinomialParams, NormalizeTrace]:
-    """Fold out the characteristic from t and divide by gcd(r, t).
-
-    Each step composes with a power map x^p or x^d; x^p is always a bijection
-    of F_{q^2}, x^d only when gcd(d, q^2-1) = 1.  The trace records whether
-    permutation-ness is preserved through every step.
-    """
-    q, p = params.q, params.p
-    n = q * q - 1
-    r, t = params.r, params.t
-    steps = []
-    while t % p == 0:
-        r_new = r * pow(p, -1, n) % n or n  # x^n, not x^0: it maps 0 to 0
-        steps.append(("frobenius-fold", {"r": r, "t": t, "r_new": r_new, "t_new": t // p}, True))
-        r, t = r_new, t // p
-    d = math.gcd(r, t)
-    if d > 1:
-        ok = math.gcd(d, n) == 1
-        steps.append(("power-compose", {"d": d, "r_new": r // d, "t_new": t // d}, ok))
-        r, t = r // d, t // d
-    out = BinomialParams(params.a, r, t) if (r, t) != (params.r, params.t) else params
-    return out, NormalizeTrace(tuple(steps), all(s[2] for s in steps))
-
-
 def classify_family(params: BinomialParams) -> FamilyTag:
     """Match the parameters against the known infinite families.
 
@@ -312,15 +280,6 @@ def classify_family(params: BinomialParams) -> FamilyTag:
 
 # ------------------------------------------------------- z-level sweeping
 
-def _nonsquares(sub: FieldCtx) -> list[int]:
-    """Nonsquare elements of F_q*, in index order."""
-    q = sub.order
-    if q % 2 == 0:
-        return []
-    half = (q - 1) // 2
-    return [i for i in range(1, q) if sub.pow(i, half) != 1]
-
-
 def t2_passing_z(p: int, m: int, r: int, include_norm_one: bool = False) -> list[tuple]:
     """All z values whose parameters pass the t = 2 power-sum test, for every
     a in F_{q^2}* at once.
@@ -349,47 +308,26 @@ def t2_passing_z(p: int, m: int, r: int, include_norm_one: bool = False) -> list
         y = sub.mul(z, z)
         if t2_z_first_failure(sub, q, r, y, z) is None:
             hits.append(("sub", z))
-    for y in _nonsquares(sub):
+    for y in sorted(sub.exp(k) for k in range(1, q - 1, 2)):  # the nonsquares
         if t2_z_first_failure(sub, q, r, y, None) is None:
             hits.append(("ext", y))
     return hits
 
 
 def expand_z_to_a(ctx2: FieldCtx, zdesc: tuple) -> list[tuple[int, FieldElement]]:
-    """All a in F_{q^2}* whose derived value is the given z, as (dlog a, a).
+    """All a in F_{q^2}* whose derived value is z, as (dlog a, a), ascending;
+    ('ext', y) stands for both square roots of y.
 
-    Inverts a -> w = (-a)^((q+1)/2) -> z = w^(-q): each z has exactly
-    (q+1)/2 preimages.
+    With h = (q+1)/2, P = 2(q-1) and n = q^2-1 = h*P, log z = -q*h*log(-a)
+    mod n, so log(-a) = (log z / h) * (-q)^(-1) mod P, plus j*P for j < h,
+    and log a = log(-a) + n/2.
     """
-    sub = ctx2.base
-    q = sub.order
-    n = ctx2.order - 1
-    kind, idx = zdesc
-    if kind == "sub":
-        z_idx = idx  # already an F_{q^2} index via the subfield embedding
-        zs = [z_idx]
-    else:
-        # the two square roots of the nonsquare y, found on the exp table:
-        # dlog(y) is odd in F_q^* terms; in F_{q^2}, y = g^(j*(q+1)) and the
-        # roots are g^(j*(q+1)/2) and its negative.
-        y_log2 = ctx2.dlog(idx)
-        root = ctx2.exp(y_log2 // 2) if y_log2 % 2 == 0 else None
-        if root is None:  # pragma: no cover - y has even dlog in F_{q^2}
-            raise AssertionError("nonsquare of F_q is a square in F_{q^2}")
-        zs = [root, ctx2.neg(root)]
-    out = []
-    e = (q + 1) // 2
-    for z_idx in zs:
-        w = ctx2.pow(z_idx, -q)
-        wl = ctx2.dlog(w)
-        if wl % e:  # pragma: no cover - w is always an e-th power
-            raise AssertionError("w outside the image of the half-power map")
-        j0 = wl // e
-        step = n // e
-        for ktimes in range(e):
-            j = (j0 + ktimes * step) % n
-            minus_a = ctx2.exp(j)
-            a_idx = ctx2.neg(minus_a)
-            out.append((ctx2.dlog(a_idx), ctx2.element(a_idx)))
-    out.sort(key=lambda pair: pair[0])
-    return out
+    q, n = ctx2.base.order, ctx2.order - 1
+    h, P = (q + 1) // 2, 2 * (q - 1)
+    log_z = ctx2.dlog(zdesc[1])
+    z_logs = [log_z] if zdesc[0] == "sub" else [log_z // 2, log_z // 2 + n // 2]
+    if any(zl % h for zl in z_logs):  # pragma: no cover - z^2 in F_q* puts h | log z
+        raise AssertionError("z outside the image of a -> (-a)^(-q(q+1)/2)")
+    inv = pow(-q, -1, P)
+    logs = sorted((zl // h * inv % P + j * P + n // 2) % n for zl in z_logs for j in range(h))
+    return [(k, ctx2.element(ctx2.exp(k))) for k in logs]

@@ -374,7 +374,7 @@ def sec7_p181_check() -> list[CheckReport]:
     reports.append(check("sec7p181.common-root", REG.p181_common_root, root))
 
     fp = build_subfield(p, 1)
-    th = theta_numeric(7, Fraction(1, 2), fp.element(REG.p181_common_root))
+    th = theta_numeric(7, pow(2, -1, p), fp.element(REG.p181_common_root))
     reports.append(check("sec7p181.theta7", REG.p181_theta7, th.idx))
     return reports
 

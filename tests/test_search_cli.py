@@ -4,10 +4,10 @@ import os
 
 import pytest
 
-from permbinom import search
+from permbinom import ppcheck, search
 from permbinom.cli import main
 from permbinom.ff import build_tower
-from permbinom.ppcheck import BinomialParams, is_pp_brute, is_pp_powersum
+from permbinom.ppcheck import BinomialParams, PPVerdict, is_pp_brute, is_pp_powersum
 from permbinom.report import all_ok
 from permbinom.search import (
     catalog_to_csv,
@@ -30,13 +30,24 @@ def test_search_validation():
         search_exceptional(4, 25)
 
 
-def test_search_empty_range(tmp_path):
+def test_search_empty_range(tmp_path, monkeypatch, capsys):
+    # a sweep of no q would confirm the bound vacuously, so it is refused
     out = str(tmp_path / "empty.jsonl")
-    summary = search_exceptional(5, 2, out=out)
-    assert summary["q_swept"] == 0 and summary["records"] == 0
-    assert summary["bound_confirmed"]
-    header, records, done = read_catalog(out)
-    assert records == [] and done == []
+    with pytest.raises(ValueError, match="no odd q"):
+        search_exceptional(5, 2, out=out)
+    err = _assert_usage_error(capsys, "search", "--r", "5", "--q-max", "2", "--out", out)
+    assert "no odd q" in err
+    monkeypatch.setenv("PERMBINOM_CAP", "8")  # 3^2 > 8: q = 3 is out of reach
+    with pytest.raises(ValueError, match="no odd q"):
+        search_exceptional(5, 13, out=out)
+    assert not os.path.exists(out)
+
+
+def test_search_brute_disagreement_raises(monkeypatch):
+    # a z-level hit the brute walk rejects must not be catalogued as not_pp
+    monkeypatch.setattr(ppcheck, "is_pp_brute", lambda params: PPVerdict(False, "brute"))
+    with pytest.raises(AssertionError, match="brute"):
+        search_exceptional(5, 20, include_norm_one=True)
 
 
 def test_search_finds_family_records(tmp_path):
@@ -220,7 +231,8 @@ def test_cli_search_r_above_q2_at_small_q(tmp_path, capsys):
 def test_cli_usage_errors(capsys):
     assert run_cli("is-pp", "--p", "4", "--m", "1", "--r", "1", "--t", "1", "--a", "1") == 2
     assert run_cli("cross-validate", "--q", "6") == 2
-    capsys.readouterr()
+    assert run_cli("field-info", "--p", "3", "--m", "0") == 2
+    assert "extension degree" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         run_cli("verify", "--suite", "bogus")
     assert exc.value.code == 2
