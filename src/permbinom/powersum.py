@@ -36,7 +36,6 @@ from .report import PASS, FAIL, CheckReport
 __all__ = [
     "PowerSumIndex",
     "CDPair",
-    "ThetaPoly",
     "binom_rational",
     "binom_residue",
     "binom_lucas",
@@ -389,15 +388,6 @@ def power_sum_brute(r: int, t: int, a: FieldElement, s: int) -> FieldElement:
 
 # ----------------------------------------------------------- theta brackets
 
-@dataclass(frozen=True)
-class ThetaPoly:
-    """Symbolic bracket for odd alpha: a polynomial in z over Q[r] of
-    z-degree 2*alpha+1 and r-degree alpha."""
-
-    alpha: int
-    poly: BiPolyRZ
-
-
 def _binom_affine_poly(c0: Fraction, c1: Fraction, k: int) -> RatPoly:
     """binom(c0 + c1*r, k) expanded as a polynomial in r over Q."""
     acc = RatPoly.const(1)
@@ -406,10 +396,11 @@ def _binom_affine_poly(c0: Fraction, c1: Fraction, k: int) -> RatPoly:
     return acc * RatPoly.const(Fraction(1, math.factorial(k)))
 
 
-def theta_symbolic(alpha: int) -> ThetaPoly:
+def theta_symbolic(alpha: int) -> BiPolyRZ:
     """The bracket sum with its index data left symbolic in r (the c = 1
-    regime), exact over Q.  Entries are i + 1/2 + alpha - (alpha+1)r/2 for
-    z^(2i) and i + 1 + alpha - (alpha+1)r/2 for z^(2i+1)."""
+    regime), exact over Q: a polynomial in z over Q[r] of z-degree
+    2*alpha+1 and r-degree alpha.  Entries are i + 1/2 + alpha -
+    (alpha+1)r/2 for z^(2i) and i + 1 + alpha - (alpha+1)r/2 for z^(2i+1)."""
     if alpha < 1 or alpha % 2 == 0:
         raise ValueError("alpha must be odd and >= 1")
     half = Fraction(1, 2)
@@ -419,7 +410,7 @@ def theta_symbolic(alpha: int) -> ThetaPoly:
         sgn = math.comb(alpha, i) * (-1) ** i
         coeffs.append(_binom_affine_poly(Fraction(i) + half + alpha, slope, alpha) * sgn)
         coeffs.append(_binom_affine_poly(Fraction(i + 1) + alpha, slope, alpha) * sgn)
-    return ThetaPoly(alpha, BiPolyRZ(coeffs))
+    return BiPolyRZ(coeffs)
 
 
 def theta_modp_poly(alpha: int, dhalf: int, p: int) -> list[int]:

@@ -105,13 +105,13 @@ def sec5_check() -> list[CheckReport]:
         reports.append(
             CheckReport(
                 f"sec5.theta.{alpha}",
-                PASS if th.poly == expected else FAIL,
+                PASS if th == expected else FAIL,
                 f"prefactor {REG.theta_prefactors[alpha]} * (1+z) * A{alpha}",
-                "match" if th.poly == expected else th.poly.render(),
+                "match" if th == expected else th.render(),
                 note,
             )
         )
-        cof = th.poly.divexact(one_plus_z)
+        cof = th.divexact(one_plus_z)
         reports.append(
             check(f"sec5.theta.{alpha}.cofactor", target,
                   cof * (1 / REG.theta_prefactors[alpha]))

@@ -92,8 +92,8 @@ def _pmap(fn, tasks: list, jobs: int) -> list:
         return list(pool.imap(fn, tasks))
 
 
-def odd_prime_powers(lo: int, hi: int) -> list[tuple[int, int, int]]:
-    """(p, m, q) for every odd prime power q with lo <= q <= hi, ascending."""
+def odd_prime_powers(hi: int) -> list[tuple[int, int, int]]:
+    """(p, m, q) for every odd prime power q <= hi, ascending."""
     if hi < 3:
         return []
     sieve = bytearray([1]) * (hi + 1)
@@ -107,12 +107,21 @@ def odd_prime_powers(lo: int, hi: int) -> list[tuple[int, int, int]]:
             continue
         q, m = p, 1
         while q <= hi:
-            if q >= lo:
-                out.append((p, m, q))
+            out.append((p, m, q))
             q *= p
             m += 1
     out.sort(key=lambda t: t[2])
     return out
+
+
+def _admissible_qs(r: int, q_max: int, cap: int) -> list[tuple[int, int, int]]:
+    """(p, m, q) for every odd prime power q <= q_max with q^2 within the cap
+    and gcd(r, q-1) = 1, ascending."""
+    return [
+        (p, m, q)
+        for (p, m, q) in odd_prime_powers(min(q_max, math.isqrt(cap)))
+        if math.gcd(r, q - 1) == 1
+    ]
 
 
 def _sweep_one_q(task) -> list[dict]:
@@ -124,12 +133,13 @@ def _sweep_one_q(task) -> list[dict]:
     fq, fq2 = build_tower(p, m)
     desc = fq2.describe()
     records = []
-    for h in hits:
-        for a_index, a in expand_z_to_a(fq2, h):
+    for kind, v in hits:
+        for a_index, a in expand_z_to_a(fq2, (kind, v)):
             params = BinomialParams(a, r, 2)
-            verdict = is_pp_powersum(params)
-            if not verdict.is_pp:  # pragma: no cover - sweep and per-a agree
-                raise AssertionError("z-level hit disagreed with the per-a test")
+            # the z-level verdict holds for a only if a lies in the hit's fibre
+            z = params.z.idx
+            if (z if kind == "sub" else fq2.mul(z, z)) != v:
+                raise AssertionError(f"a = {a.text} lies outside the z-fibre {(kind, v)}")
             tag = classify_family(params)  # brute-force confirmation inside
             if tag.tag == "not_pp":
                 raise AssertionError("z-level hit disagreed with the brute test")
@@ -221,11 +231,7 @@ def search_exceptional(
         # fail before the sweep; the file itself is left alone for --resume
         raise FileNotFoundError(f"output directory {out_dir} does not exist")
     cap = enumeration_cap()
-    qs = [
-        (p, m, q)
-        for (p, m, q) in odd_prime_powers(3, q_max)
-        if q * q <= cap and math.gcd(r, q - 1) == 1
-    ]
+    qs = _admissible_qs(r, q_max, cap)
     if not qs:  # r is odd, so only q_max < 3 or a cap below 9 gets here
         raise ValueError(f"no odd q in 3..{q_max} to sweep within the cap {cap}")
     params = {"r": r, "t": 2, "q_min": 3, "q_max": q_max, "include_norm_one": include_norm_one}
@@ -284,23 +290,33 @@ def search_exceptional(
         done = [{"q": q, "r": r} for (_, _, q) in qs]
         _write_catalog(out, header, records, done)
         summary["catalog"] = out
-        _roundtrip_sample(out)
+        _replay_catalog(out)
     return summary
 
 
-def _roundtrip_sample(path: str, limit: int = 100):
-    """Re-verify a sample of persisted records by replaying the fast test."""
+def _replay_catalog(path: str):
+    """Re-decide every record of a written catalog, resumed ones included: its
+    a text must parse back to its a_index, its z text must be z(a), and each
+    distinct (q, r, t, z) must get the record's verdict from the fast test,
+    which runs once per key since the t = 2 verdict depends on a only through
+    z.  ValueError naming the catalog and the record on any mismatch."""
     _, records, _ = read_catalog(path)
-    rng = random.Random(0)
-    sample = records if len(records) <= limit else rng.sample(records, limit)
-    for rec in sample:
-        fq, fq2 = build_tower(rec.p, rec.m)
-        a = fq2.element(fq2.parse(rec.a))
-        if fq2.dlog(a.idx) != rec.a_index:
-            raise AssertionError(f"a-index mismatch on {rec}")
-        verdict = is_pp_powersum(BinomialParams(a, rec.r, rec.t))
-        if verdict.is_pp != rec.is_pp:
-            raise AssertionError(f"round-trip verdict mismatch on {rec}")
+    verdicts: dict[tuple, bool] = {}
+    for rec in records:
+        _, fq2 = build_tower(rec.p, rec.m)
+        params = BinomialParams(fq2.element(fq2.parse(rec.a)), rec.r, rec.t)
+        if fq2.dlog(params.a.idx) != rec.a_index:
+            problem = "a-index mismatch"
+        elif params.z.text != rec.z:
+            problem = "z mismatch"
+        else:
+            key = (rec.p, rec.m, rec.r, rec.t, rec.z)
+            if key not in verdicts:
+                verdicts[key] = is_pp_powersum(params).is_pp
+            if verdicts[key] == rec.is_pp:
+                continue
+            problem = "round-trip verdict mismatch"
+        raise ValueError(f"{path}: {problem} on record {json.dumps(rec.to_dict())}")
 
 
 # ------------------------------------------------------- cross-validation
@@ -400,14 +416,12 @@ def _xval_random(fq2, q: int, t: int, samples: int, seed: int) -> list[CheckRepo
 def thm21_desk_sweep(r: int, q_cap_sq: int | None = None, jobs: int = 1) -> dict:
     """Nonexistence confirmation: for every admissible odd prime power q at
     or above the threshold with q^2 within the cap, count passing z values
-    with norm(a) != 1.  Expected zero everywhere."""
+    with norm(a) != 1.  Expected zero everywhere; ValueError if no q is left."""
     cap = enumeration_cap() if q_cap_sq is None else q_cap_sq
-    q_hi = math.isqrt(cap)
-    tasks = [
-        (p, m, q, r)
-        for (p, m, q) in odd_prime_powers(3, q_hi)
-        if math.gcd(r, q - 1) == 1 and q >= thm21_bound(r, p)
-    ]
+    qs = _admissible_qs(r, math.isqrt(cap), cap)
+    tasks = [(p, m, q, r) for (p, m, q) in qs if q >= thm21_bound(r, p)]
+    if not tasks:  # no q to sweep would confirm the bound vacuously
+        raise ValueError(f"no admissible q at or above the bound for r = {r} within the cap {cap}")
     results = _pmap(_thm21_one, tasks, jobs)
     failures = [(q, hits) for q, hits in results if hits]
     return {"r": r, "q_swept": len(results), "failures": failures, "confirmed": not failures}

@@ -273,7 +273,7 @@ def test_closed_preconditions():
 # ---------------------------------------------------------------- brackets
 
 def test_theta_symbolic_alpha1_by_hand():
-    th = theta_symbolic(1).poly
+    th = theta_symbolic(1)
     expected = BiPolyRZ([
         RatPoly((Fraction(3, 2), -1)),
         RatPoly((2, -1)),
@@ -286,12 +286,12 @@ def test_theta_symbolic_alpha1_by_hand():
 def test_theta_symbolic_invariants():
     one_plus_z = BiPolyRZ([RatPoly.const(1), RatPoly.const(1)])
     for alpha in (1, 3, 5):
-        th = theta_symbolic(alpha).poly
+        th = theta_symbolic(alpha)
         assert th.degree == 2 * alpha + 1
         assert th.r_degree == alpha
         th.divexact(one_plus_z)  # raises if inexact
     # divisibility at alpha = 7 is recorded, not asserted
-    th7 = theta_symbolic(7).poly
+    th7 = theta_symbolic(7)
     try:
         th7.divexact(one_plus_z)
         divisible = True
@@ -302,7 +302,7 @@ def test_theta_symbolic_invariants():
 
 def test_theta_symbolic_vanishes_at_3_3():
     for alpha in range(1, 16, 2):
-        assert theta_symbolic(alpha).poly.eval_r(3).eval(Fraction(3)) == 0
+        assert theta_symbolic(alpha).eval_r(3).eval(Fraction(3)) == 0
 
 
 def test_theta_numeric_181():
@@ -313,7 +313,7 @@ def test_theta_numeric_181():
 def test_theta_numeric_matches_symbolic_reduction():
     # at r = 3 the symbolic bracket and the residue bracket agree mod p
     for p, alpha in ((5, 1), (5, 3), (7, 3), (11, 5)):
-        th = theta_symbolic(alpha).poly.eval_r(3)
+        th = theta_symbolic(alpha).eval_r(3)
         coeffs_sym = th.reduce_mod(p)
         # the symbolic entries at r = 3 are i - 1 - alpha/2 and i - (alpha+1)/2
         period = p

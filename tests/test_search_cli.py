@@ -6,7 +6,7 @@ import pytest
 
 from permbinom import ppcheck, search
 from permbinom.cli import main
-from permbinom.ff import build_tower
+from permbinom.ff import build_tower, compute_z
 from permbinom.ppcheck import BinomialParams, PPVerdict, is_pp_brute, is_pp_powersum
 from permbinom.report import all_ok
 from permbinom.search import (
@@ -20,9 +20,9 @@ from permbinom.search import (
 
 
 def test_odd_prime_powers():
-    got = [q for (_, _, q) in odd_prime_powers(3, 30)]
+    got = [q for (_, _, q) in odd_prime_powers(30)]
     assert got == [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29]
-    assert odd_prime_powers(3, 2) == []
+    assert odd_prime_powers(2) == []
 
 
 def test_search_validation():
@@ -153,6 +153,43 @@ def test_cross_validate_rejects_even_q_for_t2():
 def test_thm21_desk_sweep_small():
     out = thm21_desk_sweep(5, q_cap_sq=10000)
     assert out["confirmed"] and out["q_swept"] > 0
+
+
+def test_thm21_desk_sweep_empty_range_raises():
+    # every q <= 10 lies below the r = 5 bound 19: nothing would be confirmed
+    for cap in (4, 100):
+        with pytest.raises(ValueError, match="no admissible q"):
+            thm21_desk_sweep(5, q_cap_sq=cap)
+    assert thm21_desk_sweep(5, q_cap_sq=10**4)["q_swept"] == 17
+
+
+def test_search_fibre_check_is_live(monkeypatch):
+    # the neighbour g^(k+1) of a has z multiplied by g^(-q(q+1)/2) != 1, so it
+    # leaves the hit's fibre and must not be catalogued on the z-level verdict
+    expand = search.expand_z_to_a
+
+    def neighbours(ctx2, zdesc):
+        return [(k + 1, ctx2.element(ctx2.exp(k + 1))) for k, _ in expand(ctx2, zdesc)]
+    monkeypatch.setattr(search, "expand_z_to_a", neighbours)
+    with pytest.raises(AssertionError, match="fibre"):
+        search_exceptional(5, 20, include_norm_one=True)
+
+
+def test_search_decides_each_fibre_once(tmp_path, monkeypatch):
+    counts = {"fast": 0, "brute": 0}
+
+    def counted(name, fn):
+        def call(params):
+            counts[name] += 1
+            return fn(params)
+        return call
+    monkeypatch.setattr(search, "is_pp_powersum", counted("fast", search.is_pp_powersum))
+    monkeypatch.setattr(ppcheck, "is_pp_brute", counted("brute", ppcheck.is_pp_brute))
+    out = str(tmp_path / "cat.jsonl")
+    summary = search_exceptional(5, 100, include_norm_one=True, out=out)
+    _, records, _ = read_catalog(out)
+    assert counts["fast"] == len({(rec.q, rec.z) for rec in records}) == 21
+    assert counts["brute"] == len(records) == summary["records"] == 315
 
 
 # ------------------------------------------------------------------- CLI
@@ -288,6 +325,53 @@ def test_cli_resume_damaged_catalog_exit_2(tmp_path, capsys):
         fh.write("\n".join(lines[:-1] + [json.dumps(last)]) + "\n")
     err = _assert_usage_error(capsys, "search", "--r", "5", "--q-max", "13", "--out", out, "--resume")
     assert f"line {len(lines)}" in err and "z" in err
+
+
+def _rewrite_records(path, edit):
+    """Rewrite the catalog at path with edit(records) as its record lines."""
+    lines = open(path).read().splitlines()
+    head = [line for line in lines if line.startswith("#")]
+    records = edit([json.loads(line) for line in lines if not line.startswith("#")])
+    with open(path, "w") as fh:
+        fh.write("\n".join(head + [json.dumps(d) for d in records]) + "\n")
+
+
+def test_cli_resume_wrong_a_index_exit_2(tmp_path, capsys):
+    out = str(tmp_path / "cat.jsonl")
+    argv = ("search", "--r", "5", "--q-max", "20", "--include-norm-one", "--out", out)
+    assert run_cli(*argv) == 0
+    capsys.readouterr()
+
+    def bump(records):
+        keys = {(d["q"], d["a_index"]) for d in records}
+        d = next(d for d in records if (d["q"], d["a_index"] + 1) not in keys)
+        d["a_index"] += 1
+        return records
+    _rewrite_records(out, bump)
+    err = _assert_usage_error(capsys, *argv, "--resume")
+    assert out in err and "a-index mismatch" in err
+
+
+def test_cli_resume_forged_record_exit_2(tmp_path, capsys):
+    # the last record is swapped for its neighbour a, a consistent record
+    # (a, a_index and z agree) of a non-permuting binomial; every resumed
+    # record is replayed, so it is caught wherever it sits in the catalog
+    out = str(tmp_path / "cat7.jsonl")
+    argv = ("search", "--r", "7", "--q-max", "40", "--include-norm-one", "--out", out)
+    assert run_cli(*argv) == 0
+    capsys.readouterr()
+
+    def forge(records):
+        d = records[-1]
+        fq, fq2 = build_tower(d["p"], d["m"])
+        a = fq2.element(fq2.exp(d["a_index"] + 1))
+        assert not is_pp_brute(BinomialParams(a, 7, 2)).is_pp
+        d.update(a=a.text, a_index=d["a_index"] + 1, z=compute_z(a).text)
+        return records
+    _rewrite_records(out, forge)
+    assert len(read_catalog(out)[1]) == 146
+    err = _assert_usage_error(capsys, *argv, "--resume")
+    assert out in err and "round-trip verdict mismatch" in err
 
 
 def test_read_catalog_rejects_done_marker_without_keys(tmp_path):
