@@ -4,15 +4,18 @@ Elements are canonical integer indexes.  An element of an extension of
 degree k over a base of order B with coefficient vector (c_0, ..., c_{k-1})
 has index c_0 + c_1*B + ... + c_{k-1}*B^{k-1}, where each c_i is itself the
 index of a base-field element.  Flattened all the way down this is the
-base-p digit expansion, so addition is digit-wise mod p and the subfield
-F_q sits inside F_{q^2} as the indexes below q.
+base-p digit expansion, and the subfield F_q sits inside F_{q^2} as the
+indexes below q.
 
-Multiplication runs on generator exp/log tables built once per context by
-stepping through the powers of the generator g.  A prime field steps
-k -> k*g mod p; F_{p^2} = F_p[X]/(X^2 + m1*X + m0), the F_{q^2} of every
-prime q, steps the coefficient pair (c0, c1) of g^k with two fixed linear
-forms mod p; every other field multiplies by g with the schoolbook
-`_mul_raw`.
+Arithmetic runs on generator exp/log tables built once per context by
+stepping through the powers of the generator g, stored as `array('i')`
+with log[0] = -1 for zero.  A prime field steps k -> k*g mod p, and adds
+and multiplies mod p; F_{p^2} = F_p[X]/(X^2 + m1*X + m0), the F_{q^2} of
+every prime q, steps the coefficient pair (c0, c1) of g^k with two fixed
+linear forms mod p; every other field multiplies by g with the schoolbook
+`_mul_raw`.  An extension field adds through a Zech-log table
+Z[k] = log(1 + g^k) (Huber, IEEE Trans. IT 36(4), 1990):
+g^a + g^b = g^(a + Z[b - a]).
 
 Construction is fully deterministic: the modulus is the lexicographically
 smallest monic irreducible (coefficients compared low-degree-first), the
@@ -23,6 +26,7 @@ catalogs are reproducible bit for bit across runs.
 from __future__ import annotations
 
 import os
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -117,6 +121,7 @@ class FieldCtx:
         "gen_idx",
         "_exp",
         "_log",
+        "_zech",
         "_n",
     )
 
@@ -206,8 +211,8 @@ class FieldCtx:
 
     def _build_tables(self):
         n = self._n
-        exp = [0] * n
-        log: list[int | None] = [None] * self.order
+        exp = array("i", [0]) * n
+        log = array("i", [-1]) * self.order  # zero has no log: -1
         cur = 1
         g = self.gen_idx
         if self.base is None:
@@ -238,42 +243,48 @@ class FieldCtx:
             raise AssertionError("generator order mismatch")
         self._exp = exp
         self._log = log
+        if self.base is None:
+            self._zech = array("i")
+            return
+        # Z[k] = log(1 + g^k).  Adding 1 steps only the lowest base-p digit
+        # of an index, v -> v + 1, or v - (p - 1) when v % p = p - 1, so
+        # log(1 + v) over all v is log shifted down one place with every
+        # p-th entry taken from the start of its digit block.  log[0] = -1
+        # lands at the one k where 1 + g^k = 0.
+        p = self.char
+        log_succ = log[1:]
+        log_succ.append(-1)
+        log_succ[p - 1 :: p] = log[::p]
+        self._zech = array("i", map(log_succ.__getitem__, exp))
 
     # --- fast index arithmetic ---
 
     def add(self, i: int, j: int) -> int:
-        p = self.char
-        if self.prime_power.m == 1:
-            return (i + j) % p
-        out = 0
-        mult = 1
-        while i or j:
-            i, di = divmod(i, p)
-            j, dj = divmod(j, p)
-            s = di + dj
-            if s >= p:
-                s -= p
-            out += s * mult
-            mult *= p
-        return out
+        if self.base is None:
+            return (i + j) % self.char
+        if not i:
+            return j
+        if not j:
+            return i
+        n = self._n
+        li = self._log[i]
+        z = self._zech[(self._log[j] - li) % n]
+        return 0 if z < 0 else self._exp[(li + z) % n]
 
     def neg(self, i: int) -> int:
-        p = self.char
-        if self.prime_power.m == 1:
-            return -i % p
-        out = 0
-        mult = 1
-        while i:
-            i, d = divmod(i, p)
-            if d:
-                out += (p - d) * mult
-            mult *= p
-        return out
+        if self.base is None:
+            return -i % self.char
+        if not i or self.char == 2:
+            return i
+        # -1 = g^(n/2) for odd p
+        return self._exp[(self._log[i] + (self._n >> 1)) % self._n]
 
     def sub(self, i: int, j: int) -> int:
         return self.add(i, self.neg(j))
 
     def mul(self, i: int, j: int) -> int:
+        if self.base is None:
+            return i * j % self.char
         if i == 0 or j == 0:
             return 0
         return self._exp[(self._log[i] + self._log[j]) % self._n]

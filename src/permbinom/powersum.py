@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 
 from .exactalg import BiPolyRZ, RatPoly
 from .ff import FieldCtx, FieldElement, compute_z
@@ -343,7 +344,9 @@ def power_sum_brute(r: int, t: int, a: FieldElement, s: int) -> FieldElement:
     """The oracle: literally sum f(x)^s over every x in F_{q^2}.
 
     No algebraic shortcuts beyond table lookups for the field arithmetic;
-    cost is one evaluation per field element.
+    cost is one evaluation per field element.  f(g^k) is read in log form,
+    log(a + g^j) = log a + Z[j - log a] on the Zech table, and the counts of
+    each power g^j are summed by the same rule.
     """
     ctx2 = a.ctx
     if ctx2.base is None:
@@ -355,35 +358,31 @@ def power_sum_brute(r: int, t: int, a: FieldElement, s: int) -> FieldElement:
     q = ctx2.base.order
     n = ctx2.order - 1
     te = t * (q - 1) % n
-    exp = ctx2._exp
-    log = ctx2._log
-    add = ctx2.add
-    a_idx = a.idx
+    exp, log, zech = ctx2._exp, ctx2._log, ctx2._zech
+    la = log[a.idx]
     counts = [0] * n
-    for k in range(n):
-        u = add(a_idx, exp[te * k % n])
-        if u == 0:
-            continue  # f(x) = 0 contributes nothing
-        counts[(r * k + log[u]) * s % n] += 1
+    # log f(g^k)^s = s*(r*k + la) + s*z with z = Z[te*k - la]; s*(r*k + la)
+    # and te*k - la step as progressions in k
+    rs = r * s
+    for e, j in zip(range(la * s, la * s + rs * n, rs), range(-la, te * n - la, te)):
+        z = zech[j % n]
+        if z >= 0:  # z = -1: f(x) = 0 contributes nothing
+            counts[(e + z * s) % n] += 1
     # x = 0 contributes f(0)^s = 0 since r >= 1, s >= 1
     p = ctx2.char
-    digs = [0] * ctx2.prime_power.m
-    for j, c in enumerate(counts):
-        c %= p
+    log_c = [log[c] for c in range(p)]
+    acc = -1  # log of the running sum of (counts[j] mod p) * g^j; -1 for zero
+    for j in compress(range(n), counts):
+        c = counts[j] % p
         if not c:
             continue
-        v = exp[j]
-        t_pos = 0
-        while v:
-            v, dd = divmod(v, p)
-            digs[t_pos] += c * dd
-            t_pos += 1
-    out = 0
-    mult = 1
-    for dd in digs:
-        out += (dd % p) * mult
-        mult *= p
-    return FieldElement(ctx2, out)
+        lt = log_c[c] + j
+        if acc < 0:
+            acc = lt % n
+        else:
+            z = zech[(lt - acc) % n]
+            acc = -1 if z < 0 else (acc + z) % n
+    return FieldElement(ctx2, 0 if acc < 0 else exp[acc])
 
 
 # ----------------------------------------------------------- theta brackets

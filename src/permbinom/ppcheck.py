@@ -21,6 +21,7 @@ families are z values too: (r, z) = (1, 1/3) is family (iii) and
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 from .ff import FieldCtx, FieldElement, build_subfield, compute_z, enumeration_cap
@@ -140,8 +141,10 @@ class FamilyTag:
 def is_pp_brute(params: BinomialParams) -> PPVerdict:
     """Evaluate f on every element; bijection iff no collision.
 
-    The first collision found in enumeration order (g^0, g^1, ..., 0) is
-    returned as a witness.
+    f(g^k) = g^(r*k) * (a + g^(te*k)) is read off the Zech table,
+    log(a + g^j) = log a + Z[j - log a], one lookup per element.  The first
+    collision found in enumeration order (g^0, g^1, ..., 0) is returned as a
+    witness.
     """
     ctx2 = params.ctx2
     Q = ctx2.order
@@ -151,14 +154,13 @@ def is_pp_brute(params: BinomialParams) -> PPVerdict:
     q = params.q
     r, t, a_idx = params.r, params.t, params.a.idx
     te = t * (q - 1) % n
-    preimage = [-1] * Q  # log index of the first preimage; n means x = 0
+    preimage = array("i", [-1]) * Q  # log index of the first preimage; n means x = 0
     preimage[0] = n
-    exp = ctx2._exp
-    log = ctx2._log
-    add = ctx2.add
-    for k in range(n):
-        u = add(a_idx, exp[te * k % n])
-        fx = 0 if u == 0 else exp[(r * k + log[u]) % n]
+    exp, zech = ctx2._exp, ctx2._zech
+    la = ctx2._log[a_idx]
+    for k, rk, j in zip(range(n), range(la, la + r * n, r), range(-la, te * n - la, te)):
+        z = zech[j % n]
+        fx = 0 if z < 0 else exp[(rk + z) % n]
         prev = preimage[fx]
         if prev >= 0:
             x1 = ctx2.zero() if prev == n else ctx2.element(exp[prev])

@@ -243,17 +243,18 @@ def search_exceptional(
             raise ValueError("cannot resume: existing catalog was produced with different flags")
         done_pairs = {(d["q"], d["r"]) for d in done}
         records = [rec.to_dict() for rec in old if (rec.q, rec.r) in done_pairs]
+        # the sweep never repeats a record; a damaged catalog can
+        seen = set()
+        for d in records:
+            key = _record_key(d)
+            if key in seen:
+                raise ValueError(f"{out}: duplicate catalog record (q, r, t, a_index) = {key}")
+            seen.add(key)
     tasks = [(p, m, q, r, include_norm_one) for (p, m, q) in qs if (q, r) not in done_pairs]
 
     for q_records in _pmap(_sweep_one_q, tasks, jobs):
         records.extend(q_records)
     records.sort(key=_record_key)
-    seen = set()
-    for d in records:
-        key = _record_key(d)
-        if key in seen:
-            raise AssertionError(f"duplicate catalog key {key}")
-        seen.add(key)
 
     # a norm-one hit always satisfies the complete norm-one criterion, so the
     # family_i tag is the authoritative norm marker

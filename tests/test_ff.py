@@ -231,8 +231,8 @@ TABLE_GRID = [(2, 1), (3, 1), (5, 1), (31, 1), (101, 1),
 def test_tables_match_mul_raw(p, m):
     for ctx in build_tower(p, m):
         exp, log, g, n = ctx._exp, ctx._log, ctx.gen_idx, ctx.order - 1
-        assert type(exp) is list and type(log) is list
-        assert len(exp) == n and len(log) == ctx.order and log[0] is None
+        assert exp.typecode == log.typecode == ctx._zech.typecode == "i"
+        assert len(exp) == n and len(log) == ctx.order and log[0] == -1
         for k in range(n):
             assert ctx._mul_raw(exp[k], g) == exp[(k + 1) % n]
             assert log[exp[k]] == k
@@ -247,3 +247,54 @@ def test_quadratic_tables_pinned(p, m, modulus, gen, digest):
     _, fq2 = build_tower(p, m)
     assert fq2.modulus == modulus and fq2.gen_idx == gen
     assert hashlib.sha256(" ".join(map(str, fq2._exp)).encode()).hexdigest() == digest
+
+
+# reference twin of the Zech-log addition: indexes are base-p digit vectors,
+# added and negated digit by digit mod p
+def digit_add(p, i, j):
+    out, mult = 0, 1
+    while i or j:
+        i, di = divmod(i, p)
+        j, dj = divmod(j, p)
+        out += (di + dj) % p * mult
+        mult *= p
+    return out
+
+
+def digit_neg(p, i):
+    out, mult = 0, 1
+    while i:
+        i, d = divmod(i, p)
+        out += -d % p * mult
+        mult *= p
+    return out
+
+
+@pytest.mark.parametrize("p,m", TABLE_GRID)
+def test_zech_arithmetic_matches_digit_reference(p, m):
+    rng = random.Random(f"zech:{p}:{m}")
+    for ctx in build_tower(p, m):
+        Q, n = ctx.order, ctx.order - 1
+        if Q <= 729:
+            pairs = [(i, j) for i in range(Q) for j in range(Q)]
+            elements = range(Q)
+        else:
+            pairs = [(rng.randrange(Q), rng.randrange(Q)) for _ in range(20000)]
+            elements = sorted({i for pair in pairs for i in pair})
+        for i, j in pairs:
+            assert ctx.add(i, j) == digit_add(p, i, j)
+            assert ctx.sub(i, j) == digit_add(p, i, digit_neg(p, j))
+        for i in elements:
+            assert ctx.neg(i) == digit_neg(p, i)
+        if ctx.base is None:
+            assert len(ctx._zech) == 0
+            continue
+        exp, zech = ctx._exp, ctx._zech
+        assert len(zech) == n
+        for k in range(n):
+            one_plus = digit_add(p, 1, exp[k])
+            assert (zech[k] == -1) == (one_plus == 0)
+            if one_plus:
+                assert exp[zech[k]] == one_plus
+        # 1 + g^k = 0 exactly at g^k = -1: k = n/2 for odd p, k = 0 for p = 2
+        assert zech.count(-1) == 1 and zech.index(-1) == (n // 2 if p % 2 else 0)

@@ -374,6 +374,17 @@ def test_cli_resume_forged_record_exit_2(tmp_path, capsys):
     assert out in err and "round-trip verdict mismatch" in err
 
 
+def test_cli_resume_duplicate_record_exit_2(tmp_path, capsys):
+    out = str(tmp_path / "cat.jsonl")
+    argv = ("search", "--r", "5", "--q-max", "20", "--include-norm-one", "--out", out)
+    assert run_cli(*argv) == 0
+    capsys.readouterr()
+    _rewrite_records(out, lambda records: records + records[-1:])
+    err = _assert_usage_error(capsys, *argv, "--resume")
+    last = read_catalog(out)[1][-1]
+    assert out in err and "duplicate" in err and f"({last.q}, 5, 2, {last.a_index})" in err
+
+
 def test_read_catalog_rejects_done_marker_without_keys(tmp_path):
     path = str(tmp_path / "cat.jsonl")
     with open(path, "w") as fh:
