@@ -1,0 +1,7 @@
+"""``python -m permbinom``: the command line of permbinom.cli."""
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

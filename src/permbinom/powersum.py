@@ -12,7 +12,8 @@ here; the permutation test and the search call it.
 Every bracket is built from one memoised row kernel, bracket_row(alpha,
 shift, p): the coefficients binom(alpha,i)(-1)^i binom(i+shift, alpha) mod p.
 The t = 2 even and odd halves, the d = q-1 branch and the t = 1 bracket
-differ only in shift.
+differ only in shift.  The t = 2 rows with their d are memoised per
+(alpha, r, q), so a z-sweep pays only the Horner evaluations at each z.
 
 Binomial coefficients come in three exact flavours: rational falling
 factorials, residue falling factorials mod p (with 1/2 read as the inverse
@@ -20,6 +21,8 @@ of 2, valid for lower index < p), and Lucas digit products.  The closed
 forms use integer upper entries reduced through base-p digits, which agrees
 with the residue form for alpha < p and stays exact beyond it: the value of
 binom(., k) mod p depends on its argument only mod p^L once p^L > k.
+The rational vanishing identities are one integer sum over a common
+denominator; binom_rational is the Fraction reference tests compare with.
 """
 
 from __future__ import annotations
@@ -226,6 +229,16 @@ def _horner_sub(coeffs, y_idx: int, sub: FieldCtx) -> int:
     return acc
 
 
+@lru_cache(maxsize=BRACKET_ROW_CACHE)
+def _t2_rows(alpha: int, r: int, q: int, p: int) -> tuple:
+    """The z-independent part of t2_bracket, (d, evens, odds), memoised per
+    (alpha, r, q, p); the d = q-1 branch has the deficient row and no odds."""
+    d = cd_pair(alpha, r, q).d
+    if d == q - 1:
+        return d, bracket_coeffs_deficient(alpha, q, p), ()
+    return (d, *bracket_coeffs(alpha, d // 2, (q + 1) // 2, p))
+
+
 def t2_bracket(alpha: int, r: int, sub: FieldCtx, y_idx: int) -> tuple[int, int, int]:
     """The t=2 bracket at odd alpha as (d, E(y), O(y)), with y = z^2 an F_q
     index; the bracket is E(y) + z*O(y) up to a nonzero prefactor.
@@ -233,12 +246,7 @@ def t2_bracket(alpha: int, r: int, sub: FieldCtx, y_idx: int) -> tuple[int, int,
     In the d = q-1 branch the bracket is the even row alone (times z), so
     O is 0 there.
     """
-    q = sub.order
-    p = sub.char
-    d = cd_pair(alpha, r, q).d
-    if d == q - 1:
-        return d, _horner_sub(bracket_coeffs_deficient(alpha, q, p), y_idx, sub), 0
-    evens, odds = bracket_coeffs(alpha, d // 2, (q + 1) // 2, p)
+    d, evens, odds = _t2_rows(alpha, r, sub.order, sub.char)
     return d, _horner_sub(evens, y_idx, sub), _horner_sub(odds, y_idx, sub)
 
 
@@ -433,30 +441,28 @@ def theta_numeric(alpha: int, dhalf: int, z: FieldElement) -> FieldElement:
 
 # ------------------------------------------------- exact rational identities
 
+def _identity_sum(alpha: int, u: int, v: int, n1: int, n2: int) -> Fraction:
+    """sum_i binom(alpha,i) (-1)^i (binom(i + n1/2, alpha) x^(2i) + binom(i + n2/2,
+    alpha) x^(2i+1)) at x = u/v.  As binom(n/2, alpha) = prod_{j<alpha}(n - 2j)
+    / (2^alpha alpha!), it is one integer sum over 2^alpha alpha! v^(2alpha+1)."""
+    total = 0
+    for i in range(alpha + 1):
+        e, o = 2 * i + n1, 2 * i + n2
+        total += (-1) ** i * math.comb(alpha, i) * u ** (2 * i) * v ** (2 * (alpha - i)) * (
+            math.prod(range(e, e - 2 * alpha, -2)) * v + math.prod(range(o, o - 2 * alpha, -2)) * u)
+    return Fraction(total, 2**alpha * math.factorial(alpha) * v ** (2 * alpha + 1))
+
+
 def identity_value(alpha: int, which: str) -> Fraction:
     """One of the two exact rational bracket identities (they vanish for all
-    odd alpha; the first drives the (r, z) = (1, 1/3) family, the second the
-    (3, 3) family)."""
+    odd alpha; the first, at x = 1/3, drives the (r, z) = (1, 1/3) family, the
+    second, at x = 3, the (3, 3) family)."""
     if alpha < 1 or alpha % 2 == 0:
         raise ValueError("alpha must be odd and >= 1")
-    if which == "id310":
-        x = Fraction(1, 3)
-        e1 = lambda i: Fraction(i) + Fraction(alpha - 1, 2)
-        e2 = lambda i: Fraction(i) + Fraction(alpha, 2)
-    elif which == "id311":
-        x = Fraction(3)
-        e1 = lambda i: Fraction(i) - 1 - Fraction(alpha, 2)
-        e2 = lambda i: Fraction(i) - Fraction(alpha + 1, 2)
-    else:
+    settings = {"id310": (1, 3, alpha - 1, alpha), "id311": (3, 1, -2 - alpha, -1 - alpha)}
+    if which not in settings:
         raise ValueError(f"unknown identity {which!r}")
-    total = Fraction(0)
-    xp = Fraction(1)  # x^(2i)
-    x2 = x * x
-    for i in range(alpha + 1):
-        sgn = math.comb(alpha, i) * (-1) ** i
-        total += sgn * (binom_rational(e1(i), alpha) * xp + binom_rational(e2(i), alpha) * xp * x)
-        xp *= x2
-    return total
+    return _identity_sum(alpha, *settings[which])
 
 
 def verify_identities(alpha_max: int) -> list[CheckReport]:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from permbinom import powersum
 from permbinom.exactalg import BiPolyRZ, RatPoly
 from permbinom.ff import build_tower, build_subfield, enumerate_elements
 from permbinom.powersum import (
@@ -343,3 +344,21 @@ def test_identity_alpha1_by_hand():
 def test_identities_sweep():
     for rep in verify_identities(25):
         assert rep.ok
+
+
+def test_identity_sum_matches_rational_reference():
+    # the integer kernel against Fraction arithmetic, at x and offsets where
+    # the sum does not vanish, so a kernel that returns 0 cannot pass
+    def reference(alpha, x, n1, n2):
+        return sum(math.comb(alpha, i) * (-1) ** i
+                   * (binom_rational(Fraction(2 * i + n1, 2), alpha) * x ** (2 * i)
+                      + binom_rational(Fraction(2 * i + n2, 2), alpha) * x ** (2 * i + 1))
+                   for i in range(alpha + 1))
+
+    cases = [(u, v, n1, n2) for u, v in ((1, 2), (-2, 5), (3, 7), (2, 1))
+             for n1, n2 in ((0, 1), (-3, 4), (5, -1))]
+    for alpha in range(1, 16, 2):
+        for u, v, n1, n2 in cases:
+            expected = reference(alpha, Fraction(u, v), n1, n2)
+            assert expected != 0
+            assert powersum._identity_sum(alpha, u, v, n1, n2) == expected, (alpha, u, v, n1, n2)

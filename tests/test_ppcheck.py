@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from permbinom import powersum
 from permbinom.ff import PrimePower, build_subfield, build_tower, compute_z, enumerate_elements
 from permbinom.ppcheck import (
     BinomialParams,
@@ -295,6 +296,26 @@ def test_z_sweep_matches_per_a():
                 if is_pp_powersum(BinomialParams(a, r, 2)).is_pp:
                     direct.add(a.idx)
             assert sweep == direct
+
+
+def test_z_sweep_matches_brute_across_shared_p():
+    # the brute walk shares no bracket code with the sweep; fields of one p
+    # and both r alternate, so a bracket memo keyed without q or r would
+    # serve one field's or one r's rows to the next
+    fields = ((3, 1), (3, 2), (5, 1), (5, 2), (7, 1))
+    towers = {pm: build_tower(*pm)[1] for pm in fields}
+    hits = Counter()
+    powersum._t2_rows.cache_clear()
+    for include in (False, True):
+        for r in (5, 7):
+            for (p, m), fq2 in towers.items():
+                q = fq2.base.order
+                sweep = {a.idx for h in t2_passing_z(p, m, r, include) for _, a in expand_z_to_a(fq2, h)}
+                brute = {a.idx for a in enumerate_elements(fq2, "nonzero")
+                         if (include or a ** (q + 1) != 1) and is_pp_brute(BinomialParams(a, r, 2)).is_pp}
+                assert sweep == brute, (p, m, r, include)
+                hits[include] += len(sweep)
+    assert 0 < hits[False] < hits[True]
 
 
 def test_expand_preimage_count():

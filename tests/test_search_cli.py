@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -229,6 +231,15 @@ def test_cli_is_pp_and_classify(capsys):
 def test_cli_bound(capsys):
     assert run_cli("bound", "--r", "5", "--p", "3") == 0
     assert capsys.readouterr().out.strip() == "25"
+
+
+def test_python_m_permbinom_runs_the_cli():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "permbinom", "bound", "--r", "5", "--p", "3"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "25"
 
 
 def test_cli_verify(capsys):
