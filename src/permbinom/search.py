@@ -2,11 +2,11 @@
 
 The search sweeps every a in F_{q^2}* for fixed (r, t=2) across a range of
 odd prime powers q, using the fact that the power-sum verdict is a pure
-function of the derived value z(a): each q is decided through at most
-2(q-1) z values, and only passing values are expanded back to their a
-preimages (each z has exactly (q+1)/2 of them).  Catalogs are JSON Lines
-with a fixed key order, sorted on a final barrier, so identical runs are
-byte-identical regardless of worker count.
+function of the derived value z(a): each q is decided through the few
+roots of its alpha = 1 bracket, and only passing values are expanded back
+to their a preimages (each z has exactly (q+1)/2 of them).  Catalogs are
+JSON Lines with a fixed key order, sorted on a final barrier, so identical
+runs are byte-identical regardless of worker count.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import math
 import multiprocessing
 import os
 import random
+from collections import Counter
 from dataclasses import dataclass, fields
 
 from . import __version__
@@ -23,6 +24,7 @@ from .ff import PrimePower, build_tower, enumeration_cap, enumerate_elements
 from .powersum import PowerSumIndex, power_sum_brute, power_sum_closed, surviving_alphas
 from .ppcheck import (
     BinomialParams,
+    _t2_sweep,
     classify_family,
     expand_z_to_a,
     is_pp_brute,
@@ -259,9 +261,9 @@ def search_exceptional(
     # a norm-one hit always satisfies the complete norm-one criterion, so the
     # family_i tag is the authoritative norm marker
     below = above = sporadic_below = 0
+    bounds = {p: thm21_bound(r, p) for p in {d["p"] for d in records}}  # one primality test per p
     for d in records:
-        bound = thm21_bound(r, d["p"])
-        if d["q"] >= bound:
+        if d["q"] >= bounds[d["p"]]:
             if d["family"] != "family_i":
                 above += 1
         else:
@@ -417,17 +419,26 @@ def _xval_random(fq2, q: int, t: int, samples: int, seed: int) -> list[CheckRepo
 def thm21_desk_sweep(r: int, q_cap_sq: int | None = None, jobs: int = 1) -> dict:
     """Nonexistence confirmation: for every admissible odd prime power q at
     or above the threshold with q^2 within the cap, count passing z values
-    with norm(a) != 1.  Expected zero everywhere; ValueError if no q is left."""
+    with norm(a) != 1.  Expected zero everywhere; ValueError if no q is left.
+    first_failure maps each alpha to the number of z, over all q, whose
+    first nonzero bracket is at alpha."""
     cap = enumeration_cap() if q_cap_sq is None else q_cap_sq
     qs = _admissible_qs(r, math.isqrt(cap), cap)
     tasks = [(p, m, q, r) for (p, m, q) in qs if q >= thm21_bound(r, p)]
     if not tasks:  # no q to sweep would confirm the bound vacuously
         raise ValueError(f"no admissible q at or above the bound for r = {r} within the cap {cap}")
     results = _pmap(_thm21_one, tasks, jobs)
-    failures = [(q, hits) for q, hits in results if hits]
-    return {"r": r, "q_swept": len(results), "failures": failures, "confirmed": not failures}
+    failures = [(q, hits) for q, hits, _ in results if hits]
+    first_failure = Counter()
+    for _, _, hist in results:
+        first_failure.update(dict(hist))
+    return {"r": r, "q_swept": len(results), "failures": failures, "confirmed": not failures,
+            "first_failure": dict(sorted(first_failure.items()))}
 
 
 def _thm21_one(task):
+    """Worker: one q's passing z and its first-failure histogram, read back
+    from the memo of the sweep t2_passing_z just ran."""
     p, m, q, r = task
-    return q, t2_passing_z(p, m, r, include_norm_one=False)
+    hits = t2_passing_z(p, m, r, include_norm_one=False)
+    return q, hits, _t2_sweep(p, m, r, False)[1]

@@ -1,9 +1,11 @@
+import itertools
 import math
+import random
 from collections import Counter
 
 import pytest
 
-from permbinom import powersum
+from permbinom import powersum, ppcheck
 from permbinom.ff import PrimePower, build_subfield, build_tower, compute_z, enumerate_elements
 from permbinom.ppcheck import (
     BinomialParams,
@@ -15,9 +17,11 @@ from permbinom.ppcheck import (
     is_pp_brute,
     is_pp_powersum,
     t2_passing_z,
+    t2_z_first_failure,
     thm21_bound,
 )
 from permbinom.powersum import PowerSumIndex, power_sum_closed, surviving_alphas
+from permbinom.search import odd_prime_powers, thm21_desk_sweep
 
 
 def params(p, m, r, t, a_idx):
@@ -343,3 +347,129 @@ def test_expand_preimage_count():
             assert list(per_root.values()) == [(q + 1) // 2] * roots
             covered += [a.idx for _, a in pre]
         assert sorted(covered) == list(range(1, fq2.order))
+
+
+# ------------------------------------------------- alpha = 1 candidate roots
+
+ROOT_FIELDS = ((3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (13, 1))
+
+
+def _horner(f, z, sub):
+    acc = 0
+    for c in reversed(f):
+        acc = sub.add(sub.mul(acc, z), c)
+    return acc
+
+
+def _times_linear(f, u, sub):
+    """f * (z - u), coefficient lists constant term first."""
+    out = [0] * (len(f) + 1)
+    for i, c in enumerate(f):
+        out[i + 1] = sub.add(out[i + 1], c)
+        out[i] = sub.sub(out[i], sub.mul(u, c))
+    return out
+
+
+def _root_cases(sub, rng):
+    """Cubics with F_p coefficients (all of them, or a seeded sample), seeded
+    cubics with F_q coefficients, repeated roots, irreducible factors."""
+    p, q = sub.char, sub.order
+    prime = list(itertools.product(range(p), repeat=4))
+    cases = prime if len(prime) <= 625 else rng.sample(prime, 300)
+    cases = [list(c) for c in cases if any(c)]
+    cases += [[rng.randrange(q) for _ in range(3)] + [rng.randrange(1, q)] for _ in range(200)]
+    u, v = rng.randrange(q), rng.randrange(q)
+    nonsquare = sub.exp(1)
+    cases += [
+        _times_linear(_times_linear([sub.neg(v), 1], u, sub), u, sub),  # (z-u)^2 (z-v)
+        _times_linear(_times_linear([sub.neg(u), 1], u, sub), u, sub),  # (z-u)^3
+        [sub.neg(nonsquare), 0, 1],                                      # irreducible
+        _times_linear([sub.neg(nonsquare), 0, 1], u, sub),               # one F_q root
+        [1, 0, 0, 0],                                                    # constant
+    ]
+    return cases
+
+
+def test_fq_roots_match_exhaustive_evaluation():
+    rng = random.Random(20160101)
+    for p, m in ROOT_FIELDS:
+        sub = build_subfield(p, m)
+        kinds = Counter()
+        for f in _root_cases(sub, rng):
+            want = [z for z in range(sub.order) if _horner(f, z, sub) == 0]
+            assert ppcheck._fq_roots(f, sub) == want, (p, m, f)
+            kinds[len(want)] += 1
+        # the sample holds cubics with no root in F_q and with three distinct roots
+        assert kinds[0] and kinds[3], (p, m, kinds)
+    f3 = build_subfield(3, 1)
+    assert ppcheck._fq_roots([0, 2, 0, 1], f3) == [0, 1, 2]  # z^3 - z over F_3
+    for zero in ([], [0, 0, 0]):
+        with pytest.raises(ValueError, match="zero polynomial"):
+            ppcheck._fq_roots(zero, f3)
+
+
+def test_fq_roots_split_in_few_trials(monkeypatch):
+    # each delta separates two given roots about half the time, so splitting
+    # k distinct roots takes about 2(k - 1) powers; a wrong exponent can
+    # still find the roots, by trying delta = -u for every root u, at O(q)
+    # powers a split
+    powmod = ppcheck._poly_powmod
+    tries = Counter()  # powers taken to split, not the z^q of the gcd
+    monkeypatch.setattr(ppcheck, "_poly_powmod",
+                        lambda f, e, g, sub: tries.update([e != sub.order]) or powmod(f, e, g, sub))
+    rng = random.Random(7)
+    splits = 0
+    for p, m in ((7, 2), (3, 4), (5, 3), (13, 1)):
+        sub = build_subfield(p, m)
+        for f in _root_cases(sub, rng):
+            splits += max(0, len(ppcheck._fq_roots(f, sub)) - 1)
+    assert 0 < splits < tries[True] <= 4 * splits, (tries, splits)
+
+
+def _per_z_sweep(p, m, r, include_norm_one):
+    """The slow twin of the sweep: every z of F_q* except 1 (and -1 unless
+    include_norm_one), then every nonsquare y, each through the full bracket
+    test; the hits, and the first failing alpha of every other z."""
+    sub = build_subfield(p, m)
+    q = sub.order
+    hits, first = [], Counter()
+    if math.gcd(r, q - 1) != 1:
+        return hits, first
+    minus_one = sub.neg(1)
+    tests = [(("sub", z), sub.mul(z, z), z) for z in range(2, q)
+             if include_norm_one or z != minus_one]
+    tests += [(("ext", y), y, None) for y in sorted(sub.exp(k) for k in range(1, q - 1, 2))]
+    for desc, y, z in tests:
+        alpha = t2_z_first_failure(sub, q, r, y, z)
+        if alpha is None:
+            hits.append(desc)
+        else:
+            first[alpha] += 1
+    return hits, first
+
+
+def test_sweep_matches_per_z_twin():
+    deficient = 0
+    for p, m, q in odd_prime_powers(125):
+        for r in range(1, 42, 2):
+            if math.gcd(r, q - 1) == 1 and powersum._t2_rows(1, r, q, p)[0] == q - 1:
+                deficient += 1  # alpha = 1 has no odd row
+            for include in (False, True):
+                hits, first = _per_z_sweep(p, m, r, include)
+                assert t2_passing_z(p, m, r, include) == hits, (q, r, include)
+                assert dict(ppcheck._t2_sweep(p, m, r, include)[1]) == first, (q, r, include)
+    assert deficient
+
+
+def test_desk_sweep_first_failure_matches_twin():
+    out = thm21_desk_sweep(5, q_cap_sq=10**4)
+    first = Counter()
+    swept = 0
+    for p, m, q in odd_prime_powers(100):
+        if math.gcd(5, q - 1) == 1 and q >= thm21_bound(5, p):
+            swept += 1
+            first += _per_z_sweep(p, m, 5, False)[1]
+    assert out["q_swept"] == swept
+    assert out["first_failure"] == dict(sorted(first.items()))
+    assert thm21_desk_sweep(5, q_cap_sq=10**4, jobs=2) == out  # histograms cross the pool
+    assert out["first_failure"][1] > sum(out["first_failure"].values()) // 2

@@ -233,6 +233,12 @@ def test_cli_bound(capsys):
     assert capsys.readouterr().out.strip() == "25"
 
 
+def test_cli_bound_rejects_non_prime_p(capsys):
+    for p in ("9", "15", "1", "-3", "0"):
+        err = _assert_usage_error(capsys, "bound", "--r", "5", "--p", p)
+        assert err.strip() == "error: p must be an odd prime", p
+
+
 def test_python_m_permbinom_runs_the_cli():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
