@@ -1,20 +1,19 @@
-"""Exact polynomial algebra over Z, Q and F_p, plus probable-prime checks.
+"""Exact polynomial algebra over Z, Q and finite fields, plus probable-prime
+checks.
 
 Dense representation throughout: a polynomial is its coefficient sequence,
 lowest degree first, with no trailing zeros (the zero polynomial is the
 empty sequence).  IntPoly / RatPoly / BiPolyRZ are immutable wrappers on one
 shared dense base: BiPolyRZ is the same type with RatPoly coefficients, a
 polynomial in z over Q[r].  One long division serves all three, dividing
-coefficients exactly.  Polynomials over F_p are plain lists of residues
-handled by the mp_* functions, which callers use directly.  Everything is
-exact: Python ints and fractions.Fraction, no floating point.
+coefficients exactly: Python ints and fractions.Fraction, no floating point.
+Polynomials over a finite field are plain lists of field indices handled by
+the mp_* functions, which take the field context last and run over any F_q.
 
-Resultants come in two independent flavours so they can cross-check each
-other: fraction-free Bareiss elimination on the Sylvester matrix, and a
-Euclidean remainder sequence with leading-coefficient bookkeeping.  The
-two-variable resultant (with respect to z, coefficients in Q[r]) is done by
-evaluation at integer points followed by exact Lagrange interpolation, with
-a direct Bareiss-over-Q[r] route available as a check.
+The univariate resultant is fraction-free Bareiss elimination on the
+Sylvester matrix; the two-variable one (with respect to z, coefficients in
+Q[r]) is evaluation at integer points and exact Lagrange interpolation.  The
+independent routes that cross-check both live in the tests.
 """
 
 from __future__ import annotations
@@ -30,10 +29,7 @@ __all__ = [
     "BiPolyRZ",
     "Factorization",
     "resultant_univar",
-    "resultant_univar_euclid",
     "resultant_bivar_z",
-    "resultant_bivar_z_sylvester",
-    "rational_gcd",
     "to_modp",
     "mp_sub",
     "mp_mul",
@@ -388,35 +384,6 @@ def resultant_univar(f, g):
     return int(out)
 
 
-def resultant_univar_euclid(f, g):
-    """Same resultant through a rational Euclidean remainder sequence.
-
-    Independent of the Sylvester/Bareiss route; used to cross-check it.
-    """
-    f = f.to_rat() if isinstance(f, IntPoly) else f
-    g = g.to_rat() if isinstance(g, IntPoly) else g
-    if f.is_zero() or g.is_zero():
-        raise ValueError("resultant of the zero polynomial")
-    acc = Fraction(1)
-    while True:
-        m, n = f.degree, g.degree
-        if n == 0:
-            return acc * g.coeffs[0] ** m
-        _, r = f.divmod(g)
-        if r.is_zero():
-            return Fraction(0)
-        k = r.degree
-        acc *= Fraction(-1) ** (m * n) * g.lc ** (m - k)
-        f, g = g, r
-
-
-def rational_gcd(f: RatPoly, g: RatPoly) -> RatPoly:
-    """Monic gcd over Q by the Euclidean algorithm."""
-    while not g.is_zero():
-        f, g = g, f.divmod(g)[1]
-    return f.monic() if not f.is_zero() else f
-
-
 def resultant_bivar_z(F: BiPolyRZ, G: BiPolyRZ) -> RatPoly:
     """Resultant with respect to z of two polynomials in (r, z), exact over Q[r].
 
@@ -463,36 +430,7 @@ def _lagrange(xs: list[Fraction], ys: list[Fraction]) -> RatPoly:
     return out
 
 
-def resultant_bivar_z_sylvester(F: BiPolyRZ, G: BiPolyRZ) -> RatPoly:
-    """Direct route: Bareiss elimination over the polynomial ring Q[r]."""
-    if F.degree <= 0 or G.degree <= 0:
-        return resultant_bivar_z(F, G)
-    rows = _sylvester(list(F.coeffs), list(G.coeffs), RatPoly.zero())
-    n = len(rows)
-    M = [row[:] for row in rows]
-    sign = 1
-    prev = RatPoly.const(1)
-    for k in range(n - 1):
-        if M[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not M[i][k].is_zero():
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return RatPoly.zero()
-        pk = M[k][k]
-        for i in range(k + 1, n):
-            mik = M[i][k]
-            for j in range(k + 1, n):
-                M[i][j] = (pk * M[i][j] - mik * M[k][j]).divexact(prev)
-            M[i][k] = RatPoly.zero()
-        prev = pk
-    res = M[n - 1][n - 1]
-    return -res if sign < 0 else res
-
-
-# --------------------------------------------------- polynomials over F_p
+# ----------------------------------------- polynomials over a finite field
 
 def to_modp(f, p: int) -> list[int]:
     """Coerce IntPoly / RatPoly / coefficient list to a residue list mod p."""
@@ -501,107 +439,107 @@ def to_modp(f, p: int) -> list[int]:
     return _trim([c % p for c in f])
 
 
-def mp_sub(a, b, p):
-    out = list(a) + [0] * max(0, len(b) - len(a))
+# The mp_* functions work over a field context F (a FieldCtx of any order q)
+# on lists of F indices, constant term first.  A prime context's indices are
+# its residues, so to_modp output feeds in unchanged.
+
+def mp_sub(a, b, F):
+    out = list(a) + [0] * (len(b) - len(a))
     for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
+        out[i] = F.sub(out[i], c)
     return _trim(out)
 
 
-def mp_mul(a, b, p):
+def mp_mul(a, b, F):
     if not a or not b:
         return []
+    add, mul = F.add, F.mul
     out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if not ca:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] = (out[i + j] + ca * cb) % p
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = add(out[i + j], mul(x, y))
     return _trim(out)
 
 
-def mp_scal(a, c, p):
-    c %= p
-    return _trim([x * c % p for x in a])
-
-
-def mp_divmod(a, b, p):
+def mp_divmod(a, b, F):
+    """Quotient and remainder of a by b, whose last coefficient is nonzero."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    dd = len(b) - 1
-    if len(rem) - 1 < dd:
-        return [], _trim(rem)
-    quo = [0] * (len(rem) - dd)
-    inv = pow(b[-1], -1, p)
+    add, mul = F.add, F.mul
+    rem, dd, lead = list(a), len(b) - 1, b[-1]
+    quo = [0] * max(0, len(rem) - dd)
     for k in range(len(rem) - 1, dd - 1, -1):
-        c = rem[k] * inv % p
+        c = quo[k - dd] = F.div(rem.pop(), lead)
         if c:
-            quo[k - dd] = c
-            for i in range(dd + 1):
-                rem[k - dd + i] = (rem[k - dd + i] - c * b[i]) % p
+            nc = F.neg(c)
+            for i in range(dd):
+                rem[k - dd + i] = add(rem[k - dd + i], mul(nc, b[i]))
     return _trim(quo), _trim(rem)
 
 
-def mp_monic(a, p):
-    if not a:
-        return []
-    return mp_scal(a, pow(a[-1], -1, p), p)
+def mp_monic(a, F):
+    return [F.div(c, a[-1]) for c in a] if a else []
 
 
-def mp_gcd(a, b, p):
+def mp_gcd(a, b, F):
+    """The monic gcd; inputs may end in zeros; [] when both are zero."""
+    a, b = _trim(a), _trim(b)
     while b:
-        a, b = b, mp_divmod(a, b, p)[1]
-    return mp_monic(a, p)
+        a, b = b, mp_divmod(a, b, F)[1]
+    return mp_monic(a, F)
 
 
-def mp_powmod(base, e, f, p):
-    """base^e mod (f, p) by square and multiply."""
+def mp_powmod(base, e, f, F):
+    """base^e mod f by square and multiply."""
     result = [1]
-    base = mp_divmod(base, f, p)[1]
+    base = mp_divmod(base, f, F)[1]
     while e > 0:
         if e & 1:
-            result = mp_divmod(mp_mul(result, base, p), f, p)[1]
-        base = mp_divmod(mp_mul(base, base, p), f, p)[1]
+            result = mp_divmod(mp_mul(result, base, F), f, F)[1]
         e >>= 1
+        if e:
+            base = mp_divmod(mp_mul(base, base, F), f, F)[1]
     return result
 
 
-def mp_irreducible(f, p) -> bool:
-    """Exact irreducibility over F_p: no factor of degree <= deg(f)/2.
+def mp_irreducible(f, F) -> bool:
+    """Exact irreducibility over F = F_q: no factor of degree <= deg(f)/2.
 
-    Uses gcds with z^(p^i) - z, whose roots are exactly the elements of the
-    degree-i subfields.
+    Uses gcds with z^(q^i) - z, whose roots are exactly the elements of the
+    degree-i extensions of F.
     """
-    f = mp_monic(f, p)
+    f = mp_monic(f, F)
     n = len(f) - 1
     if n <= 0:
         return False
     if n == 1:
         return True
+    if not f[0]:  # z divides f
+        return False
     frob = [0, 1]
     for _ in range(n // 2):
-        frob = mp_powmod(frob, p, f, p)
-        g = mp_gcd(f, mp_sub(frob, [0, 1], p), p)
-        if len(g) - 1 > 0:
+        frob = mp_powmod(frob, F.order, f, F)
+        if len(mp_gcd(f, mp_sub(frob, [0, 1], F), F)) > 1:
             return False
     return True
 
 
-def mp_resultant(a, b, p) -> int:
-    """Resultant over F_p via the Euclidean sequence."""
+def mp_resultant(a, b, F) -> int:
+    """Resultant over F via the Euclidean sequence, as an F index."""
     if not a or not b:
         raise ValueError("resultant of the zero polynomial")
     acc = 1
     while True:
         m, n = len(a) - 1, len(b) - 1
         if n == 0:
-            return acc * pow(b[0], m, p) % p
-        r = mp_divmod(a, b, p)[1]
+            return F.mul(acc, F.pow(b[0], m))
+        r = mp_divmod(a, b, F)[1]
         if not r:
             return 0
-        k = len(r) - 1
-        acc = acc * pow(-1, m * n, p) % p * pow(b[-1], m - k, p) % p
+        acc = F.mul(acc, F.pow(b[-1], m - (len(r) - 1)))
+        if m * n % 2:
+            acc = F.neg(acc)
         a, b = b, r
 
 

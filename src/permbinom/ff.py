@@ -25,6 +25,7 @@ catalogs are reproducible bit for bit across runs.
 
 from __future__ import annotations
 
+import itertools
 import os
 from array import array
 from dataclasses import dataclass
@@ -108,7 +109,8 @@ class FieldCtx:
     """One level of the tower; immutable after construction.
 
     Safe to share across workers: every table is built in __init__ and never
-    mutated afterwards.
+    mutated afterwards.  p is trusted, as build_subfield has checked it;
+    abs_degree is the degree m over F_p.
     """
 
     __slots__ = (
@@ -117,7 +119,7 @@ class FieldCtx:
         "char",
         "order",
         "degree",
-        "prime_power",
+        "abs_degree",
         "gen_idx",
         "_exp",
         "_log",
@@ -133,7 +135,7 @@ class FieldCtx:
             self.char = p
             self.degree = 1
             self.order = p
-            self.prime_power = PrimePower(p, 1)
+            self.abs_degree = 1
             self.modulus = None
         else:
             if modulus is None or len(modulus) < 3 or modulus[-1] != 1:
@@ -142,7 +144,7 @@ class FieldCtx:
             self.char = base.char
             self.degree = len(modulus) - 1
             self.order = base.order**self.degree
-            self.prime_power = PrimePower(self.char, base.prime_power.m * self.degree)
+            self.abs_degree = base.abs_degree * self.degree
             self.modulus = tuple(modulus)
         self._n = self.order - 1
         self.gen_idx = self._find_generator()
@@ -398,11 +400,10 @@ class FieldCtx:
 
     def describe(self) -> dict:
         """Construction data: (p, m, modulus coefficient vectors)."""
-        pp = self.prime_power
         mod = None
         if self.modulus is not None:
             mod = [self.base.coeffs(c) if self.base.base else c for c in self.modulus]
-        return {"p": pp.p, "m": pp.m, "modulus": mod}
+        return {"p": self.char, "m": self.abs_degree, "modulus": mod}
 
     def __repr__(self):
         return f"FieldCtx(order={self.order}, char={self.char})"
@@ -482,15 +483,12 @@ class FieldElement:
         return f"<{self.text} in GF({self.ctx.order})>"
 
 
-def _lex_smallest_irreducible_prime(p: int, m: int) -> tuple[int, ...]:
-    """Smallest monic irreducible of degree m over F_p, coefficients compared
-    low-degree-first as integers (c_0 is the most significant position)."""
-    for n in range(p**m):
-        c = [n // p ** (m - 1 - i) % p for i in range(m)]
-        coeffs = c + [1]
-        if mp_irreducible(coeffs, p):
-            return tuple(coeffs)
-    raise AssertionError("no irreducible polynomial found")  # pragma: no cover
+def _lex_smallest_irreducible_prime(fp: FieldCtx, m: int) -> tuple[int, ...]:
+    """Smallest monic irreducible of degree m over the prime field fp,
+    coefficients compared low-degree-first as integers (c_0 is the most
+    significant position)."""
+    candidates = (c + (1,) for c in itertools.product(range(fp.order), repeat=m))
+    return next(f for f in candidates if mp_irreducible(f, fp))
 
 
 def _lex_smallest_irreducible_quadratic(base: FieldCtx) -> tuple[int, ...]:
@@ -529,18 +527,16 @@ def build_tower(p: int, m: int, cap: int | None = None) -> tuple[FieldCtx, Field
 
 
 def build_subfield(p: int, m: int, cap: int | None = None) -> FieldCtx:
-    """F_q alone (cheap: only needs q <= cap, not q^2); checks p and m for every tower."""
+    """F_q alone (cheap: only needs q <= cap, not q^2); checks p and m, once,
+    for every tower."""
     cap = enumeration_cap() if cap is None else cap
-    if not is_probable_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if m < 1:
-        raise ValueError("extension degree must be >= 1")
+    PrimePower(p, m)  # ValueError unless m >= 1 and p is prime
     if p**m > cap:
         raise CapExceededError(f"q = {p**m} exceeds the enumeration cap {cap}")
     fp = FieldCtx(None, None, p=p)
     if m == 1:
         return fp
-    return FieldCtx(fp, _lex_smallest_irreducible_prime(p, m))
+    return FieldCtx(fp, _lex_smallest_irreducible_prime(fp, m))
 
 
 def compute_z(a: FieldElement) -> FieldElement:

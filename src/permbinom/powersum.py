@@ -47,6 +47,7 @@ __all__ = [
     "cd_pair",
     "surviving_alphas",
     "bracket_row",
+    "t2_rows",
     "t2_bracket",
     "t1_bracket",
     "power_sum_closed",
@@ -230,7 +231,7 @@ def _horner_sub(coeffs, y_idx: int, sub: FieldCtx) -> int:
 
 
 @lru_cache(maxsize=BRACKET_ROW_CACHE)
-def _t2_rows(alpha: int, r: int, q: int, p: int) -> tuple:
+def t2_rows(alpha: int, r: int, q: int, p: int) -> tuple:
     """The z-independent part of t2_bracket, (d, evens, odds), memoised per
     (alpha, r, q, p); the d = q-1 branch has the deficient row and no odds."""
     d = cd_pair(alpha, r, q).d
@@ -246,7 +247,7 @@ def t2_bracket(alpha: int, r: int, sub: FieldCtx, y_idx: int) -> tuple[int, int,
     In the d = q-1 branch the bracket is the even row alone (times z), so
     O is 0 there.
     """
-    d, evens, odds = _t2_rows(alpha, r, sub.order, sub.char)
+    d, evens, odds = t2_rows(alpha, r, sub.order, sub.char)
     return d, _horner_sub(evens, y_idx, sub), _horner_sub(odds, y_idx, sub)
 
 

@@ -16,8 +16,10 @@ vanishes iff E and O both do.  The sweep exploits this to decide every a of
 a field at once, and never scans the z values: the alpha = 1 bracket is a
 nonzero polynomial of degree <= 3 in z, so the only z that can pass are its
 roots in F_q and the nonsquare common roots y of E_1 and O_1, found by
-gcd(., z^q - z) and Cantor-Zassenhaus splitting (Math. Comp. 36, 1981).
-Those few candidates are then tested bracket by bracket.  The t = 2
+gcd(., z^q - z) and Cantor-Zassenhaus splitting (Math. Comp. 36, 1981) on
+exactalg's polynomial functions over F_q.  Those few candidates are then
+tested bracket by bracket; the sweep returns the passing z together with
+the first failing alpha of every other z.  The t = 2
 families are z values too: (r, z) = (1, 1/3) is family (iii) and
 (r, z) = (3, 3) is family (iv).
 """
@@ -28,12 +30,11 @@ import math
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import zip_longest
 
-from .exactalg import is_probable_prime
+from .exactalg import is_probable_prime, mp_divmod, mp_gcd, mp_powmod, mp_sub
 from .ff import FieldCtx, FieldElement, build_subfield, compute_z, enumeration_cap
-from .powersum import PowerSumIndex, _t2_rows, surviving_alphas, t1_bracket, t2_bracket
+from .powersum import PowerSumIndex, surviving_alphas, t1_bracket, t2_bracket, t2_rows
 
 __all__ = [
     "BinomialParams",
@@ -290,45 +291,37 @@ def classify_family(params: BinomialParams) -> FamilyTag:
 
 # ------------------------------------------------------- z-level sweeping
 
-def t2_passing_z(p: int, m: int, r: int, include_norm_one: bool = False) -> list[tuple]:
-    """All z values whose parameters pass the t = 2 power-sum test, for every
-    a in F_{q^2}* at once.
+def t2_passing_z(p: int, m: int, r: int, include_norm_one: bool = False) -> tuple[list, dict]:
+    """(hits, first_failure): all z values whose parameters pass the t = 2
+    power-sum test, for every a in F_{q^2}* at once, and for every other z
+    the first odd alpha whose bracket is nonzero.
 
     The verdict for a is a pure function of z(a), and z ranges exactly over
     the elements with z^2 in F_q*: the q-1 elements of F_q* plus the two
-    square roots of each nonsquare.  Descriptors returned, sub ones by
+    square roots of each nonsquare.  Hits are descriptors, sub ones by
     ascending z, then ext ones by ascending y:
       ('sub', z_idx): z in F_q*, as an F_q index
       ('ext', y_idx): the pair of square roots of the nonsquare y.
+    first_failure maps alpha, ascending, to its count of z decided.
     a has norm one iff z = +-1; z = 1 never passes (extra roots), z = -1 is
     included only when include_norm_one is set.
-    """
-    return list(_t2_sweep(p, m, r, include_norm_one)[0])
-
-
-@lru_cache(maxsize=1)
-def _t2_sweep(p: int, m: int, r: int, include_norm_one: bool) -> tuple[tuple, tuple]:
-    """(hits, first-failure histogram) of t2_passing_z; the histogram is
-    sorted (alpha, count) pairs over every z decided, hits left out.
 
     Only roots of the alpha = 1 bracket are tested.  z in F_q must be a root
     of B_1(z) = E_1(z^2) + z*O_1(z^2); y = z^2 outside the squares must be a
     root of both E_1 and O_1 (of E_1 alone in the d = q-1 branch, which has
-    no odd row).  Every other z fails at alpha = 1.  Memoised for the last
-    key, so a caller of t2_passing_z can read back the histogram of the
-    sweep it just ran.
+    no odd row).  Every other z fails at alpha = 1.
     """
     sub = build_subfield(p, m)
     q = sub.order
     if q % 2 == 0:
         raise ValueError("t = 2 sweep requires odd q")
     if math.gcd(r, q - 1) != 1:
-        return (), ()
-    _, evens, odds = _t2_rows(1, r, q, p)
+        return [], {}
+    _, evens, odds = t2_rows(1, r, q, p)
     b1 = [c for pair in zip_longest(evens, odds, fillvalue=0) for c in pair]
     minus_one = sub.neg(1)
     subs = [z for z in _fq_roots(b1, sub) if z > 1 and (include_norm_one or z != minus_one)]
-    exts = [y for y in _fq_roots(_poly_gcd(evens, odds, sub), sub) if y and sub.dlog(y) % 2]
+    exts = [y for y in _fq_roots(mp_gcd(evens, odds, sub), sub) if y and sub.dlog(y) % 2]
     decided = q - 2 - (not include_norm_one) + (q - 1) // 2  # F_q* but 1 (and -1), nonsquares
     first = Counter({1: decided - len(subs) - len(exts)})
     hits = []
@@ -341,62 +334,12 @@ def _t2_sweep(p: int, m: int, r: int, include_norm_one: bool) -> tuple[tuple, tu
             hits.append(desc)
         else:
             first[alpha] += 1
-    return tuple(hits), tuple(sorted((a, c) for a, c in first.items() if c))
+    return hits, {alpha: c for alpha, c in sorted(first.items()) if c}
 
 
-# Polynomials over F_q are lists of F_q indices, constant term first, with
-# no trailing zero; the prime-field residues of a bracket row are indices too.
-
-def _trim(f) -> list:
-    f = list(f)
-    while f and not f[-1]:
-        f.pop()
-    return f
-
-
-def _poly_divmod(f: list, g: list, sub: FieldCtx) -> tuple[list, list]:
-    """Quotient and remainder of f by the nonzero g."""
-    rem, dg = list(f), len(g) - 1
-    quo = [0] * max(0, len(rem) - dg)
-    for k in range(len(rem) - 1, dg - 1, -1):
-        c = quo[k - dg] = sub.div(rem.pop(), g[-1])
-        for i in range(dg):
-            rem[k - dg + i] = sub.sub(rem[k - dg + i], sub.mul(c, g[i]))
-    return quo, _trim(rem)
-
-
-def _poly_gcd(f, g, sub: FieldCtx) -> list:
-    """The monic gcd; the zero polynomial when f and g are both zero."""
-    f, g = _trim(f), _trim(g)
-    while g:
-        f, g = g, _poly_divmod(f, g, sub)[1]
-    return [sub.div(c, f[-1]) for c in f]
-
-
-def _poly_sub(f: list, g: list, sub: FieldCtx) -> list:
-    out = list(f) + [0] * (len(g) - len(f))
-    for i, c in enumerate(g):
-        out[i] = sub.sub(out[i], c)
-    return _trim(out)
-
-
-def _poly_powmod(f: list, e: int, g: list, sub: FieldCtx) -> list:
-    """f^e mod g, by square and multiply."""
-    def mulmod(a, b):
-        out = [0] * (len(a) + len(b) - 1) if a and b else []
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] = sub.add(out[i + j], sub.mul(x, y))
-        return _poly_divmod(out, g, sub)[1]
-
-    acc, f = [1], _poly_divmod(f, g, sub)[1]
-    while e:
-        if e & 1:
-            acc = mulmod(acc, f)
-        f = mulmod(f, f)
-        e >>= 1
-    return acc
-
+# Polynomials over F_q are lists of F_q indices, constant term first, on
+# exactalg's mp_* functions; a bracket row's prime-field residues are
+# F_q indices too, since F_p sits in F_q as the indices below p.
 
 def _fq_roots(f, sub: FieldCtx) -> list[int]:
     """The distinct roots of f in F_q (q odd), ascending.
@@ -409,12 +352,12 @@ def _fq_roots(f, sub: FieldCtx) -> list[int]:
     power of p every element of F_p is a square, so two roots in F_p are
     separated only at delta = -root.)  ValueError on the zero polynomial.
     """
-    g = _poly_gcd(f, (), sub)
+    g = mp_gcd(f, (), sub)
     if not g:
         raise ValueError("roots of the zero polynomial")
     q = sub.order
     if len(g) > 2:  # a linear f has its root in F_q
-        g = _poly_gcd(g, _poly_sub(_poly_powmod([0, 1], q, g, sub), [0, 1], sub), sub)
+        g = mp_gcd(g, mp_sub(mp_powmod([0, 1], q, g, sub), [0, 1], sub), sub)
     todo, roots = [g], []
     while todo:
         g = todo.pop()
@@ -423,10 +366,10 @@ def _fq_roots(f, sub: FieldCtx) -> list[int]:
         elif len(g) > 2:
             for k in range(q):
                 delta = sub.exp(k) if k else 0
-                h = _poly_sub(_poly_powmod([delta, 1], (q - 1) // 2, g, sub), [1], sub)
-                part = _poly_gcd(g, h, sub)
+                h = mp_sub(mp_powmod([delta, 1], (q - 1) // 2, g, sub), [1], sub)
+                part = mp_gcd(g, h, sub)
                 if 1 < len(part) < len(g):
-                    todo += [part, _poly_divmod(g, part, sub)[0]]
+                    todo += [part, mp_divmod(g, part, sub)[0]]
                     break
             else:  # pragma: no cover - some delta separates any two roots
                 raise AssertionError(f"no delta splits {g} over F_{q}")

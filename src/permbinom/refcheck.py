@@ -62,12 +62,12 @@ def _expand_factored(prefactor: Fraction, factors) -> RatPoly:
     return acc
 
 
-def _expand_modp(factors, p: int, scalar: int = 1) -> list[int]:
-    acc = [scalar % p]
+def _expand_modp(factors, fp, scalar: int = 1) -> list[int]:
+    acc = [scalar % fp.order]
     for item in factors:
         poly, mult = item if isinstance(item, tuple) else (item, 1)
         for _ in range(mult):
-            acc = mp_mul(acc, to_modp(poly, p), p)
+            acc = mp_mul(acc, to_modp(poly, fp.order), fp)
     return acc
 
 
@@ -283,6 +283,7 @@ def sec7_p3_check() -> list[CheckReport]:
     and the coprimality that rules the case out."""
     reports = []
     p = 3
+    fp = build_subfield(p, 1)
     third_A3 = REG.A3 * Fraction(1, 3)
     pref, factors = REG.R13
     for r0 in sorted(REG.f3_resultant_table):
@@ -294,7 +295,7 @@ def sec7_p3_check() -> list[CheckReport]:
         f3 = to_modp(REG.A1.eval_r(r0), p)
         g_full = third_A3.eval_r(r0)
         g3 = to_modp(g_full, p)
-        route2 = pow(f3[-1], g_full.degree - (len(g3) - 1), p) * mp_resultant(f3, g3, p) % p
+        route2 = pow(f3[-1], g_full.degree - (len(g3) - 1), p) * mp_resultant(f3, g3, fp) % p
         ok = route1 == route2 == expected
         reports.append(
             CheckReport(f"sec7p3.table.r{r0}", PASS if ok else FAIL,
@@ -303,33 +304,33 @@ def sec7_p3_check() -> list[CheckReport]:
 
     a14 = to_modp(REG.A1.eval_r(4), p)
     a34 = to_modp(third_A3.eval_r(4), p)
-    reports.append(check("sec7p3.factor.a3", _expand_modp(REG.A3_at_4_factors, p), a34))
+    reports.append(check("sec7p3.factor.a3", _expand_modp(REG.A3_at_4_factors, fp), a34))
     a54 = to_modp((REG.A5 * Fraction(1, 5)).eval_r(4), p)
     reports.append(
         CheckReport(
             "sec7p3.factor.a5",
-            PASS if _expand_modp(REG.A5_at_4_factors, p) == a54 else FAIL,
+            PASS if _expand_modp(REG.A5_at_4_factors, fp) == a54 else FAIL,
             "z^2 (z+1)^2 (z^2-z-1)^3", str(a54),
             "reference text displays the last factor without its "
             "multiplicity 3; the cube is required for the degrees to balance",
         )
     )
     reports.append(
-        check("sec7p3.divides.a3", True, not mp_divmod(a34, a14, p)[1])
+        check("sec7p3.divides.a3", True, not mp_divmod(a34, a14, fp)[1])
     )
     a54_full = to_modp(REG.A5.eval_r(4), p)
     reports.append(
-        check("sec7p3.divides.a5", True, not mp_divmod(a54_full, a14, p)[1])
+        check("sec7p3.divides.a5", True, not mp_divmod(a54_full, a14, fp)[1])
     )
 
     inv2 = pow(2, -1, 9)  # alpha = 7 needs representatives mod 3^2
     th_c1 = theta_modp_poly(7, inv2 % 9, p)
-    reports.append(check("sec7p3.theta7.c1", _expand_modp(REG.theta7_c1_factors, p), th_c1))
+    reports.append(check("sec7p3.theta7.c1", _expand_modp(REG.theta7_c1_factors, fp), th_c1))
     th_c2 = theta_modp_poly(7, 2 * inv2 % 9, p)
-    reports.append(check("sec7p3.theta7.c2", _expand_modp(REG.theta7_c2_factors, p), th_c2))
+    reports.append(check("sec7p3.theta7.c2", _expand_modp(REG.theta7_c2_factors, fp), th_c2))
 
-    a7 = _expand_modp([(f, 1) for f in REG.A7_factors], p)
-    g = IntPoly(mp_gcd(a14, a7, p))
+    a7 = _expand_modp([(f, 1) for f in REG.A7_factors], fp)
+    g = IntPoly(mp_gcd(a14, a7, fp))
     reports.append(check("sec7p3.gcd.a1-a7", IntPoly((1,)), g))
     return reports
 
@@ -340,6 +341,7 @@ def sec7_p181_check() -> list[CheckReport]:
     root, and the alpha = 7 bracket value."""
     reports = []
     p = 181
+    fp = build_subfield(p, 1)
     A1v = REG.A1.eval_r(Fraction(7, 4))
     reports.append(
         _zcheck("sec7p181.A1", RatPoly((Fraction(-1, 2), 1, Fraction(-5, 2))), A1v)
@@ -363,17 +365,16 @@ def sec7_p181_check() -> list[CheckReport]:
     for name, poly, (scal, fs) in named:
         got = to_modp(poly, p)
         mods[name] = got
-        reports.append(check(f"sec7p181.factor.{name}", _expand_modp([(f, 1) for f in fs], p, scal), got))
+        reports.append(check(f"sec7p181.factor.{name}", _expand_modp([(f, 1) for f in fs], fp, scal), got))
     for f in REG.p181_nonlinear:
         reports.append(
             check(f"sec7p181.irreducible.deg{f.degree}", True,
-                  mp_irreducible(to_modp(f, p), p))
+                  mp_irreducible(to_modp(f, p), fp))
         )
-    g = mp_gcd(mp_gcd(mods["A1"], mods["A3"], p), mods["A5"], p)
+    g = mp_gcd(mp_gcd(mods["A1"], mods["A3"], fp), mods["A5"], fp)
     root = (-g[0]) % p if len(g) == 2 else None
     reports.append(check("sec7p181.common-root", REG.p181_common_root, root))
 
-    fp = build_subfield(p, 1)
     th = theta_numeric(7, pow(2, -1, p), fp.element(REG.p181_common_root))
     reports.append(check("sec7p181.theta7", REG.p181_theta7, th.idx))
     return reports

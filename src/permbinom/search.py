@@ -24,7 +24,6 @@ from .ff import PrimePower, build_tower, enumeration_cap, enumerate_elements
 from .powersum import PowerSumIndex, power_sum_brute, power_sum_closed, surviving_alphas
 from .ppcheck import (
     BinomialParams,
-    _t2_sweep,
     classify_family,
     expand_z_to_a,
     is_pp_brute,
@@ -129,7 +128,7 @@ def _admissible_qs(r: int, q_max: int, cap: int) -> list[tuple[int, int, int]]:
 def _sweep_one_q(task) -> list[dict]:
     """Worker: decide every a of one field through its z values; expand hits."""
     p, m, q, r, include_norm_one = task
-    hits = t2_passing_z(p, m, r, include_norm_one)
+    hits, _ = t2_passing_z(p, m, r, include_norm_one)
     if not hits:
         return []
     fq, fq2 = build_tower(p, m)
@@ -431,14 +430,12 @@ def thm21_desk_sweep(r: int, q_cap_sq: int | None = None, jobs: int = 1) -> dict
     failures = [(q, hits) for q, hits, _ in results if hits]
     first_failure = Counter()
     for _, _, hist in results:
-        first_failure.update(dict(hist))
+        first_failure.update(hist)
     return {"r": r, "q_swept": len(results), "failures": failures, "confirmed": not failures,
             "first_failure": dict(sorted(first_failure.items()))}
 
 
 def _thm21_one(task):
-    """Worker: one q's passing z and its first-failure histogram, read back
-    from the memo of the sweep t2_passing_z just ran."""
+    """Worker: one q's passing z and its first-failure histogram."""
     p, m, q, r = task
-    hits = t2_passing_z(p, m, r, include_norm_one=False)
-    return q, hits, _t2_sweep(p, m, r, False)[1]
+    return (q, *t2_passing_z(p, m, r, include_norm_one=False))

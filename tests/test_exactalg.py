@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from permbinom.exactalg import (
     Factorization,
     IntPoly,
     RatPoly,
+    _sylvester,
     is_probable_prime,
     mp_divmod,
     mp_gcd,
@@ -15,13 +17,13 @@ from permbinom.exactalg import (
     mp_mul,
     mp_resultant,
     primality_and_factor_check,
-    rational_gcd,
     resultant_bivar_z,
-    resultant_bivar_z_sylvester,
     resultant_univar,
-    resultant_univar_euclid,
     to_modp,
 )
+from permbinom.ff import build_subfield
+
+EXT_FIELDS = tuple(build_subfield(p, m) for p, m in ((3, 2), (5, 2), (3, 3)))  # F_9, F_25, F_27
 
 
 def rand_intpoly(rng, max_deg=6, max_c=20, nonzero=True):
@@ -29,6 +31,81 @@ def rand_intpoly(rng, max_deg=6, max_c=20, nonzero=True):
         p = IntPoly([rng.randint(-max_c, max_c) for _ in range(rng.randint(1, max_deg + 1))])
         if not nonzero or not p.is_zero():
             return p
+
+
+def rand_fq_poly(rng, F, max_deg=6):
+    """Random F indices, constant term first, trimmed (possibly zero)."""
+    cs = [rng.randrange(F.order) for _ in range(rng.randint(1, max_deg + 1))]
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _fq_eval(f, x, F):
+    acc = 0
+    for c in reversed(f):
+        acc = F.add(F.mul(acc, x), c)
+    return acc
+
+
+# ------------------------------------- independent cross-check routes (Q)
+
+def resultant_univar_euclid(f, g):
+    """Same resultant through a rational Euclidean remainder sequence.
+
+    Independent of the Sylvester/Bareiss route; used to cross-check it.
+    """
+    f = f.to_rat() if isinstance(f, IntPoly) else f
+    g = g.to_rat() if isinstance(g, IntPoly) else g
+    if f.is_zero() or g.is_zero():
+        raise ValueError("resultant of the zero polynomial")
+    acc = Fraction(1)
+    while True:
+        m, n = f.degree, g.degree
+        if n == 0:
+            return acc * g.coeffs[0] ** m
+        _, r = f.divmod(g)
+        if r.is_zero():
+            return Fraction(0)
+        k = r.degree
+        acc *= Fraction(-1) ** (m * n) * g.lc ** (m - k)
+        f, g = g, r
+
+
+def rational_gcd(f: RatPoly, g: RatPoly) -> RatPoly:
+    """Monic gcd over Q by the Euclidean algorithm."""
+    while not g.is_zero():
+        f, g = g, f.divmod(g)[1]
+    return f.monic() if not f.is_zero() else f
+
+
+def resultant_bivar_z_sylvester(F: BiPolyRZ, G: BiPolyRZ) -> RatPoly:
+    """Direct route: Bareiss elimination over the polynomial ring Q[r]."""
+    if F.degree <= 0 or G.degree <= 0:
+        return resultant_bivar_z(F, G)
+    rows = _sylvester(list(F.coeffs), list(G.coeffs), RatPoly.zero())
+    n = len(rows)
+    M = [row[:] for row in rows]
+    sign = 1
+    prev = RatPoly.const(1)
+    for k in range(n - 1):
+        if M[k][k].is_zero():
+            for i in range(k + 1, n):
+                if not M[i][k].is_zero():
+                    M[k], M[i] = M[i], M[k]
+                    sign = -sign
+                    break
+            else:
+                return RatPoly.zero()
+        pk = M[k][k]
+        for i in range(k + 1, n):
+            mik = M[i][k]
+            for j in range(k + 1, n):
+                M[i][j] = (pk * M[i][j] - mik * M[k][j]).divexact(prev)
+            M[i][k] = RatPoly.zero()
+        prev = pk
+    res = M[n - 1][n - 1]
+    return -res if sign < 0 else res
 
 
 # ----------------------------------------------------------- polynomial core
@@ -187,35 +264,70 @@ def test_bivar_resultant_degenerate():
         resultant_bivar_z(const, const)
 
 
-# ------------------------------------------------------------------- mod p
+# ------------------------------------------------------- finite fields
+
+def _check_gcd_properties(F, draw):
+    for _ in range(100):
+        f = draw(6)
+        g = draw(6)
+        if not f or not g:
+            continue
+        d = mp_gcd(f, g, F)
+        if len(d) == 0:
+            continue
+        assert not mp_divmod(f, d, F)[1]
+        assert not mp_divmod(g, d, F)[1]
+        assert mp_gcd(f + [0, 0], g + [0], F) == d  # inputs may end in zeros
+        # any common divisor divides the gcd
+        h = draw(2)
+        if h:
+            dd = mp_gcd(mp_mul(f, h, F), mp_mul(g, h, F), F)
+            assert not mp_divmod(dd, h, F)[1]
+
 
 def test_modp_gcd_properties():
     rng = random.Random(11)
     for p in (3, 5, 181):
-        for _ in range(100):
-            f = to_modp(rand_intpoly(rng, max_deg=6), p)
-            g = to_modp(rand_intpoly(rng, max_deg=6), p)
-            if not f or not g:
-                continue
-            d = mp_gcd(f, g, p)
-            if len(d) == 0:
-                continue
-            assert not mp_divmod(f, d, p)[1]
-            assert not mp_divmod(g, d, p)[1]
-            # any common divisor divides the gcd
-            h = to_modp(rand_intpoly(rng, max_deg=2), p)
-            if h:
-                dd = mp_gcd(mp_mul(f, h, p), mp_mul(g, h, p), p)
-                assert not mp_divmod(dd, mp_gcd(h, dd, p), p)[1]
+        _check_gcd_properties(build_subfield(p, 1), lambda d: to_modp(rand_intpoly(rng, max_deg=d), p))
+    for F in EXT_FIELDS:
+        _check_gcd_properties(F, lambda d: rand_fq_poly(rng, F, d))
 
 
 def test_gcd_irred_modes():
+    f3, f5, f7 = (build_subfield(p, 1) for p in (3, 5, 7))
     # x^2 + 1: irreducible mod 3, splits mod 5
-    assert mp_irreducible(to_modp(IntPoly([1, 0, 1]), 3), 3)
-    assert not mp_irreducible(to_modp(IntPoly([1, 0, 1]), 5), 5)
-    assert not mp_divmod(to_modp(IntPoly([1, 0, 0, 1]), 5), to_modp(IntPoly([1, 1]), 5), 5)[1]
-    g = mp_gcd(to_modp(IntPoly([-1, 0, 1]), 7), to_modp(IntPoly([1, 1]), 7), 7)
+    assert mp_irreducible(to_modp(IntPoly([1, 0, 1]), 3), f3)
+    assert not mp_irreducible(to_modp(IntPoly([1, 0, 1]), 5), f5)
+    assert not mp_divmod(to_modp(IntPoly([1, 0, 0, 1]), 5), to_modp(IntPoly([1, 1]), 5), f5)[1]
+    g = mp_gcd(to_modp(IntPoly([-1, 0, 1]), 7), to_modp(IntPoly([1, 1]), 7), f7)
     assert IntPoly(g) == IntPoly([1, 1])
+    rng = random.Random(13)
+    for F in EXT_FIELDS:
+        for _ in range(40):
+            f, g = rand_fq_poly(rng, F, 3), rand_fq_poly(rng, F, 3)
+            if len(f) < 2 or len(g) < 2:
+                continue
+            fg = mp_mul(f, g, F)
+            assert not mp_irreducible(fg, F)
+            quo, rem = mp_divmod(fg, g, F)
+            assert quo == f and rem == []
+            assert mp_gcd(fg, g, F) == [F.div(c, g[-1]) for c in g]
+
+
+def test_irreducible_matches_root_search():
+    # a quadratic or cubic is irreducible over F_q iff it has no root in
+    # F_q; over F_9, F_25 and F_27 that needs Frobenius z -> z^q, not z^p
+    cases = [(F, 2) for F in EXT_FIELDS] + [(EXT_FIELDS[0], 3)]
+    irreducible = 0
+    for F, deg in cases:
+        q = F.order
+        for low in itertools.product(range(q), repeat=deg):
+            f = list(low) + [1]
+            rootless = all(_fq_eval(f, x, F) for x in range(q))
+            assert mp_irreducible(f, F) == rootless, (q, f)
+            irreducible += rootless
+    # (q^2 - q)/2 monic irreducible quadratics over each field, (9^3 - 9)/3 cubics over F_9
+    assert irreducible == 36 + 300 + 351 + 240
 
 
 def test_mp_resultant_matches_integer_reduction():
@@ -229,7 +341,7 @@ def test_mp_resultant_matches_integer_reduction():
                 continue  # degree drop changes the relation
             if f.degree < 1 or g.degree < 1:
                 continue
-            assert mp_resultant(fm, gm, p) == resultant_univar(f, g) % p
+            assert mp_resultant(fm, gm, build_subfield(p, 1)) == resultant_univar(f, g) % p
 
 
 # --------------------------------------------------------------- primality

@@ -290,7 +290,7 @@ def test_z_sweep_matches_per_a():
             continue
         for include in (False, True):
             sweep = set()
-            for h in t2_passing_z(p, m, r, include):
+            for h in t2_passing_z(p, m, r, include)[0]:
                 for k, a in expand_z_to_a(fq2, h):
                     sweep.add(a.idx)
             direct = set()
@@ -309,12 +309,12 @@ def test_z_sweep_matches_brute_across_shared_p():
     fields = ((3, 1), (3, 2), (5, 1), (5, 2), (7, 1))
     towers = {pm: build_tower(*pm)[1] for pm in fields}
     hits = Counter()
-    powersum._t2_rows.cache_clear()
+    powersum.t2_rows.cache_clear()
     for include in (False, True):
         for r in (5, 7):
             for (p, m), fq2 in towers.items():
                 q = fq2.base.order
-                sweep = {a.idx for h in t2_passing_z(p, m, r, include) for _, a in expand_z_to_a(fq2, h)}
+                sweep = {a.idx for h in t2_passing_z(p, m, r, include)[0] for _, a in expand_z_to_a(fq2, h)}
                 brute = {a.idx for a in enumerate_elements(fq2, "nonzero")
                          if (include or a ** (q + 1) != 1) and is_pp_brute(BinomialParams(a, r, 2)).is_pp}
                 assert sweep == brute, (p, m, r, include)
@@ -413,9 +413,9 @@ def test_fq_roots_split_in_few_trials(monkeypatch):
     # k distinct roots takes about 2(k - 1) powers; a wrong exponent can
     # still find the roots, by trying delta = -u for every root u, at O(q)
     # powers a split
-    powmod = ppcheck._poly_powmod
+    powmod = ppcheck.mp_powmod
     tries = Counter()  # powers taken to split, not the z^q of the gcd
-    monkeypatch.setattr(ppcheck, "_poly_powmod",
+    monkeypatch.setattr(ppcheck, "mp_powmod",
                         lambda f, e, g, sub: tries.update([e != sub.order]) or powmod(f, e, g, sub))
     rng = random.Random(7)
     splits = 0
@@ -452,12 +452,13 @@ def test_sweep_matches_per_z_twin():
     deficient = 0
     for p, m, q in odd_prime_powers(125):
         for r in range(1, 42, 2):
-            if math.gcd(r, q - 1) == 1 and powersum._t2_rows(1, r, q, p)[0] == q - 1:
+            if math.gcd(r, q - 1) == 1 and powersum.t2_rows(1, r, q, p)[0] == q - 1:
                 deficient += 1  # alpha = 1 has no odd row
             for include in (False, True):
                 hits, first = _per_z_sweep(p, m, r, include)
-                assert t2_passing_z(p, m, r, include) == hits, (q, r, include)
-                assert dict(ppcheck._t2_sweep(p, m, r, include)[1]) == first, (q, r, include)
+                got_hits, got_first = t2_passing_z(p, m, r, include)
+                assert got_hits == hits, (q, r, include)
+                assert got_first == first and list(got_first) == sorted(first), (q, r, include)
     assert deficient
 
 

@@ -113,14 +113,16 @@ def test_resultant_sign_finding():
 def test_p181_registry_is_checked_not_trusted():
     # perturb a copy of a factor and confirm the comparison would catch it
     from permbinom.exactalg import mp_mul, to_modp
+    from permbinom.ff import build_subfield
 
+    f181 = build_subfield(181, 1)
     scal, fs = REG.p181_A1
     good = [scal % 181]
     for f in fs:
-        good = mp_mul(good, to_modp(f, 181), 181)
+        good = mp_mul(good, to_modp(f, 181), f181)
     bad = [scal % 181]
     for f in (fs[0], IntPoly((138, 1))):
-        bad = mp_mul(bad, to_modp(f, 181), 181)
+        bad = mp_mul(bad, to_modp(f, 181), f181)
     assert good != bad
 
 
