@@ -55,8 +55,10 @@ def _cmd_power_sum(args) -> int:
     q = params.q
     if args.beta is None:
         s = PowerSumIndex.useful(args.alpha, q)
-    else:
+    elif 0 <= args.alpha < q and 0 <= args.beta < q:
         s = PowerSumIndex.from_s(args.alpha + args.beta * q, q)
+    else:
+        raise ValueError(f"alpha and beta must lie in 0..{q - 1}")
     if args.brute:
         value = power_sum_brute(params.r, params.t, params.a, s.s)
         method = "brute"

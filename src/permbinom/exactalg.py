@@ -3,12 +3,14 @@ checks.
 
 Dense representation throughout: a polynomial is its coefficient sequence,
 lowest degree first, with no trailing zeros (the zero polynomial is the
-empty sequence).  IntPoly / RatPoly / BiPolyRZ are immutable wrappers on one
-shared dense base: BiPolyRZ is the same type with RatPoly coefficients, a
-polynomial in z over Q[r].  One long division serves all three, dividing
-coefficients exactly: Python ints and fractions.Fraction, no floating point.
-Polynomials over a finite field are plain lists of field indices handled by
-the mp_* functions, which take the field context last and run over any F_q.
+empty sequence).  One set of mp_* functions (arithmetic, long division,
+Horner evaluation, gcd, irreducibility) runs over any coefficient ring F
+passed last: a finite-field context, whose polynomials are plain lists of
+field indices, or one of the exact wrappers IntPoly / RatPoly / BiPolyRZ.
+Each wrapper class is its own coefficient ring (add, sub, mul, neg, and div,
+the exact quotient of two coefficients), so the wrappers' arithmetic is the
+mp_* functions over Python ints, fractions.Fraction or, for BiPolyRZ (a
+polynomial in z over Q[r]), RatPoly coefficients; no floating point.
 
 The univariate resultant is fraction-free Bareiss elimination on the
 Sylvester matrix; the two-variable one (with respect to z, coefficients in
@@ -19,6 +21,7 @@ independent routes that cross-check both live in the tests.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,6 +37,7 @@ __all__ = [
     "mp_sub",
     "mp_mul",
     "mp_divmod",
+    "mp_eval",
     "mp_monic",
     "mp_gcd",
     "mp_powmod",
@@ -53,43 +57,20 @@ def _trim(cs):
     return cs[:n]
 
 
-def _padd(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return _trim(out)
-
-
-def _pneg(a):
-    return [-c for c in a]
-
-
-def _pmul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if not ca:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return _trim(out)
-
-
-def _peval(cs, x):
-    acc = 0
-    for c in reversed(cs):
-        acc = acc * x + c
-    return acc
-
-
 class _BasePoly:
-    """Shared plumbing for the dense wrappers."""
+    """Shared plumbing for the dense wrappers.  The class is also the
+    coefficient ring the mp_* functions read: add, sub, mul, neg, and div,
+    the exact quotient of two coefficients."""
 
     __slots__ = ("coeffs",)
     _coerce = staticmethod(lambda c: c)
+    add, sub, mul, neg = operator.add, operator.sub, operator.mul, operator.neg
+
+    @classmethod
+    def div(cls, a, b):
+        """Through Fraction, so that an integer pair never reaches float
+        division."""
+        return cls._coerce(Fraction(a) / b)
 
     def __init__(self, coeffs=()):
         self.coeffs = tuple(_trim([self._coerce(c) for c in coeffs]))
@@ -129,23 +110,21 @@ class _BasePoly:
         return hash((type(self).__name__, self.coeffs))
 
     def __add__(self, other):
-        other = self._wrap(other)
-        return type(self)(_padd(self.coeffs, other.coeffs))
+        return self - (-self._wrap(other))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return type(self)(_pneg(self.coeffs))
+        return type(self)(map(operator.neg, self.coeffs))
 
     def __sub__(self, other):
-        return self + (-self._wrap(other))
+        return type(self)(mp_sub(self.coeffs, self._wrap(other).coeffs, type(self)))
 
     def __rsub__(self, other):
         return self._wrap(other) - self
 
     def __mul__(self, other):
-        other = self._wrap(other)
-        return type(self)(_pmul(self.coeffs, other.coeffs))
+        return type(self)(mp_mul(self.coeffs, self._wrap(other).coeffs, type(self)))
 
     __rmul__ = __mul__
 
@@ -164,28 +143,9 @@ class _BasePoly:
             return type(self).const(self._coerce(other))
         raise TypeError(f"cannot mix {type(other).__name__} with {type(self).__name__}")
 
-    @classmethod
-    def _cdiv(cls, a, b):
-        """Exact quotient of two coefficients, through Fraction so that an
-        integer pair never reaches float division."""
-        return cls._coerce(Fraction(a) / b)
-
     def divmod(self, other):
         """Long division: (quotient, remainder) with deg remainder < deg other."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dv = other.coeffs
-        dd = len(dv) - 1
-        if len(rem) - 1 < dd:
-            return type(self).zero(), self
-        quo = [0] * (len(rem) - dd)
-        for k in range(len(rem) - 1, dd - 1, -1):
-            if rem[k]:
-                c = self._cdiv(rem[k], dv[-1])
-                quo[k - dd] = c
-                for i in range(dd + 1):
-                    rem[k - dd + i] = rem[k - dd + i] - c * dv[i]
+        quo, rem = mp_divmod(self.coeffs, other.coeffs, type(self))
         return type(self)(quo), type(self)(rem)
 
     def divexact(self, other):
@@ -195,7 +155,7 @@ class _BasePoly:
         return q
 
     def eval(self, x):
-        return _peval(self.coeffs, x)
+        return mp_eval(self.coeffs, x, type(self))
 
     def render(self, var="r"):
         if not self.coeffs:
@@ -252,10 +212,7 @@ class RatPoly(_BasePoly):
     _coerce = staticmethod(Fraction)
 
     def monic(self) -> "RatPoly":
-        if self.is_zero():
-            return self
-        inv = 1 / self.lc
-        return RatPoly(c * inv for c in self.coeffs)
+        return RatPoly(mp_monic(self.coeffs, RatPoly))
 
     def clear_denominators(self):
         """Return (scale, prim) with self == scale * prim, prim a primitive IntPoly."""
@@ -287,7 +244,7 @@ class BiPolyRZ(_BasePoly):
         return c if isinstance(c, RatPoly) else RatPoly.const(c)
 
     @staticmethod
-    def _cdiv(a, b):
+    def div(a, b):
         return a.divexact(b)
 
     @property
@@ -439,9 +396,12 @@ def to_modp(f, p: int) -> list[int]:
     return _trim([c % p for c in f])
 
 
-# The mp_* functions work over a field context F (a FieldCtx of any order q)
-# on lists of F indices, constant term first.  A prime context's indices are
-# its residues, so to_modp output feeds in unchanged.
+# The mp_* functions take coefficient sequences, constant term first, over
+# a ring F that supplies add, sub, mul, neg and div.  mp_sub, mp_mul,
+# mp_divmod, mp_eval and mp_monic also serve the exact wrapper classes; the
+# rest need a field context (a FieldCtx of any order q, on F indices).  A
+# prime context's indices are its residues, so to_modp output feeds in
+# unchanged.
 
 def mp_sub(a, b, F):
     out = list(a) + [0] * (len(b) - len(a))
@@ -476,6 +436,14 @@ def mp_divmod(a, b, F):
             for i in range(dd):
                 rem[k - dd + i] = add(rem[k - dd + i], mul(nc, b[i]))
     return _trim(quo), _trim(rem)
+
+
+def mp_eval(a, x, F):
+    """Horner evaluation of a at x."""
+    acc = 0
+    for c in reversed(a):
+        acc = F.add(F.mul(acc, x), c)
+    return acc
 
 
 def mp_monic(a, F):
@@ -604,10 +572,7 @@ class Factorization:
     def value(self):
         acc = self.unit
         for base, mult in self.factors:
-            if isinstance(base, IntPoly):
-                acc = base**mult * acc
-            else:
-                acc = acc * base**mult
+            acc = acc * base**mult
         return acc
 
 

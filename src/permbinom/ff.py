@@ -18,9 +18,10 @@ Z[k] = log(1 + g^k) (Huber, IEEE Trans. IT 36(4), 1990):
 g^a + g^b = g^(a + Z[b - a]).
 
 Construction is fully deterministic: the modulus is the lexicographically
-smallest monic irreducible (coefficients compared low-degree-first), the
-generator the smallest index that generates the multiplicative group, so
-catalogs are reproducible bit for bit across runs.
+smallest monic irreducible (coefficients compared low-degree-first), found
+at both levels by one search on exactalg.mp_irreducible; the generator is
+the smallest index that generates the multiplicative group.  So catalogs
+are reproducible bit for bit across runs.
 """
 
 from __future__ import annotations
@@ -483,30 +484,12 @@ class FieldElement:
         return f"<{self.text} in GF({self.ctx.order})>"
 
 
-def _lex_smallest_irreducible_prime(fp: FieldCtx, m: int) -> tuple[int, ...]:
-    """Smallest monic irreducible of degree m over the prime field fp,
-    coefficients compared low-degree-first as integers (c_0 is the most
-    significant position)."""
-    candidates = (c + (1,) for c in itertools.product(range(fp.order), repeat=m))
-    return next(f for f in candidates if mp_irreducible(f, fp))
-
-
-def _lex_smallest_irreducible_quadratic(base: FieldCtx) -> tuple[int, ...]:
-    """Smallest monic irreducible quadratic over an arbitrary base context,
-    decided by root search (degree 2)."""
-    B = base.order
-    for c0 in range(B):
-        for c1 in range(B):
-            # x^2 + c1 x + c0: irreducible iff no root in the base field
-            has_root = False
-            for x in range(B):
-                v = base.add(base.add(base.mul(x, x), base.mul(c1, x)), c0)
-                if v == 0:
-                    has_root = True
-                    break
-            if not has_root:
-                return (c0, c1, 1)
-    raise AssertionError("no irreducible quadratic found")  # pragma: no cover
+def _lex_smallest_irreducible(base: FieldCtx, degree: int) -> tuple[int, ...]:
+    """Smallest monic irreducible of the given degree over base, coefficients
+    compared low-degree-first as indices (c_0 is the most significant
+    position)."""
+    candidates = (c + (1,) for c in itertools.product(range(base.order), repeat=degree))
+    return next(f for f in candidates if mp_irreducible(f, base))
 
 
 @lru_cache(maxsize=64)
@@ -514,7 +497,7 @@ def _tower_cached(p: int, m: int, cap: int) -> tuple[FieldCtx, FieldCtx]:
     if p ** (2 * m) > cap:
         raise CapExceededError(f"q^2 = {p**(2*m)} exceeds the enumeration cap {cap}")
     fq = build_subfield(p, m, cap)
-    return fq, FieldCtx(fq, _lex_smallest_irreducible_quadratic(fq))
+    return fq, FieldCtx(fq, _lex_smallest_irreducible(fq, 2))
 
 
 def build_tower(p: int, m: int, cap: int | None = None) -> tuple[FieldCtx, FieldCtx]:
@@ -536,7 +519,7 @@ def build_subfield(p: int, m: int, cap: int | None = None) -> FieldCtx:
     fp = FieldCtx(None, None, p=p)
     if m == 1:
         return fp
-    return FieldCtx(fp, _lex_smallest_irreducible_prime(fp, m))
+    return FieldCtx(fp, _lex_smallest_irreducible(fp, m))
 
 
 def compute_z(a: FieldElement) -> FieldElement:

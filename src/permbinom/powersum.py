@@ -13,16 +13,16 @@ Every bracket is built from one memoised row kernel, bracket_row(alpha,
 shift, p): the coefficients binom(alpha,i)(-1)^i binom(i+shift, alpha) mod p.
 The t = 2 even and odd halves, the d = q-1 branch and the t = 1 bracket
 differ only in shift.  The t = 2 rows with their d are memoised per
-(alpha, r, q), so a z-sweep pays only the Horner evaluations at each z.
+(alpha, r, q), so a z-sweep pays only the Horner evaluations at each z,
+through exactalg.mp_eval over the subfield.
 
-Binomial coefficients come in three exact flavours: rational falling
-factorials, residue falling factorials mod p (with 1/2 read as the inverse
-of 2, valid for lower index < p), and Lucas digit products.  The closed
-forms use integer upper entries reduced through base-p digits, which agrees
-with the residue form for alpha < p and stays exact beyond it: the value of
-binom(., k) mod p depends on its argument only mod p^L once p^L > k.
-The rational vanishing identities are one integer sum over a common
-denominator; binom_rational is the Fraction reference tests compare with.
+Binomial coefficients mod p are Lucas digit products (binom_lucas); the
+closed forms use integer upper entries reduced through base-p digits
+(binom_intmod), exact for any integer entry: the value of binom(., k) mod p
+depends on its argument only mod p^L once p^L > k.  The rational vanishing
+identities are one integer sum over a common denominator; the Fraction and
+residue falling-factorial binomials they are checked against live in the
+tests.
 """
 
 from __future__ import annotations
@@ -33,15 +33,13 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 
-from .exactalg import BiPolyRZ, RatPoly
+from .exactalg import BiPolyRZ, RatPoly, mp_eval
 from .ff import FieldCtx, FieldElement, compute_z
 from .report import PASS, FAIL, CheckReport
 
 __all__ = [
     "PowerSumIndex",
     "CDPair",
-    "binom_rational",
-    "binom_residue",
     "binom_lucas",
     "binom_intmod",
     "cd_pair",
@@ -63,35 +61,6 @@ __all__ = [
 
 
 # ------------------------------------------------------------- binomials
-
-def binom_rational(x, k: int) -> Fraction:
-    """binom(x, k) = x(x-1)...(x-k+1)/k! for exact rational x."""
-    if k < 0:
-        raise ValueError("negative lower index")
-    x = Fraction(x)
-    num = Fraction(1)
-    for j in range(k):
-        num *= x - j
-    return num / math.factorial(k)
-
-
-def binom_residue(x, k: int, p: int) -> int:
-    """Falling-factorial binomial with x a residue mod p (or a rational whose
-    denominator is invertible mod p).  Needs k < p so that k! is invertible."""
-    if k < 0:
-        raise ValueError("negative lower index")
-    if k >= p:
-        raise ValueError(f"residue mode needs lower index < p (got k={k}, p={p})")
-    if isinstance(x, Fraction):
-        if x.denominator % p == 0:
-            raise ValueError(f"denominator of {x} not invertible mod {p}")
-        x = x.numerator * pow(x.denominator, -1, p)
-    x %= p
-    num = 1
-    for j in range(k):
-        num = num * (x - j) % p
-    return num * pow(math.factorial(k), -1, p) % p
-
 
 def binom_lucas(n: int, k: int, p: int) -> int:
     """binom(n, k) mod p by base-p digit products, for n >= 0."""
@@ -222,14 +191,6 @@ def bracket_coeffs_deficient(alpha: int, q: int, p: int):
     return bracket_row(alpha, (q - 1) // 2, p)
 
 
-def _horner_sub(coeffs, y_idx: int, sub: FieldCtx) -> int:
-    """Evaluate sum coeffs[i] * y^i in the subfield (coeffs are residues)."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = sub.add(sub.mul(acc, y_idx), c)
-    return acc
-
-
 @lru_cache(maxsize=BRACKET_ROW_CACHE)
 def t2_rows(alpha: int, r: int, q: int, p: int) -> tuple:
     """The z-independent part of t2_bracket, (d, evens, odds), memoised per
@@ -248,7 +209,7 @@ def t2_bracket(alpha: int, r: int, sub: FieldCtx, y_idx: int) -> tuple[int, int,
     O is 0 there.
     """
     d, evens, odds = t2_rows(alpha, r, sub.order, sub.char)
-    return d, _horner_sub(evens, y_idx, sub), _horner_sub(odds, y_idx, sub)
+    return d, mp_eval(evens, y_idx, sub), mp_eval(odds, y_idx, sub)
 
 
 def t1_bracket(alpha: int, r: int, sub: FieldCtx, h_idx: int) -> tuple[int, int]:
@@ -261,7 +222,7 @@ def t1_bracket(alpha: int, r: int, sub: FieldCtx, h_idx: int) -> tuple[int, int]
     d = cd_pair(alpha, r, q, 1).d
     if d == q:
         return d, 0
-    return d, _horner_sub(bracket_row(alpha, d, sub.char), h_idx, sub)
+    return d, mp_eval(bracket_row(alpha, d, sub.char), h_idx, sub)
 
 
 # ------------------------------------------------------------ closed forms
@@ -437,7 +398,7 @@ def theta_modp_poly(alpha: int, dhalf: int, p: int) -> list[int]:
 def theta_numeric(alpha: int, dhalf: int, z: FieldElement) -> FieldElement:
     """The bracket at a field value z, for an integer representative dhalf of d/2."""
     coeffs = theta_modp_poly(alpha, dhalf, z.ctx.char)
-    return FieldElement(z.ctx, _horner_sub(coeffs, z.idx, z.ctx))
+    return FieldElement(z.ctx, mp_eval(coeffs, z.idx, z.ctx))
 
 
 # ------------------------------------------------- exact rational identities

@@ -12,6 +12,7 @@ from permbinom.exactalg import (
     _sylvester,
     is_probable_prime,
     mp_divmod,
+    mp_eval,
     mp_gcd,
     mp_irreducible,
     mp_mul,
@@ -123,6 +124,9 @@ def test_arith_and_eval():
     assert (f * g).coeffs == (-1, -1, -1, 3)
     assert f.eval(2) == 17
     assert f.eval(Fraction(1, 2)) == Fraction(11, 4)
+    F = EXT_FIELDS[0]
+    h = rand_fq_poly(random.Random(5), F, max_deg=8)
+    assert [mp_eval(h, x, F) for x in range(F.order)] == [_fq_eval(h, x, F) for x in range(F.order)]
 
 
 def test_content_primitive():

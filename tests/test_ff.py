@@ -1,4 +1,6 @@
+import functools
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -61,6 +63,19 @@ def test_cap():
         build_subfield(101, 1, cap=50)
 
 
+def _first_rootless(F, degree):
+    """Root search, the independent twin of the modulus search for degree 2
+    and 3 (where rootless means irreducible): the first monic with no root
+    in F, coefficients in itertools.product order, c0 outermost."""
+    for cs in itertools.product(range(F.order), repeat=degree):
+        f = cs + (1,)
+        values = (functools.reduce(F.add, (F.mul(c, F.pow(x, i)) for i, c in enumerate(f)))
+                  for x in range(F.order))
+        if all(values):
+            return f
+    raise AssertionError("no rootless monic")
+
+
 def test_moduli_pass_irreducibility():
     for p, m in ((3, 2), (5, 2), (7, 1), (2, 3)):
         fq, fq2 = build_tower(p, m)
@@ -70,6 +85,11 @@ def test_moduli_pass_irreducibility():
         c0, c1, _ = fq2.modulus
         for x in range(fq.order):
             assert fq.add(fq.add(fq.mul(x, x), fq.mul(c1, x)), c0) != 0
+    # one modulus search at both levels picks what the root search picks
+    for p, m in ((3, 2), (5, 2), (3, 3), (7, 2)):
+        fq, fq2 = build_tower(p, m)
+        assert fq2.modulus == _first_rootless(fq, 2)
+        assert fq.modulus == _first_rootless(build_subfield(p, 1), m)
 
 
 def test_field_axioms_random():

@@ -12,8 +12,6 @@ from permbinom.powersum import (
     PowerSumIndex,
     binom_intmod,
     binom_lucas,
-    binom_rational,
-    binom_residue,
     bracket_coeffs,
     bracket_coeffs_deficient,
     bracket_row,
@@ -30,6 +28,37 @@ from permbinom.powersum import (
 
 
 # ---------------------------------------------------------------- binomials
+
+def binom_rational(x, k: int) -> Fraction:
+    """binom(x, k) = x(x-1)...(x-k+1)/k! for exact rational x: the Fraction
+    reference for the package's integer and residue binomials."""
+    if k < 0:
+        raise ValueError("negative lower index")
+    x = Fraction(x)
+    num = Fraction(1)
+    for j in range(k):
+        num *= x - j
+    return num / math.factorial(k)
+
+
+def binom_residue(x, k: int, p: int) -> int:
+    """Falling-factorial binomial with x a residue mod p (or a rational whose
+    denominator is invertible mod p).  Needs k < p so that k! is invertible;
+    an independent route to binom_lucas for small entries."""
+    if k < 0:
+        raise ValueError("negative lower index")
+    if k >= p:
+        raise ValueError(f"residue mode needs lower index < p (got k={k}, p={p})")
+    if isinstance(x, Fraction):
+        if x.denominator % p == 0:
+            raise ValueError(f"denominator of {x} not invertible mod {p}")
+        x = x.numerator * pow(x.denominator, -1, p)
+    x %= p
+    num = 1
+    for j in range(k):
+        num = num * (x - j) % p
+    return num * pow(math.factorial(k), -1, p) % p
+
 
 def test_binom_rational():
     assert binom_rational(Fraction(1, 2), 2) == Fraction(-1, 8)

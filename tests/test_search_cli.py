@@ -287,6 +287,11 @@ def test_cli_usage_errors(capsys):
     assert run_cli("cross-validate", "--q", "6") == 2
     assert run_cli("field-info", "--p", "3", "--m", "0") == 2
     assert "extension degree" in capsys.readouterr().err
+    # an (alpha, beta) pair out of 0..q-1 is refused, not re-split as s
+    for alpha, beta in ((4, 0), (3, 0), (0, 3), (-1, 1)):
+        for brute in ((), ("--brute",)):
+            _assert_usage_error(capsys, "power-sum", "--p", "3", "--r", "5", "--t", "2", "--a", "1",
+                                "--alpha", str(alpha), "--beta", str(beta), *brute)
     with pytest.raises(SystemExit) as exc:
         run_cli("verify", "--suite", "bogus")
     assert exc.value.code == 2
