@@ -4,7 +4,7 @@ checks.
 Dense representation throughout: a polynomial is its coefficient sequence,
 lowest degree first, with no trailing zeros (the zero polynomial is the
 empty sequence).  One set of mp_* functions (arithmetic, long division,
-Horner evaluation, gcd, irreducibility) runs over any coefficient ring F
+Horner evaluation, gcd, irreducibility, resultant) runs over a ring F
 passed last: a finite-field context, whose polynomials are plain lists of
 field indices, or one of the exact wrappers IntPoly / RatPoly / BiPolyRZ.
 Each wrapper class is its own coefficient ring (add, sub, mul, neg, and div,
@@ -12,15 +12,15 @@ the exact quotient of two coefficients), so the wrappers' arithmetic is the
 mp_* functions over Python ints, fractions.Fraction or, for BiPolyRZ (a
 polynomial in z over Q[r]), RatPoly coefficients; no floating point.
 
-The univariate resultant is fraction-free Bareiss elimination on the
-Sylvester matrix; the two-variable one (with respect to z, coefficients in
-Q[r]) is evaluation at integer points and exact Lagrange interpolation.  The
-independent routes that cross-check both live in the tests.
+The univariate resultant is mp_resultant, the Euclidean remainder sequence
+over any field, with Q given as RatPoly; the two-variable one (with respect
+to z, coefficients in Q[r]) is evaluation at integer points and exact
+Lagrange interpolation.  The independent Sylvester-determinant routes that
+cross-check both live in the tests.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 import random
 from dataclasses import dataclass
@@ -59,12 +59,13 @@ def _trim(cs):
 
 class _BasePoly:
     """Shared plumbing for the dense wrappers.  The class is also the
-    coefficient ring the mp_* functions read: add, sub, mul, neg, and div,
-    the exact quotient of two coefficients."""
+    coefficient ring the mp_* functions read: add, sub, mul, neg, pow, and
+    div, the exact quotient of two coefficients."""
 
     __slots__ = ("coeffs",)
     _coerce = staticmethod(lambda c: c)
     add, sub, mul, neg = operator.add, operator.sub, operator.mul, operator.neg
+    pow = operator.pow
 
     @classmethod
     def div(cls, a, b):
@@ -191,16 +192,6 @@ class IntPoly(_BasePoly):
             raise TypeError(f"integer coefficient expected, got {type(c).__name__}")
         return c
 
-    def content(self) -> int:
-        """gcd of the coefficients, nonnegative; 0 for the zero polynomial."""
-        g = 0
-        for c in self.coeffs:
-            g = math.gcd(g, c)
-        return g
-
-    def reduce_mod(self, p: int) -> list[int]:
-        return _trim([c % p for c in self.coeffs])
-
     def to_rat(self) -> "RatPoly":
         return RatPoly(Fraction(c) for c in self.coeffs)
 
@@ -213,25 +204,6 @@ class RatPoly(_BasePoly):
 
     def monic(self) -> "RatPoly":
         return RatPoly(mp_monic(self.coeffs, RatPoly))
-
-    def clear_denominators(self):
-        """Return (scale, prim) with self == scale * prim, prim a primitive IntPoly."""
-        if self.is_zero():
-            return Fraction(0), IntPoly.zero()
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        ints = IntPoly(c * den for c in self.coeffs)
-        g = ints.content()
-        return Fraction(g, den), IntPoly(c // g for c in ints.coeffs)
-
-    def reduce_mod(self, p: int) -> list[int]:
-        out = []
-        for c in self.coeffs:
-            if c.denominator % p == 0:
-                raise ValueError(f"denominator of {c} not invertible mod {p}")
-            out.append(c.numerator * pow(c.denominator, -1, p) % p)
-        return _trim(out)
 
 
 class BiPolyRZ(_BasePoly):
@@ -269,76 +241,18 @@ class BiPolyRZ(_BasePoly):
 
 # -------------------------------------------------------------- resultants
 
-def _bareiss_det_int(m: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix."""
-    n = len(m)
-    if n == 0:
-        return 1
-    M = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not M[k][k]:
-            for i in range(k + 1, n):
-                if M[i][k]:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pk = M[k][k]
-        for i in range(k + 1, n):
-            mik = M[i][k]
-            ri, rk = M[i], M[k]
-            for j in range(k + 1, n):
-                ri[j] = (pk * ri[j] - mik * rk[j]) // prev
-            ri[k] = 0
-        prev = pk
-    return sign * M[n - 1][n - 1]
-
-
-def _sylvester(f: list, g: list, zero) -> list[list]:
-    """Sylvester matrix: coefficient lists given lowest degree first."""
-    m, n = len(f) - 1, len(g) - 1
-    size = m + n
-    rows = []
-    frow = list(reversed(f))
-    grow = list(reversed(g))
-    for i in range(n):
-        rows.append([zero] * i + frow + [zero] * (n - 1 - i))
-    for i in range(m):
-        rows.append([zero] * i + grow + [zero] * (m - 1 - i))
-    return rows
-
-
 def resultant_univar(f, g):
-    """Exact resultant of two univariate polynomials over Z or Q.
+    """Exact resultant of two univariate polynomials over Z or Q: the
+    Euclidean sequence of mp_resultant with RatPoly as the field.
 
-    IntPoly inputs give an int; RatPoly inputs give a Fraction.  Computed by
-    fraction-free Bareiss elimination on the Sylvester matrix after clearing
-    denominators.
+    Two IntPoly inputs give an int; otherwise the result is a Fraction.
     """
-    rational = isinstance(f, RatPoly) or isinstance(g, RatPoly)
-    f = f.to_rat() if isinstance(f, IntPoly) else f
-    g = g.to_rat() if isinstance(g, IntPoly) else g
-    if f.is_zero() or g.is_zero():
-        raise ValueError("resultant of the zero polynomial")
-    if f.degree == 0 and g.degree == 0:
-        return Fraction(1) if rational else 1
-    sf, pf = f.clear_denominators()
-    sg, pg = g.clear_denominators()
-    if pf.degree == 0:
-        base = pf.coeffs[0] ** pg.degree
-    elif pg.degree == 0:
-        base = pg.coeffs[0] ** pf.degree
-    else:
-        base = _bareiss_det_int(_sylvester(list(pf.coeffs), list(pg.coeffs), 0))
-    out = sf**pg.degree * sg**pf.degree * base
-    if rational:
-        return Fraction(out)
-    if out.denominator != 1:  # pragma: no cover - int inputs always land here
+    res = Fraction(mp_resultant(RatPoly(f.coeffs).coeffs, RatPoly(g.coeffs).coeffs, RatPoly))
+    if not (isinstance(f, IntPoly) and isinstance(g, IntPoly)):
+        return res
+    if res.denominator != 1:  # pragma: no cover - int inputs always land here
         raise AssertionError("integer resultant produced a fraction")
-    return int(out)
+    return res.numerator
 
 
 def resultant_bivar_z(F: BiPolyRZ, G: BiPolyRZ) -> RatPoly:
@@ -390,16 +304,21 @@ def _lagrange(xs: list[Fraction], ys: list[Fraction]) -> RatPoly:
 # ----------------------------------------- polynomials over a finite field
 
 def to_modp(f, p: int) -> list[int]:
-    """Coerce IntPoly / RatPoly / coefficient list to a residue list mod p."""
-    if isinstance(f, (IntPoly, RatPoly)):
-        return f.reduce_mod(p)
-    return _trim([c % p for c in f])
+    """Reduce an IntPoly, a RatPoly or a list of ints or Fractions to its
+    residue list mod p; ValueError if a denominator is not invertible."""
+    out = []
+    for c in map(Fraction, f.coeffs if isinstance(f, _BasePoly) else f):
+        if c.denominator % p == 0:
+            raise ValueError(f"denominator of {c} not invertible mod {p}")
+        out.append(c.numerator * pow(c.denominator, -1, p) % p)
+    return _trim(out)
 
 
 # The mp_* functions take coefficient sequences, constant term first, over
-# a ring F that supplies add, sub, mul, neg and div.  mp_sub, mp_mul,
-# mp_divmod, mp_eval and mp_monic also serve the exact wrapper classes; the
-# rest need a field context (a FieldCtx of any order q, on F indices).  A
+# a ring F that supplies add, sub, mul, neg, pow and div.  mp_sub, mp_mul,
+# mp_divmod, mp_eval and mp_monic also serve the exact wrapper classes, and
+# mp_resultant serves RatPoly (Q); the rest need a field context (a FieldCtx
+# of any order q, on F indices).  A
 # prime context's indices are its residues, so to_modp output feeds in
 # unchanged.
 
@@ -493,8 +412,9 @@ def mp_irreducible(f, F) -> bool:
     return True
 
 
-def mp_resultant(a, b, F) -> int:
-    """Resultant over F via the Euclidean sequence, as an F index."""
+def mp_resultant(a, b, F):
+    """Resultant over any field F by the Euclidean remainder sequence: an F
+    index for a field context, a rational number for F = RatPoly (Q)."""
     if not a or not b:
         raise ValueError("resultant of the zero polynomial")
     acc = 1

@@ -22,7 +22,6 @@ from .exactalg import (
     mp_divmod,
     mp_gcd,
     mp_irreducible,
-    mp_mul,
     mp_resultant,
     primality_and_factor_check,
     resultant_bivar_z,
@@ -55,19 +54,13 @@ __all__ = [
 ]
 
 
-def _expand_factored(prefactor: Fraction, factors) -> RatPoly:
+def _expand_factored(prefactor, factors) -> RatPoly:
+    """prefactor times the product of factors, each a (poly, mult) pair or a
+    bare poly of multiplicity 1."""
     acc = RatPoly.const(prefactor)
-    for poly, mult in factors:
-        acc = acc * poly.to_rat() ** mult
-    return acc
-
-
-def _expand_modp(factors, fp, scalar: int = 1) -> list[int]:
-    acc = [scalar % fp.order]
     for item in factors:
         poly, mult = item if isinstance(item, tuple) else (item, 1)
-        for _ in range(mult):
-            acc = mp_mul(acc, to_modp(poly, fp.order), fp)
+        acc = acc * poly.to_rat() ** mult
     return acc
 
 
@@ -304,12 +297,13 @@ def sec7_p3_check() -> list[CheckReport]:
 
     a14 = to_modp(REG.A1.eval_r(4), p)
     a34 = to_modp(third_A3.eval_r(4), p)
-    reports.append(check("sec7p3.factor.a3", _expand_modp(REG.A3_at_4_factors, fp), a34))
+    a34_claim = to_modp(_expand_factored(1, REG.A3_at_4_factors), p)
+    reports.append(check("sec7p3.factor.a3", a34_claim, a34))
     a54 = to_modp((REG.A5 * Fraction(1, 5)).eval_r(4), p)
     reports.append(
         CheckReport(
             "sec7p3.factor.a5",
-            PASS if _expand_modp(REG.A5_at_4_factors, fp) == a54 else FAIL,
+            PASS if to_modp(_expand_factored(1, REG.A5_at_4_factors), p) == a54 else FAIL,
             "z^2 (z+1)^2 (z^2-z-1)^3", str(a54),
             "reference text displays the last factor without its "
             "multiplicity 3; the cube is required for the degrees to balance",
@@ -325,11 +319,13 @@ def sec7_p3_check() -> list[CheckReport]:
 
     inv2 = pow(2, -1, 9)  # alpha = 7 needs representatives mod 3^2
     th_c1 = theta_modp_poly(7, inv2 % 9, p)
-    reports.append(check("sec7p3.theta7.c1", _expand_modp(REG.theta7_c1_factors, fp), th_c1))
+    c1_claim = to_modp(_expand_factored(1, REG.theta7_c1_factors), p)
+    reports.append(check("sec7p3.theta7.c1", c1_claim, th_c1))
     th_c2 = theta_modp_poly(7, 2 * inv2 % 9, p)
-    reports.append(check("sec7p3.theta7.c2", _expand_modp(REG.theta7_c2_factors, fp), th_c2))
+    c2_claim = to_modp(_expand_factored(1, REG.theta7_c2_factors), p)
+    reports.append(check("sec7p3.theta7.c2", c2_claim, th_c2))
 
-    a7 = _expand_modp([(f, 1) for f in REG.A7_factors], fp)
+    a7 = to_modp(_expand_factored(1, REG.A7_factors), p)
     g = IntPoly(mp_gcd(a14, a7, fp))
     reports.append(check("sec7p3.gcd.a1-a7", IntPoly((1,)), g))
     return reports
@@ -365,7 +361,7 @@ def sec7_p181_check() -> list[CheckReport]:
     for name, poly, (scal, fs) in named:
         got = to_modp(poly, p)
         mods[name] = got
-        reports.append(check(f"sec7p181.factor.{name}", _expand_modp([(f, 1) for f in fs], fp, scal), got))
+        reports.append(check(f"sec7p181.factor.{name}", to_modp(_expand_factored(scal, fs), p), got))
     for f in REG.p181_nonlinear:
         reports.append(
             check(f"sec7p181.irreducible.deg{f.degree}", True,

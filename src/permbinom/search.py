@@ -18,6 +18,7 @@ import os
 import random
 from collections import Counter
 from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 from . import __version__
 from .ff import PrimePower, build_tower, enumeration_cap, enumerate_elements
@@ -62,7 +63,7 @@ class SearchRecord:
     family: str
     method: str
     version: str
-    modulus: dict
+    modulus: list
 
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in RECORD_KEYS}
@@ -74,6 +75,7 @@ class SearchRecord:
 
 # catalog key order, which fixes the catalog bytes: the field order above
 RECORD_KEYS = tuple(f.name for f in fields(SearchRecord))
+RECORD_TYPES = get_type_hints(SearchRecord)
 
 
 def _record_key(d: dict) -> tuple:
@@ -164,16 +166,21 @@ def _write_catalog(path: str, header: dict, records: list[dict], done: list[dict
             fh.write(json.dumps(rec) + "\n")
 
 
-def _entry(text: str, keys: tuple, where: str) -> dict:
-    """The JSON object in text; ValueError naming where if it is malformed
-    or a key is missing."""
+def _entry(text: str, types: dict, where: str) -> dict:
+    """The JSON object in text, whose keys include those of types, each with
+    a value of exactly its type; ValueError naming where otherwise."""
     try:
         d = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{where}: malformed catalog entry: {exc.msg}") from None
-    missing = [k for k in keys if k not in d] if isinstance(d, dict) else list(keys)
+    if not isinstance(d, dict):
+        raise ValueError(f"{where}: catalog entry is not a JSON object")
+    missing = [k for k in types if k not in d]
     if missing:
         raise ValueError(f"{where}: catalog entry lacks {', '.join(missing)}")
+    for k, t in types.items():
+        if type(d[k]) is not t:
+            raise ValueError(f"{where}: catalog entry field {k} is not of type {t.__name__}")
     return d
 
 
@@ -188,11 +195,11 @@ def read_catalog(path: str) -> tuple[dict, list[SearchRecord], list[dict]]:
                 continue
             where = f"{path} line {lineno}"
             if line.startswith("#PERMBINOM-CATALOG "):
-                header = _entry(line.split(" ", 1)[1], (), where)
+                header = _entry(line.split(" ", 1)[1], {}, where)
             elif line.startswith("#DONE "):
-                done.append(_entry(line.split(" ", 1)[1], ("q", "r"), where))
+                done.append(_entry(line.split(" ", 1)[1], {"q": int, "r": int}, where))
             elif not line.startswith("#"):
-                records.append(SearchRecord.from_dict(_entry(line, RECORD_KEYS, where)))
+                records.append(SearchRecord.from_dict(_entry(line, RECORD_TYPES, where)))
     return header, records, done
 
 
@@ -298,7 +305,8 @@ def search_exceptional(
 
 def _replay_catalog(path: str):
     """Re-decide every record of a written catalog, resumed ones included: its
-    a text must parse back to its a_index, its z text must be z(a), and each
+    q and modulus must be those of the tower built from (p, m), its a text
+    must parse back to its a_index, its z text must be z(a), and each
     distinct (q, r, t, z) must get the record's verdict from the fast test,
     which runs once per key since the t = 2 verdict depends on a only through
     z.  ValueError naming the catalog and the record on any mismatch."""
@@ -307,7 +315,9 @@ def _replay_catalog(path: str):
     for rec in records:
         _, fq2 = build_tower(rec.p, rec.m)
         params = BinomialParams(fq2.element(fq2.parse(rec.a)), rec.r, rec.t)
-        if fq2.dlog(params.a.idx) != rec.a_index:
+        if rec.q != rec.p**rec.m or rec.modulus != fq2.describe()["modulus"]:
+            problem = "construction data mismatch"
+        elif fq2.dlog(params.a.idx) != rec.a_index:
             problem = "a-index mismatch"
         elif params.z.text != rec.z:
             problem = "z mismatch"

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -9,7 +10,6 @@ from permbinom.exactalg import (
     Factorization,
     IntPoly,
     RatPoly,
-    _sylvester,
     is_probable_prime,
     mp_divmod,
     mp_eval,
@@ -49,28 +49,43 @@ def _fq_eval(f, x, F):
     return acc
 
 
-# ------------------------------------- independent cross-check routes (Q)
+# --------------------------- independent cross-check routes (Z, Q and Q[r])
 
-def resultant_univar_euclid(f, g):
-    """Same resultant through a rational Euclidean remainder sequence.
+def sylvester(f: list, g: list, zero) -> list[list]:
+    """Sylvester matrix: coefficient lists given lowest degree first."""
+    m, n = len(f) - 1, len(g) - 1
+    frow, grow = f[::-1], g[::-1]
+    return ([[zero] * i + frow + [zero] * (n - 1 - i) for i in range(n)]
+            + [[zero] * i + grow + [zero] * (m - 1 - i) for i in range(m)])
 
-    Independent of the Sylvester/Bareiss route; used to cross-check it.
-    """
-    f = f.to_rat() if isinstance(f, IntPoly) else f
-    g = g.to_rat() if isinstance(g, IntPoly) else g
-    if f.is_zero() or g.is_zero():
-        raise ValueError("resultant of the zero polynomial")
-    acc = Fraction(1)
-    while True:
-        m, n = f.degree, g.degree
-        if n == 0:
-            return acc * g.coeffs[0] ** m
-        _, r = f.divmod(g)
-        if r.is_zero():
-            return Fraction(0)
-        k = r.degree
-        acc *= Fraction(-1) ** (m * n) * g.lc ** (m - k)
-        f, g = g, r
+
+def bareiss_det(rows, one, divexact):
+    """Fraction-free (Bareiss) determinant over an integral domain whose unit
+    is one and whose exact quotient is divexact."""
+    M = [row[:] for row in rows]
+    n = len(M)
+    sign, prev = 1, one
+    for k in range(n - 1):
+        if not M[k][k]:
+            swap = next((i for i in range(k + 1, n) if M[i][k]), None)
+            if swap is None:
+                return one - one
+            M[k], M[swap] = M[swap], M[k]
+            sign = -sign
+        pk = M[k][k]
+        for i in range(k + 1, n):
+            mik = M[i][k]
+            for j in range(k + 1, n):
+                M[i][j] = divexact(pk * M[i][j] - mik * M[k][j], prev)
+        prev = pk
+    det = M[-1][-1] if n else one
+    return -det if sign < 0 else det
+
+
+def resultant_sylvester_z(f: IntPoly, g: IntPoly) -> int:
+    """Res(f, g) over Z as the Sylvester determinant; independent of the
+    package's Euclidean route."""
+    return bareiss_det(sylvester(list(f.coeffs), list(g.coeffs), 0), 1, operator.floordiv)
 
 
 def rational_gcd(f: RatPoly, g: RatPoly) -> RatPoly:
@@ -84,29 +99,8 @@ def resultant_bivar_z_sylvester(F: BiPolyRZ, G: BiPolyRZ) -> RatPoly:
     """Direct route: Bareiss elimination over the polynomial ring Q[r]."""
     if F.degree <= 0 or G.degree <= 0:
         return resultant_bivar_z(F, G)
-    rows = _sylvester(list(F.coeffs), list(G.coeffs), RatPoly.zero())
-    n = len(rows)
-    M = [row[:] for row in rows]
-    sign = 1
-    prev = RatPoly.const(1)
-    for k in range(n - 1):
-        if M[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not M[i][k].is_zero():
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return RatPoly.zero()
-        pk = M[k][k]
-        for i in range(k + 1, n):
-            mik = M[i][k]
-            for j in range(k + 1, n):
-                M[i][j] = (pk * M[i][j] - mik * M[k][j]).divexact(prev)
-            M[i][k] = RatPoly.zero()
-        prev = pk
-    res = M[n - 1][n - 1]
-    return -res if sign < 0 else res
+    rows = sylvester(list(F.coeffs), list(G.coeffs), RatPoly.zero())
+    return bareiss_det(rows, RatPoly.const(1), RatPoly.divexact)
 
 
 # ----------------------------------------------------------- polynomial core
@@ -127,11 +121,6 @@ def test_arith_and_eval():
     F = EXT_FIELDS[0]
     h = rand_fq_poly(random.Random(5), F, max_deg=8)
     assert [mp_eval(h, x, F) for x in range(F.order)] == [_fq_eval(h, x, F) for x in range(F.order)]
-
-
-def test_content_primitive():
-    assert IntPoly([4, 0, 2]).content() == 2  # content of 2z^2 + 4
-    assert IntPoly.zero().content() == 0
 
 
 def test_ratpoly_divmod_and_monic():
@@ -175,16 +164,12 @@ def test_shared_long_division_seeded():
         IntPoly([1, 2]).divexact(IntPoly([2, 2]))  # quotient 1/2 is not an integer
 
 
-def test_ratpoly_clear_denominators():
-    f = RatPoly([Fraction(1, 2), Fraction(3, 4)])
-    scale, prim = f.clear_denominators()
-    assert prim.coeffs == (2, 3)
-    assert prim.to_rat() * RatPoly.const(scale) == f
-
-
 def test_reduce_mod_denominator_error():
     with pytest.raises(ValueError):
-        RatPoly([Fraction(1, 3)]).reduce_mod(3)
+        to_modp(RatPoly([Fraction(1, 3)]), 3)
+    with pytest.raises(ValueError):
+        to_modp([Fraction(2, 9), 1], 3)
+    assert to_modp([Fraction(1, 2), -1, 3, 0], 3) == to_modp(RatPoly([Fraction(-1), 2]), 3) == [2, 2]
 
 
 def test_bipoly_roundtrip():
@@ -223,8 +208,15 @@ def test_resultant_cross_methods_and_antisymmetry():
         if f.degree < 1 or g.degree < 1:
             continue
         r = resultant_univar(f, g)
-        assert Fraction(r) == resultant_univar_euclid(f, g)
+        assert type(r) is int and r == resultant_sylvester_z(f, g)
         assert r == (-1) ** (f.degree * g.degree) * resultant_univar(g, f)
+        # over Q: Res(f/k, g/l) = Res(f, g) / (k^deg g * l^deg f)
+        k, l = rng.randint(1, 9), rng.randint(1, 9)
+        fk = RatPoly([Fraction(c, k) for c in f.coeffs])
+        gl = RatPoly([Fraction(c, l) for c in g.coeffs])
+        want = Fraction(resultant_sylvester_z(f, g), k**g.degree * l**f.degree)
+        assert resultant_univar(fk, gl) == want and type(resultant_univar(fk, g)) is Fraction
+        assert resultant_univar(fk, g) == Fraction(r, k**g.degree)
 
 
 def test_resultant_vanishes_iff_common_factor():
@@ -345,7 +337,7 @@ def test_mp_resultant_matches_integer_reduction():
                 continue  # degree drop changes the relation
             if f.degree < 1 or g.degree < 1:
                 continue
-            assert mp_resultant(fm, gm, build_subfield(p, 1)) == resultant_univar(f, g) % p
+            assert mp_resultant(fm, gm, build_subfield(p, 1)) == resultant_sylvester_z(f, g) % p
 
 
 # --------------------------------------------------------------- primality

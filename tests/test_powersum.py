@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from permbinom import powersum
-from permbinom.exactalg import BiPolyRZ, RatPoly
+from permbinom.exactalg import BiPolyRZ, RatPoly, to_modp
 from permbinom.ff import build_tower, build_subfield, enumerate_elements
 from permbinom.powersum import (
     CDPair,
@@ -344,7 +344,7 @@ def test_theta_numeric_matches_symbolic_reduction():
     # at r = 3 the symbolic bracket and the residue bracket agree mod p
     for p, alpha in ((5, 1), (5, 3), (7, 3), (11, 5)):
         th = theta_symbolic(alpha).eval_r(3)
-        coeffs_sym = th.reduce_mod(p)
+        coeffs_sym = to_modp(th, p)
         # the symbolic entries at r = 3 are i - 1 - alpha/2 and i - (alpha+1)/2
         period = p
         while period <= alpha:

@@ -374,6 +374,30 @@ def test_cli_resume_wrong_a_index_exit_2(tmp_path, capsys):
     assert out in err and "a-index mismatch" in err
 
 
+def test_cli_resume_wrong_construction_data_exit_2(tmp_path, capsys):
+    # the replay rebuilds each record's tower from (p, m): a record whose q
+    # is not p^m, or whose modulus is not the tower's, is refused
+    out = str(tmp_path / "cat.jsonl")
+    argv = ("search", "--r", "5", "--q-max", "20", "--include-norm-one", "--out", out)
+
+    def move_q(records):
+        taken = {(d["q"], d["a_index"]) for d in records}
+        d = records[0]  # q = 3; moved to a swept q where its key stays unique
+        d["q"] = next(q for q in (5, 7, 13) if (q, d["a_index"]) not in taken)
+        return records
+
+    def edit_modulus(records):
+        d = next(d for d in records if d["m"] == 1)
+        d["modulus"] = [(d["modulus"][0] + 1) % d["p"]] + d["modulus"][1:]
+        return records
+    for edit in (move_q, edit_modulus):
+        assert run_cli(*argv) == 0
+        capsys.readouterr()
+        _rewrite_records(out, edit)
+        err = _assert_usage_error(capsys, *argv, "--resume")
+        assert out in err and "construction data mismatch" in err
+
+
 def test_cli_resume_forged_record_exit_2(tmp_path, capsys):
     # the last record is swapped for its neighbour a, a consistent record
     # (a, a_index and z agree) of a non-permuting binomial; every resumed
@@ -428,6 +452,20 @@ def test_cli_resume_malformed_catalog_line_exit_2(tmp_path, capsys):
         fh.write("\n".join(lines) + "\n")
     err = _assert_usage_error(capsys, "search", "--r", "5", "--q-max", "13", "--out", out, "--resume")
     assert f"{out} line 3" in err
+    # well-formed JSON of the wrong shape: a header that is not an object, and
+    # record fields whose type differs from the SearchRecord annotation
+    argv = ("search", "--r", "5", "--q-max", "30", "--include-norm-one", "--out", out)
+    assert run_cli(*argv) == 0
+    capsys.readouterr()
+    good = open(out).read().splitlines()
+    first = next(i for i, line in enumerate(good) if not line.startswith("#"))
+    for i, line in ((0, "#PERMBINOM-CATALOG [1]"),
+                    (first, json.dumps({**json.loads(good[first]), "a_index": "x"})),
+                    (first, json.dumps({**json.loads(good[first]), "a": 7}))):
+        with open(out, "w") as fh:
+            fh.write("\n".join(good[:i] + [line] + good[i + 1:]) + "\n")
+        err = _assert_usage_error(capsys, *argv, "--resume")
+        assert f"{out} line {i + 1}" in err
 
 
 def test_search_missing_out_dir_fails_before_sweep(tmp_path, capsys, monkeypatch):
