@@ -285,19 +285,19 @@ def resultant_bivar_z(F: BiPolyRZ, G: BiPolyRZ) -> RatPoly:
             if len(xs) == bound + 1:
                 break
         x += 1
-    return _lagrange(xs, ys)
+    return _newton(xs, ys)
 
 
-def _lagrange(xs: list[Fraction], ys: list[Fraction]) -> RatPoly:
-    master = RatPoly.const(1)
-    for x in xs:
-        master = master * RatPoly((-x, 1))
+def _newton(xs: list[Fraction], ys: list[Fraction]) -> RatPoly:
+    """The polynomial through (xs, ys): Newton's divided differences,
+    expanded from the innermost factor of the nested form outwards."""
+    cs = list(ys)
+    for j in range(1, len(xs)):
+        for i in range(len(xs) - 1, j - 1, -1):
+            cs[i] = (cs[i] - cs[i - 1]) / (xs[i] - xs[i - j])
     out = RatPoly.zero()
-    for x, y in zip(xs, ys):
-        if y == 0:
-            continue
-        basis = master.divexact(RatPoly((-x, 1)))
-        out = out + basis * RatPoly.const(y / basis.eval(x))
+    for x, c in zip(reversed(xs), reversed(cs)):
+        out = out * RatPoly((-x, 1)) + RatPoly.const(c)
     return out
 
 

@@ -29,8 +29,8 @@ from __future__ import annotations
 import itertools
 import os
 from array import array
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .exactalg import is_probable_prime, mp_irreducible
 
@@ -492,12 +492,14 @@ def _lex_smallest_irreducible(base: FieldCtx, degree: int) -> tuple[int, ...]:
     return next(f for f in candidates if mp_irreducible(f, base))
 
 
-@lru_cache(maxsize=64)
-def _tower_cached(p: int, m: int, cap: int) -> tuple[FieldCtx, FieldCtx]:
-    if p ** (2 * m) > cap:
-        raise CapExceededError(f"q^2 = {p**(2*m)} exceeds the enumeration cap {cap}")
-    fq = build_subfield(p, m, cap)
-    return fq, FieldCtx(fq, _lex_smallest_irreducible(fq, 2))
+# Towers are cached least recently used first, up to this many bytes of
+# exp/log/Zech tables over both levels; the newest tower is always kept.
+TOWER_CACHE_BYTES = 256 * 2**20
+_towers: OrderedDict[tuple[int, int, int], tuple[FieldCtx, FieldCtx]] = OrderedDict()
+
+
+def _table_bytes(tower: tuple[FieldCtx, FieldCtx]) -> int:
+    return sum(t.buffer_info()[1] * t.itemsize for f in tower for t in (f._exp, f._log, f._zech))
 
 
 def build_tower(p: int, m: int, cap: int | None = None) -> tuple[FieldCtx, FieldCtx]:
@@ -506,7 +508,19 @@ def build_tower(p: int, m: int, cap: int | None = None) -> tuple[FieldCtx, Field
     Raises if p is not prime or q^2 exceeds the enumeration cap (default
     10^7, override with the PERMBINOM_CAP environment variable).
     """
-    return _tower_cached(p, m, enumeration_cap() if cap is None else cap)
+    cap = enumeration_cap() if cap is None else cap
+    key = (p, m, cap)
+    if key in _towers:
+        _towers.move_to_end(key)
+        return _towers[key]
+    if p ** (2 * m) > cap:
+        raise CapExceededError(f"q^2 = {p**(2*m)} exceeds the enumeration cap {cap}")
+    fq = build_subfield(p, m, cap)
+    tower = _towers[key] = fq, FieldCtx(fq, _lex_smallest_irreducible(fq, 2))
+    held = sum(map(_table_bytes, _towers.values()))
+    while held > TOWER_CACHE_BYTES and len(_towers) > 1:
+        held -= _table_bytes(_towers.popitem(last=False)[1])
+    return tower
 
 
 def build_subfield(p: int, m: int, cap: int | None = None) -> FieldCtx:

@@ -4,7 +4,8 @@ The search sweeps every a in F_{q^2}* for fixed (r, t=2) across a range of
 odd prime powers q, using the fact that the power-sum verdict is a pure
 function of the derived value z(a): each q is decided through the few
 roots of its alpha = 1 bracket, and only passing values are expanded back
-to their a preimages (each z has exactly (q+1)/2 of them).  Catalogs are
+to their a preimages (each z has exactly (q+1)/2 of them), whose family tag
+comes from one brute walk per fibre.  Catalogs are
 JSON Lines with a fixed key order, sorted on a final barrier, so identical
 runs are byte-identical regardless of worker count.
 """
@@ -20,14 +21,13 @@ from collections import Counter
 from dataclasses import dataclass, fields
 from typing import get_type_hints
 
-from . import __version__
+from . import __version__, ppcheck
 from .ff import PrimePower, build_tower, enumeration_cap, enumerate_elements
 from .powersum import PowerSumIndex, power_sum_brute, power_sum_closed, surviving_alphas
 from .ppcheck import (
     BinomialParams,
     classify_family,
     expand_z_to_a,
-    is_pp_brute,
     is_pp_powersum,
     t2_passing_z,
     thm21_bound,
@@ -137,15 +137,19 @@ def _sweep_one_q(task) -> list[dict]:
     desc = fq2.describe()
     records = []
     for kind, v in hits:
+        tag = None
         for a_index, a in expand_z_to_a(fq2, (kind, v)):
             params = BinomialParams(a, r, 2)
             # the z-level verdict holds for a only if a lies in the hit's fibre
             z = params.z.idx
             if (z if kind == "sub" else fq2.mul(z, z)) != v:
                 raise AssertionError(f"a = {a.text} lies outside the z-fibre {(kind, v)}")
-            tag = classify_family(params)  # brute-force confirmation inside
-            if tag.tag == "not_pp":
-                raise AssertionError("z-level hit disagreed with the brute test")
+            if tag is None:
+                # the tag, brute verdict included, depends on a only through
+                # the fibre: one brute walk, on its smallest-index a, tags it all
+                tag = classify_family(params)
+                if tag.tag == "not_pp":
+                    raise AssertionError("z-level hit disagreed with the brute test")
             records.append(
                 SearchRecord(
                     p=p, m=m, q=q, r=r, t=2,
@@ -264,6 +268,20 @@ def search_exceptional(
         records.extend(q_records)
     records.sort(key=_record_key)
 
+    if out:
+        header = {
+            "schema": SCHEMA_VERSION,
+            "version": __version__,
+            "kind": "permbinom-search",
+            "params": params,
+            # tower construction is deterministic given (p, m); each record
+            # carries its own modulus vectors
+            "cap": cap,
+        }
+        done = [{"q": q, "r": r} for (_, _, q) in qs]
+        _write_catalog(out, header, records, done)
+        _replay_catalog(out)  # before the summary reads resumed records' p
+
     # a norm-one hit always satisfies the complete norm-one criterion, so the
     # family_i tag is the authoritative norm marker
     below = above = sporadic_below = 0
@@ -287,48 +305,59 @@ def search_exceptional(
         "bound_confirmed": above == 0,
     }
     if out:
-        header = {
-            "schema": SCHEMA_VERSION,
-            "version": __version__,
-            "kind": "permbinom-search",
-            "params": params,
-            # tower construction is deterministic given (p, m); each record
-            # carries its own modulus vectors
-            "cap": cap,
-        }
-        done = [{"q": q, "r": r} for (_, _, q) in qs]
-        _write_catalog(out, header, records, done)
         summary["catalog"] = out
-        _replay_catalog(out)
     return summary
 
 
 def _replay_catalog(path: str):
     """Re-decide every record of a written catalog, resumed ones included: its
     q and modulus must be those of the tower built from (p, m), its a text
-    must parse back to its a_index, its z text must be z(a), and each
-    distinct (q, r, t, z) must get the record's verdict from the fast test,
-    which runs once per key since the t = 2 verdict depends on a only through
-    z.  ValueError naming the catalog and the record on any mismatch."""
+    must be the canonical text of its a_index, its z text must be z(a), and
+    each distinct (q, r, t, z) must get the record's verdict from the fast
+    test, which runs once per key since the t = 2 verdict depends on a only
+    through z.  The brute walk then re-decides each key on its second record
+    (its first if it has one), so a fibre the sweep confirmed on its
+    smallest-index a gets brute evidence from a second a.
+    ValueError naming the catalog and the record on any mismatch, and on
+    any record value the tower, the parser or the parameters reject."""
     _, records, _ = read_catalog(path)
     verdicts: dict[tuple, bool] = {}
+    samples: dict[tuple, list] = {}  # key -> its first two (record, params)
     for rec in records:
-        _, fq2 = build_tower(rec.p, rec.m)
-        params = BinomialParams(fq2.element(fq2.parse(rec.a)), rec.r, rec.t)
-        if rec.q != rec.p**rec.m or rec.modulus != fq2.describe()["modulus"]:
-            problem = "construction data mismatch"
-        elif fq2.dlog(params.a.idx) != rec.a_index:
-            problem = "a-index mismatch"
-        elif params.z.text != rec.z:
-            problem = "z mismatch"
-        else:
-            key = (rec.p, rec.m, rec.r, rec.t, rec.z)
-            if key not in verdicts:
-                verdicts[key] = is_pp_powersum(params).is_pp
-            if verdicts[key] == rec.is_pp:
-                continue
-            problem = "round-trip verdict mismatch"
-        raise ValueError(f"{path}: {problem} on record {json.dumps(rec.to_dict())}")
+        try:
+            problem = _replay_problem(rec, verdicts, samples)
+        except ValueError as exc:
+            problem = str(exc)
+        if problem:
+            raise ValueError(f"{path}: {problem} on record {json.dumps(rec.to_dict())}")
+    for rec, params in (picks[-1] for picks in samples.values()):
+        if ppcheck.is_pp_brute(params).is_pp != rec.is_pp:
+            raise ValueError(f"{path}: brute sample mismatch on record {json.dumps(rec.to_dict())}")
+
+
+def _replay_problem(rec: SearchRecord, verdicts: dict, samples: dict) -> str | None:
+    """What is wrong with one catalog record, None if nothing; records the
+    fast verdict of its key in verdicts and the record in samples."""
+    _, fq2 = build_tower(rec.p, rec.m)
+    idx = fq2.parse(rec.a)
+    params = BinomialParams(fq2.element(idx), rec.r, rec.t)
+    if rec.q != rec.p**rec.m or rec.modulus != fq2.describe()["modulus"]:
+        return "construction data mismatch"
+    if fq2.render(idx) != rec.a:
+        return "non-canonical a text"
+    if fq2.dlog(idx) != rec.a_index:
+        return "a-index mismatch"
+    if params.z.text != rec.z:
+        return "z mismatch"
+    key = (rec.p, rec.m, rec.r, rec.t, rec.z)
+    if key not in verdicts:
+        verdicts[key] = is_pp_powersum(params).is_pp
+    if verdicts[key] != rec.is_pp:
+        return "round-trip verdict mismatch"
+    picks = samples.setdefault(key, [])
+    if len(picks) < 2:
+        picks.append((rec, params))
+    return None
 
 
 # ------------------------------------------------------- cross-validation
@@ -400,7 +429,7 @@ def _xval_exhaustive(fq2, q: int, t: int, modes=("oracle", "pp")) -> list[CheckR
             for a in enumerate_elements(fq2, "nonzero"):
                 params = BinomialParams(a, r, t)
                 n_params += 1
-                if is_pp_powersum(params).is_pp != is_pp_brute(params).is_pp:
+                if is_pp_powersum(params).is_pp != ppcheck.is_pp_brute(params).is_pp:
                     disagreements.append((r, a.text))
         out.append(_tally(f"xval.q{q}.t{t}.pp", "fast test == brute test",
                           f"{n_params} parameter sets", disagreements, "disagreements"))

@@ -7,6 +7,7 @@ stated wall-clock budget.  Run with:  pytest tests/test_acceptance.py -v -s
 import math
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from permbinom.exactalg import (
     BiPolyRZ,
@@ -187,7 +188,7 @@ def test_10_harness_determinism(tmp_path):
     search_exceptional(5, 25, jobs=1, out=paths[0])
     search_exceptional(5, 25, jobs=8, out=paths[1])
     search_exceptional(5, 25, jobs=1, out=paths[2])
-    blobs = [open(p, "rb").read() for p in paths]
+    blobs = [Path(p).read_bytes() for p in paths]
     assert blobs[0] == blobs[1] == blobs[2]
     print(f"ACCEPTANCE 10 harness determinism: PASS ({time.monotonic()-t0:.1f}s)")
 

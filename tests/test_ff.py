@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from permbinom import ff
 from permbinom.exactalg import mp_irreducible
 from permbinom.ff import (
     CapExceededError,
@@ -61,6 +62,26 @@ def test_cap():
         build_tower(3, 1, cap=5)
     with pytest.raises(CapExceededError):
         build_subfield(101, 1, cap=50)
+
+
+def test_tower_cache_is_bounded_in_table_bytes(monkeypatch):
+    # the cache evicts the least recently used tower once its tables exceed
+    # the bound, and keeps the newest whatever its size
+    monkeypatch.setattr(ff, "_towers", type(ff._towers)())
+    sizes = {}
+    for p in (3, 5, 7):
+        sizes[p] = sum(t.buffer_info()[1] * t.itemsize
+                       for f in build_tower(p, 1) for t in (f._exp, f._log, f._zech))
+    monkeypatch.setattr(ff, "_towers", type(ff._towers)())
+    monkeypatch.setattr(ff, "TOWER_CACHE_BYTES", sizes[5] + sizes[7])
+    oldest, middle, newest = (build_tower(p, 1) for p in (3, 5, 7))
+    assert build_tower(7, 1) is newest and build_tower(5, 1) is middle
+    rebuilt = build_tower(3, 1)  # evicted on the build of F_49
+    assert rebuilt is not oldest and rebuilt[1].describe() == oldest[1].describe()
+    assert build_tower(5, 1) is middle and build_tower(7, 1) is not newest  # 7 was the LRU
+    monkeypatch.setattr(ff, "TOWER_CACHE_BYTES", 1)
+    big = build_tower(11, 1)
+    assert list(ff._towers.values()) == [big]
 
 
 def _first_rootless(F, degree):

@@ -211,6 +211,23 @@ def test_sporadic_exists_q5_r5():
     assert "sporadic" in tags
 
 
+def test_family_tag_and_brute_verdict_are_fibre_invariant():
+    # search tags a whole z-fibre from one brute walk on its smallest-index a;
+    # here every a of every fibre, non-PP ones included, is walked and tagged
+    for p, m, q in odd_prime_powers(13):
+        fq, fq2 = build_tower(p, m)
+        descs = [("sub", z) for z in range(1, q)]
+        descs += [("ext", y) for y in range(1, q) if fq.dlog(y) % 2]
+        for r in range(1, 2 * (q + 1)):
+            if math.gcd(r, q - 1) != 1:
+                continue
+            for desc in descs:
+                fibre = [BinomialParams(a, r, 2) for _, a in expand_z_to_a(fq2, desc)]
+                tags = {classify_family(ps) for ps in fibre}
+                verdicts = {is_pp_brute(ps).is_pp for ps in fibre}
+                assert len(tags) == len(verdicts) == 1, (q, r, desc, tags)
+
+
 def test_classify_t_above_2_norm_one_only():
     # t > 2: only the norm-one family applies
     fq, fq2 = build_tower(5, 1)

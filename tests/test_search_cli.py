@@ -3,13 +3,14 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from permbinom import ppcheck, search
 from permbinom.cli import main
 from permbinom.ff import build_tower, compute_z
-from permbinom.ppcheck import BinomialParams, PPVerdict, is_pp_brute, is_pp_powersum
+from permbinom.ppcheck import BinomialParams, FamilyTag, PPVerdict, is_pp_brute, is_pp_powersum
 from permbinom.report import all_ok
 from permbinom.search import (
     catalog_to_csv,
@@ -96,14 +97,14 @@ def test_search_determinism_and_jobs(tmp_path):
     search_exceptional(5, 25, jobs=1, out=p1)
     search_exceptional(5, 25, jobs=2, out=p2)
     search_exceptional(5, 25, jobs=1, out=p3)
-    b1, b2, b3 = (open(p, "rb").read() for p in (p1, p2, p3))
+    b1, b2, b3 = (Path(p).read_bytes() for p in (p1, p2, p3))
     assert b1 == b2 == b3
 
 
 def test_search_resume(tmp_path):
     out = str(tmp_path / "cat.jsonl")
     search_exceptional(5, 13, out=out)
-    full = open(out, "rb").read()
+    full = Path(out).read_bytes()
     # truncate the done markers to simulate a partial run: drop the last q
     header, records, done = read_catalog(out)
     kept_done = done[:-1]
@@ -116,7 +117,7 @@ def test_search_resume(tmp_path):
         for rec in kept_records:
             fh.write(json.dumps(rec) + "\n")
     summary = search_exceptional(5, 13, out=out, resume=True)
-    assert open(out, "rb").read() == full
+    assert Path(out).read_bytes() == full
     assert summary["records"] == len(records)
 
 
@@ -125,7 +126,7 @@ def test_catalog_csv(tmp_path):
     csv_path = str(tmp_path / "cat.csv")
     search_exceptional(5, 13, out=out)
     catalog_to_csv(out, csv_path)
-    lines = open(csv_path).read().strip().splitlines()
+    lines = Path(csv_path).read_text().strip().splitlines()
     _, records, _ = read_catalog(out)
     assert len(lines) == len(records) + 1
     assert lines[0].startswith("p,m,q,r,t,a,a_index,z,is_pp,family")
@@ -190,8 +191,45 @@ def test_search_decides_each_fibre_once(tmp_path, monkeypatch):
     out = str(tmp_path / "cat.jsonl")
     summary = search_exceptional(5, 100, include_norm_one=True, out=out)
     _, records, _ = read_catalog(out)
-    assert counts["fast"] == len({(rec.q, rec.z) for rec in records}) == 21
-    assert counts["brute"] == len(records) == summary["records"] == 315
+    fibres = len({(rec.q, rec.z) for rec in records})
+    assert counts["fast"] == fibres == 21
+    # one brute walk per fibre in the sweep, one on a second a in the replay
+    assert counts["brute"] == 2 * fibres == 42
+    assert len(records) == summary["records"] == 315
+
+
+def _smallest_in_fibre(params):
+    """Whether params.a is the smallest-index a of its z-fibre."""
+    ctx2, z = params.ctx2, params.z.idx
+    desc = ("sub", z) if ctx2.in_subfield(z) else ("ext", ctx2.mul(z, z))
+    return ctx2.dlog(params.a.idx) == ppcheck.expand_z_to_a(ctx2, desc)[0][0]
+
+
+def test_search_propagates_the_representative_tag(tmp_path, monkeypatch):
+    # only each fibre's smallest-index a is classified; its tag is every a's
+    classify = search.classify_family
+
+    def marked(params):
+        return FamilyTag("marker", ()) if _smallest_in_fibre(params) else classify(params)
+    monkeypatch.setattr(search, "classify_family", marked)
+    out = str(tmp_path / "cat.jsonl")
+    search_exceptional(5, 30, include_norm_one=True, out=out)
+    _, records, _ = read_catalog(out)
+    assert len(records) > len({(rec.q, rec.z) for rec in records}) > 1
+    assert {rec.family for rec in records} == {"marker"}
+
+
+def test_replay_brute_sample_is_live(tmp_path, monkeypatch):
+    # the replay walks a second a of each fibre, not the sweep's representative
+    brute = ppcheck.is_pp_brute
+
+    def first_only(params):
+        return brute(params) if _smallest_in_fibre(params) else PPVerdict(False, "brute")
+    monkeypatch.setattr(ppcheck, "is_pp_brute", first_only)
+    out = str(tmp_path / "cat.jsonl")
+    with pytest.raises(ValueError, match="brute sample mismatch") as exc:
+        search_exceptional(5, 20, include_norm_one=True, out=out)
+    assert str(exc.value).startswith(f"{out}: ")
 
 
 # ------------------------------------------------------------------- CLI
@@ -258,7 +296,7 @@ def test_cli_verify_json(tmp_path, capsys):
     path = str(tmp_path / "rep.jsonl")
     assert run_cli("verify", "--suite", "sec7p3", "--json", path) == 0
     capsys.readouterr()
-    lines = [json.loads(l) for l in open(path)]
+    lines = [json.loads(l) for l in Path(path).read_text().splitlines()]
     assert all(l["status"] in ("pass", "probable-pass") for l in lines)
 
 
@@ -340,7 +378,7 @@ def test_cli_unwritable_paths_exit_2(tmp_path, capsys):
 def test_cli_resume_damaged_catalog_exit_2(tmp_path, capsys):
     out = str(tmp_path / "cat.jsonl")
     search_exceptional(5, 13, out=out)
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     last = json.loads(lines[-1])
     del last["z"]
     with open(out, "w") as fh:
@@ -351,7 +389,7 @@ def test_cli_resume_damaged_catalog_exit_2(tmp_path, capsys):
 
 def _rewrite_records(path, edit):
     """Rewrite the catalog at path with edit(records) as its record lines."""
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     head = [line for line in lines if line.startswith("#")]
     records = edit([json.loads(line) for line in lines if not line.startswith("#")])
     with open(path, "w") as fh:
@@ -396,6 +434,32 @@ def test_cli_resume_wrong_construction_data_exit_2(tmp_path, capsys):
         _rewrite_records(out, edit)
         err = _assert_usage_error(capsys, *argv, "--resume")
         assert out in err and "construction data mismatch" in err
+
+
+def test_cli_resume_bad_record_value_exit_2(tmp_path, capsys):
+    # a value the parser, the tower or the parameters reject, and an a text
+    # that parses to the record's index without being its canonical text
+    out = str(tmp_path / "cat.jsonl")
+    argv = ("search", "--r", "5", "--q-max", "20", "--include-norm-one", "--out", out)
+
+    def first_prime_q(**edit):
+        def apply(records):
+            d = next(d for d in records if d["m"] == 1)
+            d.update({k: f(d) for k, f in edit.items()})
+            return records
+        return apply
+
+    def padded(d):  # [c0 + p, c1] is the element [c0, c1]
+        c0, c1 = json.loads(d["a"])
+        return f"[{c0 + d['p']},{c1}]"
+    for edit, problem in ((first_prime_q(a=lambda d: "abc"), "invalid literal"),
+                          (first_prime_q(p=lambda d: 4), "4 is not prime"),
+                          (first_prime_q(a=padded), "non-canonical a text")):
+        assert run_cli(*argv) == 0
+        capsys.readouterr()
+        _rewrite_records(out, edit)
+        err = _assert_usage_error(capsys, *argv, "--resume")
+        assert err.startswith(f"error: {out}: {problem}") and "on record {" in err, err
 
 
 def test_cli_resume_forged_record_exit_2(tmp_path, capsys):
@@ -446,7 +510,7 @@ def test_read_catalog_rejects_done_marker_without_keys(tmp_path):
 def test_cli_resume_malformed_catalog_line_exit_2(tmp_path, capsys):
     out = str(tmp_path / "cat.jsonl")
     search_exceptional(5, 13, out=out)
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     lines[2] = '{"p": 5,'
     with open(out, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -457,7 +521,7 @@ def test_cli_resume_malformed_catalog_line_exit_2(tmp_path, capsys):
     argv = ("search", "--r", "5", "--q-max", "30", "--include-norm-one", "--out", out)
     assert run_cli(*argv) == 0
     capsys.readouterr()
-    good = open(out).read().splitlines()
+    good = Path(out).read_text().splitlines()
     first = next(i for i, line in enumerate(good) if not line.startswith("#"))
     for i, line in ((0, "#PERMBINOM-CATALOG [1]"),
                     (first, json.dumps({**json.loads(good[first]), "a_index": "x"})),
