@@ -10,10 +10,12 @@ indexes below q.
 Arithmetic runs on generator exp/log tables built once per context by
 stepping through the powers of the generator g, stored as `array('i')`
 with log[0] = -1 for zero.  A prime field steps k -> k*g mod p, and adds
-and multiplies mod p; F_{p^2} = F_p[X]/(X^2 + m1*X + m0), the F_{q^2} of
-every prime q, steps the coefficient pair (c0, c1) of g^k with two fixed
-linear forms mod p; every other field multiplies by g with the schoolbook
-`_mul_raw`.  An extension field adds through a Zech-log table
+and multiplies mod p.  An extension steps the coefficient vector of g^k by
+the matrix of x -> x*g over the base, whose columns X^j*g mod f come from
+exactalg.mp_divmod; for F_{p^2} = F_p[X]/(X^2 + m1*X + m0), the F_{q^2} of
+every prime q, that matrix is unrolled into two linear forms mod p on ints.
+The generator test is pow on a prime field and exactalg.mp_powmod on an
+extension.  An extension field adds through a Zech-log table
 Z[k] = log(1 + g^k) (Huber, IEEE Trans. IT 36(4), 1990):
 g^a + g^b = g^(a + Z[b - a]).
 
@@ -32,7 +34,7 @@ from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from .exactalg import is_probable_prime, mp_irreducible
+from .exactalg import is_probable_prime, mp_divmod, mp_irreducible, mp_powmod
 
 __all__ = [
     "DEFAULT_CAP",
@@ -151,7 +153,7 @@ class FieldCtx:
         self.gen_idx = self._find_generator()
         self._build_tables()
 
-    # --- raw polynomial arithmetic over the base (bootstrap only) ---
+    # --- coefficient vectors over the base ---
 
     def _decode(self, idx: int) -> list[int]:
         B = self.base.order
@@ -168,47 +170,17 @@ class FieldCtx:
             idx = idx * B + d
         return idx
 
-    def _mul_raw(self, i: int, j: int) -> int:
-        """Schoolbook multiply-and-reduce; used before tables exist."""
-        if self.base is None:
-            return i * j % self.char
-        b = self.base
-        u, v = self._decode(i), self._decode(j)
-        prod = [0] * (2 * self.degree - 1)
-        for x, cu in enumerate(u):
-            if not cu:
-                continue
-            for y, cv in enumerate(v):
-                if cv:
-                    prod[x + y] = b.add(prod[x + y], b.mul(cu, cv))
-        # reduce by the monic modulus
-        for k in range(len(prod) - 1, self.degree - 1, -1):
-            c = prod[k]
-            if not c:
-                continue
-            prod[k] = 0
-            for t in range(self.degree):
-                mt = self.modulus[t]
-                if mt:
-                    prod[k - self.degree + t] = b.sub(prod[k - self.degree + t], b.mul(c, mt))
-        return self._encode(prod[: self.degree])
-
-    def _pow_raw(self, i: int, e: int) -> int:
-        acc = 1
-        while e:
-            if e & 1:
-                acc = self._mul_raw(acc, i)
-            i = self._mul_raw(i, i)
-            e >>= 1
-        return acc
-
     def _find_generator(self) -> int:
         n = self._n
         if n == 1:
             return 1
         primes = _prime_factors(n)
         for cand in range(2, self.order):
-            if all(self._pow_raw(cand, n // ell) != 1 for ell in primes):
+            if self.base is None:
+                if all(pow(cand, n // ell, self.char) != 1 for ell in primes):
+                    return cand
+            elif all(mp_powmod(self._decode(cand), n // ell, self.modulus, self.base) != [1]
+                     for ell in primes):
                 return cand
         raise AssertionError("no generator found")  # pragma: no cover
 
@@ -238,10 +210,21 @@ class FieldCtx:
                 c0, c1 = (c0 * g0 - c1 * k0) % p, (c0 * g1 + c1 * k1) % p
             cur = c0 + c1 * p
         else:
+            # x -> x*g is linear over the base: column j is X^j * g mod f
+            b, d = self.base, self.degree
+            add, mul, encode = b.add, b.mul, self._encode
+            cols = [mp_divmod([0] * j + self._decode(g), self.modulus, b)[1] for j in range(d)]
+            c = [1] + [0] * (d - 1)
             for k in range(n):
                 exp[k] = cur
                 log[cur] = k
-                cur = self._mul_raw(cur, g)
+                nxt = [0] * d
+                for cj, col in zip(c, cols):
+                    if cj:
+                        for t, v in enumerate(col):
+                            nxt[t] = add(nxt[t], mul(cj, v))
+                c = nxt
+                cur = encode(c)
         if cur != 1:  # pragma: no cover
             raise AssertionError("generator order mismatch")
         self._exp = exp
@@ -495,27 +478,32 @@ def _lex_smallest_irreducible(base: FieldCtx, degree: int) -> tuple[int, ...]:
 # Towers are cached least recently used first, up to this many bytes of
 # exp/log/Zech tables over both levels; the newest tower is always kept.
 TOWER_CACHE_BYTES = 256 * 2**20
-_towers: OrderedDict[tuple[int, int, int], tuple[FieldCtx, FieldCtx]] = OrderedDict()
+_towers: OrderedDict[tuple[int, int], tuple[FieldCtx, FieldCtx]] = OrderedDict()
 
 
 def _table_bytes(tower: tuple[FieldCtx, FieldCtx]) -> int:
     return sum(t.buffer_info()[1] * t.itemsize for f in tower for t in (f._exp, f._log, f._zech))
 
 
-def build_tower(p: int, m: int, cap: int | None = None) -> tuple[FieldCtx, FieldCtx]:
+def _check_cap(name: str, p: int, e: int):
+    """CapExceededError unless p^e <= cap, deciding an e past cap's bit length without p^e."""
+    cap = enumeration_cap()
+    if p > 1 and (e > cap.bit_length() or p**e > cap):  # PrimePower rejects p < 2
+        raise CapExceededError(f"{name} = {p}^{e} exceeds the enumeration cap {cap}")
+
+
+def build_tower(p: int, m: int) -> tuple[FieldCtx, FieldCtx]:
     """Build (F_q, F_{q^2}) for q = p^m, deterministically.
 
     Raises if p is not prime or q^2 exceeds the enumeration cap (default
     10^7, override with the PERMBINOM_CAP environment variable).
     """
-    cap = enumeration_cap() if cap is None else cap
-    key = (p, m, cap)
+    _check_cap("q^2", p, 2 * m)
+    key = (p, m)
     if key in _towers:
         _towers.move_to_end(key)
         return _towers[key]
-    if p ** (2 * m) > cap:
-        raise CapExceededError(f"q^2 = {p**(2*m)} exceeds the enumeration cap {cap}")
-    fq = build_subfield(p, m, cap)
+    fq = build_subfield(p, m)
     tower = _towers[key] = fq, FieldCtx(fq, _lex_smallest_irreducible(fq, 2))
     held = sum(map(_table_bytes, _towers.values()))
     while held > TOWER_CACHE_BYTES and len(_towers) > 1:
@@ -523,13 +511,11 @@ def build_tower(p: int, m: int, cap: int | None = None) -> tuple[FieldCtx, Field
     return tower
 
 
-def build_subfield(p: int, m: int, cap: int | None = None) -> FieldCtx:
+def build_subfield(p: int, m: int) -> FieldCtx:
     """F_q alone (cheap: only needs q <= cap, not q^2); checks p and m, once,
     for every tower."""
-    cap = enumeration_cap() if cap is None else cap
     PrimePower(p, m)  # ValueError unless m >= 1 and p is prime
-    if p**m > cap:
-        raise CapExceededError(f"q = {p**m} exceeds the enumeration cap {cap}")
+    _check_cap("q", p, m)
     fp = FieldCtx(None, None, p=p)
     if m == 1:
         return fp

@@ -316,21 +316,23 @@ def _replay_catalog(path: str):
     each distinct (q, r, t, z) must get the record's verdict from the fast
     test, which runs once per key since the t = 2 verdict depends on a only
     through z.  The brute walk then re-decides each key on its second record
-    (its first if it has one), so a fibre the sweep confirmed on its
-    smallest-index a gets brute evidence from a second a.
+    in catalog order (its first if it has only one), so a fibre the sweep
+    confirmed on its smallest-index a gets brute evidence from a second a.
     ValueError naming the catalog and the record on any mismatch, and on
     any record value the tower, the parser or the parameters reject."""
     _, records, _ = read_catalog(path)
     verdicts: dict[tuple, bool] = {}
     samples: dict[tuple, list] = {}  # key -> its first two (record, params)
-    for rec in records:
+    # newest q first, while the sweep's last towers and bracket rows are
+    # still cached; the sort is stable, so each q keeps its catalog order
+    for rec in sorted(records, key=lambda rec: -rec.q):
         try:
             problem = _replay_problem(rec, verdicts, samples)
         except ValueError as exc:
             problem = str(exc)
         if problem:
             raise ValueError(f"{path}: {problem} on record {json.dumps(rec.to_dict())}")
-    for rec, params in (picks[-1] for picks in samples.values()):
+    for rec, params in sorted((picks[-1] for picks in samples.values()), key=lambda pick: pick[0].q):
         if ppcheck.is_pp_brute(params).is_pp != rec.is_pp:
             raise ValueError(f"{path}: brute sample mismatch on record {json.dumps(rec.to_dict())}")
 

@@ -1,9 +1,11 @@
-"""Every name a permbinom module lists in __all__ must exist, so a deletion
-cannot leave a stale export behind; and no module reaches into a sibling's
-private names, so a sibling can rename them freely."""
+"""Every name a permbinom module lists in __all__ must exist, and every name
+it imports must be used or exported, so a deletion cannot leave a stale
+export or import behind; and no module reaches into a sibling's private
+names, so a sibling can rename them freely."""
 
 import ast
 import importlib
+import itertools
 import pkgutil
 from pathlib import Path
 
@@ -38,4 +40,36 @@ def test_no_private_sibling_imports():
     found = []
     for path in sorted(Path(permbinom.__path__[0]).glob("*.py")):
         found += _private_imports(path)
+    assert found == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module imports but neither uses nor lists in __all__; a name
+    used only in a string annotation counts as used."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((alias.asname or alias.name.split(".")[0], node.lineno) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update((alias.asname or alias.name, node.lineno) for alias in node.names)
+    annotations = [node.annotation for node in ast.walk(tree)
+                   if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation]
+    annotations += [node.returns for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns]
+    quoted = [ast.parse(node.value, mode="eval") for ann in annotations for node in ast.walk(ann)
+              if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    used = set()
+    for node in itertools.chain(ast.walk(tree), *map(ast.walk, quoted)):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return [f"{path.stem}:{line}: {name}" for name, line in sorted(imported.items()) if name not in used]
+
+
+def test_no_unused_imports():
+    found = []
+    for path in sorted(Path(permbinom.__path__[0]).glob("*.py")):
+        found += _unused_imports(path)
     assert found == []

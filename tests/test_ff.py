@@ -1,12 +1,13 @@
 import functools
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
 
 from permbinom import ff
-from permbinom.exactalg import mp_irreducible
+from permbinom.exactalg import mp_divmod, mp_irreducible, mp_mul
 from permbinom.ff import (
     CapExceededError,
     PrimePower,
@@ -57,11 +58,14 @@ def test_build_tower_examples():
         build_tower(4, 1)
 
 
-def test_cap():
-    with pytest.raises(CapExceededError):
-        build_tower(3, 1, cap=5)
-    with pytest.raises(CapExceededError):
-        build_subfield(101, 1, cap=50)
+def test_cap(monkeypatch):
+    build_tower(3, 1)
+    monkeypatch.setenv("PERMBINOM_CAP", "5")
+    with pytest.raises(CapExceededError, match=r"q\^2 = 3\^2 exceeds the enumeration cap 5"):
+        build_tower(3, 1)  # checked before the cache lookup
+    monkeypatch.setenv("PERMBINOM_CAP", "50")
+    with pytest.raises(CapExceededError, match=r"q = 101\^1 exceeds"):
+        build_subfield(101, 1)
 
 
 def test_tower_cache_is_bounded_in_table_bytes(monkeypatch):
@@ -262,10 +266,19 @@ def test_generator_has_full_order():
             assert len(seen) == n
 
 
-# the tables built by the degree-2 step equal the schoolbook product chain
+# the tables built by each table step equal the chain of raw products
+# g^(k+1) = g^k * g: a full product over the base by mp_mul, reduced by
+# mp_divmod, with neither the field's tables nor the step's column matrix
 TABLE_GRID = [(2, 1), (3, 1), (5, 1), (31, 1), (101, 1),
               (2, 2), (3, 2), (5, 2), (7, 2), (11, 2),
               (2, 3), (3, 3), (5, 3), (2, 4), (3, 4), (2, 5)]
+
+
+def _trimmed(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
 
 
 @pytest.mark.parametrize("p,m", TABLE_GRID)
@@ -274,9 +287,26 @@ def test_tables_match_mul_raw(p, m):
         exp, log, g, n = ctx._exp, ctx._log, ctx.gen_idx, ctx.order - 1
         assert exp.typecode == log.typecode == ctx._zech.typecode == "i"
         assert len(exp) == n and len(log) == ctx.order and log[0] == -1
+        if ctx.base is None:
+            def times_g(u):
+                return _trimmed([u * g % p])
+        else:
+            gv = ctx.coeffs(g)
+
+            def times_g(u):
+                return mp_divmod(mp_mul(ctx.coeffs(u), gv, ctx.base), ctx.modulus, ctx.base)[1]
         for k in range(n):
-            assert ctx._mul_raw(exp[k], g) == exp[(k + 1) % n]
+            assert times_g(exp[k]) == _trimmed(ctx.coeffs(exp[(k + 1) % n]))
             assert log[exp[k]] == k
+
+
+@pytest.mark.parametrize("p,m", TABLE_GRID)
+def test_generator_is_smallest(p, m):
+    # read off the tables: x generates the group iff gcd(log x, n) = 1
+    for ctx in build_tower(p, m):
+        n, g = ctx.order - 1, ctx.gen_idx
+        assert math.gcd(ctx.dlog(g), n) == 1
+        assert all(math.gcd(ctx.dlog(x), n) != 1 for x in range(2, g))
 
 
 @pytest.mark.parametrize("p,m,modulus,gen,digest", [

@@ -3,11 +3,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from permbinom import ppcheck, search
+from permbinom import ff, ppcheck, search
 from permbinom.cli import main
 from permbinom.ff import build_tower, compute_z
 from permbinom.ppcheck import BinomialParams, FamilyTag, PPVerdict, is_pp_brute, is_pp_powersum
@@ -232,6 +233,29 @@ def test_replay_brute_sample_is_live(tmp_path, monkeypatch):
     assert str(exc.value).startswith(f"{out}: ")
 
 
+def test_replay_reuses_the_towers_the_sweep_left_cached(tmp_path, monkeypatch):
+    # the sweep ends on its largest q; the replay, newest q first, uses the
+    # towers still cached before any miss evicts them
+    monkeypatch.setattr(ff, "_towers", type(ff._towers)())
+    monkeypatch.setattr(ff, "TOWER_CACHE_BYTES", 80_000)  # the last few towers of q <= 60
+    replay, seen = search._replay_catalog, {}
+
+    def counted_replay(path):
+        seen["cached"], seen["built"] = list(ff._towers), []
+
+        def tower(p, m):
+            if (p, m) not in ff._towers:
+                seen["built"].append((p, m))
+            return ff.build_tower(p, m)
+        monkeypatch.setattr(search, "build_tower", tower)
+        replay(path)
+    monkeypatch.setattr(search, "_replay_catalog", counted_replay)
+    search_exceptional(5, 60, include_norm_one=True, out=str(tmp_path / "cat.jsonl"))
+    assert len(seen["cached"]) >= 3 and seen["built"]
+    assert not set(seen["cached"]) & set(seen["built"])
+    assert len(seen["built"]) == len(set(seen["built"]))
+
+
 # ------------------------------------------------------------------- CLI
 
 def run_cli(*argv):
@@ -361,6 +385,14 @@ def test_cap_env_override(tmp_path, monkeypatch):
     assert run_cli("field-info", "--p", "11", "--m", "1") == 2  # 121 > 50
 
 
+def test_cli_huge_m_exits_2_at_once(capsys):
+    # the cap is decided without forming q^2 = 3^200000000
+    start = time.perf_counter()
+    err = _assert_usage_error(capsys, "field-info", "--p", "3", "--m", "100000000")
+    assert time.perf_counter() - start < 1
+    assert "q^2 = 3^200000000 exceeds the enumeration cap" in err
+
+
 def _assert_usage_error(capsys, *argv):
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err
@@ -460,6 +492,23 @@ def test_cli_resume_bad_record_value_exit_2(tmp_path, capsys):
         _rewrite_records(out, edit)
         err = _assert_usage_error(capsys, *argv, "--resume")
         assert err.startswith(f"error: {out}: {problem}") and "on record {" in err, err
+
+
+def test_cli_resume_huge_m_exit_2(tmp_path, capsys):
+    # a resumed record's m reaches build_tower, which refuses it at once
+    out = str(tmp_path / "cat.jsonl")
+    argv = ("search", "--r", "5", "--q-max", "20", "--include-norm-one", "--out", out)
+    assert run_cli(*argv) == 0
+    capsys.readouterr()
+
+    def huge_m(records):
+        records[0]["m"] = 100_000_000
+        return records
+    _rewrite_records(out, huge_m)
+    start = time.perf_counter()
+    err = _assert_usage_error(capsys, *argv, "--resume")
+    assert time.perf_counter() - start < 5
+    assert err.startswith(f"error: {out}: q^2 = ") and "exceeds the enumeration cap" in err
 
 
 def test_cli_resume_forged_record_exit_2(tmp_path, capsys):
