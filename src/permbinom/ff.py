@@ -22,8 +22,8 @@ g^a + g^b = g^(a + Z[b - a]).
 Construction is fully deterministic: the modulus is the lexicographically
 smallest monic irreducible (coefficients compared low-degree-first), found
 at both levels by one search on exactalg.mp_irreducible; the generator is
-the smallest index that generates the multiplicative group.  So catalogs
-are reproducible bit for bit across runs.
+the smallest index that generates the multiplicative group, searched past
+the base field, whose orders divide B - 1.  So catalogs replay bit for bit.
 """
 
 from __future__ import annotations
@@ -175,7 +175,7 @@ class FieldCtx:
         if n == 1:
             return 1
         primes = _prime_factors(n)
-        for cand in range(2, self.order):
+        for cand in range(2 if self.base is None else self.base.order, self.order):
             if self.base is None:
                 if all(pow(cand, n // ell, self.char) != 1 for ell in primes):
                     return cand

@@ -18,10 +18,11 @@ nonzero polynomial of degree <= 3 in z, so the only z that can pass are its
 roots in F_q and the nonsquare common roots y of E_1 and O_1, found by
 gcd(., z^q - z) and Cantor-Zassenhaus splitting (Math. Comp. 36, 1981) on
 exactalg's polynomial functions over F_q.  Those few candidates are then
-tested bracket by bracket; the sweep returns the passing z together with
-the first failing alpha of every other z.  The t = 2
-families are z values too: (r, z) = (1, 1/3) is family (iii) and
-(r, z) = (3, 3) is family (iv).
+tested bracket by bracket, but the norm-one z = -1 (the paper's case (i))
+needs none: sum_i (-1)^i C(alpha,i) C(i+s,alpha) = (-1)^alpha puts its
+first failing alpha in closed form.  The sweep returns the passing z and
+the first failing alpha of every other z.  The t = 2 families are z values
+too: (r, z) = (1, 1/3) is family (iii) and (r, z) = (3, 3) is family (iv).
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import zip_longest
 
-from .exactalg import is_probable_prime, mp_divmod, mp_gcd, mp_powmod, mp_sub
+from .exactalg import is_probable_prime, mp_divmod, mp_eval, mp_gcd, mp_powmod, mp_sub
 from .ff import FieldCtx, FieldElement, build_subfield, compute_z, enumeration_cap
-from .powersum import PowerSumIndex, surviving_alphas, t1_bracket, t2_bracket, t2_rows
+from .powersum import PowerSumIndex, surviving_alphas, t1_bracket, t2_rows
 
 __all__ = [
     "BinomialParams",
@@ -196,14 +197,21 @@ def t2_z_first_failure(sub: FieldCtx, q: int, r: int, y_idx: int, z_sub_idx: int
     """First odd alpha whose closed-form sum is nonzero, or None if all vanish.
 
     y_idx is z^2 as an F_q index; z_sub_idx is z itself when z lies in F_q,
-    None when it does not (then a bracket vanishes iff both of its halves do).
+    None when it does not (then a bracket vanishes iff both of its halves do,
+    so O(y) is read only when E(y) = 0).  For odd r, y = 1 (z = +-1) is closed
+    form: E(1) = O(1) = (-1)^alpha, so z = 1 fails at alpha = 1 and z = -1 where
+    d = q-1, at the first odd alpha with (alpha+1)(r-2) = 0 mod q+1.
     """
+    if y_idx == 1:
+        g = math.gcd(r - 2, q + 1)
+        return 1 if z_sub_idx == 1 else (None if g == 1 else (q + 1) // g - 1)
     for alpha in surviving_alphas(q, 2):
-        _, e_val, o_val = t2_bracket(alpha, r, sub, y_idx)
+        _, evens, odds = t2_rows(alpha, r, q, sub.char)
+        e_val = mp_eval(evens, y_idx, sub)
         if z_sub_idx is None:
-            if e_val or o_val:
+            if e_val or mp_eval(odds, y_idx, sub):
                 return alpha
-        elif sub.add(e_val, sub.mul(z_sub_idx, o_val)):
+        elif sub.add(e_val, sub.mul(z_sub_idx, mp_eval(odds, y_idx, sub))):
             return alpha
     return None
 

@@ -19,6 +19,7 @@ import os
 import random
 from collections import Counter
 from dataclasses import dataclass, fields
+from itertools import groupby
 from typing import get_type_hints
 
 from . import __version__, ppcheck
@@ -315,26 +316,26 @@ def _replay_catalog(path: str):
     must be the canonical text of its a_index, its z text must be z(a), and
     each distinct (q, r, t, z) must get the record's verdict from the fast
     test, which runs once per key since the t = 2 verdict depends on a only
-    through z.  The brute walk then re-decides each key on its second record
-    in catalog order (its first if it has only one), so a fibre the sweep
-    confirmed on its smallest-index a gets brute evidence from a second a.
+    through z.  Before the next q, the brute walk re-decides each key on its
+    second record in catalog order (its first if it has only one): evidence
+    from an a other than the sweep's, while no sample outlives the cache.
     ValueError naming the catalog and the record on any mismatch, and on
     any record value the tower, the parser or the parameters reject."""
     _, records, _ = read_catalog(path)
-    verdicts: dict[tuple, bool] = {}
-    samples: dict[tuple, list] = {}  # key -> its first two (record, params)
     # newest q first, while the sweep's last towers and bracket rows are
     # still cached; the sort is stable, so each q keeps its catalog order
-    for rec in sorted(records, key=lambda rec: -rec.q):
-        try:
-            problem = _replay_problem(rec, verdicts, samples)
-        except ValueError as exc:
-            problem = str(exc)
-        if problem:
-            raise ValueError(f"{path}: {problem} on record {json.dumps(rec.to_dict())}")
-    for rec, params in sorted((picks[-1] for picks in samples.values()), key=lambda pick: pick[0].q):
-        if ppcheck.is_pp_brute(params).is_pp != rec.is_pp:
-            raise ValueError(f"{path}: brute sample mismatch on record {json.dumps(rec.to_dict())}")
+    for _, q_records in groupby(sorted(records, key=lambda rec: -rec.q), key=lambda rec: rec.q):
+        verdicts, samples = {}, {}  # key -> fast verdict, key -> its first two (record, params)
+        for rec in q_records:
+            try:
+                problem = _replay_problem(rec, verdicts, samples)
+            except ValueError as exc:
+                problem = str(exc)
+            if problem:
+                raise ValueError(f"{path}: {problem} on record {json.dumps(rec.to_dict())}")
+        for rec, params in (picks[-1] for picks in samples.values()):
+            if ppcheck.is_pp_brute(params).is_pp != rec.is_pp:
+                raise ValueError(f"{path}: brute sample mismatch on record {json.dumps(rec.to_dict())}")
 
 
 def _replay_problem(rec: SearchRecord, verdicts: dict, samples: dict) -> str | None:
@@ -464,7 +465,8 @@ def thm21_desk_sweep(r: int, q_cap_sq: int | None = None, jobs: int = 1) -> dict
     first nonzero bracket is at alpha."""
     cap = enumeration_cap() if q_cap_sq is None else q_cap_sq
     qs = _admissible_qs(r, math.isqrt(cap), cap)
-    tasks = [(p, m, q, r) for (p, m, q) in qs if q >= thm21_bound(r, p)]
+    bounds = {p: thm21_bound(r, p) for p in {p for p, _, _ in qs}}  # one primality test per p
+    tasks = [(p, m, q, r) for (p, m, q) in qs if q >= bounds[p]]
     if not tasks:  # no q to sweep would confirm the bound vacuously
         raise ValueError(f"no admissible q at or above the bound for r = {r} within the cap {cap}")
     results = _pmap(_thm21_one, tasks, jobs)

@@ -491,3 +491,29 @@ def test_desk_sweep_first_failure_matches_twin():
     assert out["first_failure"] == dict(sorted(first.items()))
     assert thm21_desk_sweep(5, q_cap_sq=10**4, jobs=2) == out  # histograms cross the pool
     assert out["first_failure"][1] > sum(out["first_failure"].values()) // 2
+
+
+def _norm_one_bracket_loop(sub, q, r, z):
+    """The bracket loop at y = z^2 = 1, the twin of the closed-form verdict."""
+    for alpha in surviving_alphas(q, 2):
+        _, e_val, o_val = powersum.t2_bracket(alpha, r, sub, 1)
+        if sub.add(e_val, sub.mul(z, o_val)):
+            return alpha
+    return None
+
+
+def test_norm_one_closed_form_matches_bracket_loop():
+    pairs, passing = 0, Counter()
+    for p, m, q in odd_prime_powers(81):
+        sub = build_subfield(p, m)
+        for r in range(1, 2 * (q + 1), 2):
+            if math.gcd(r, q - 1) != 1:
+                continue
+            pairs += 1
+            for z in (1, sub.neg(1)):
+                alpha = _norm_one_bracket_loop(sub, q, r, z)
+                assert t2_z_first_failure(sub, q, r, 1, z) == alpha, (q, r, z)
+                passing[z == 1, alpha is None] += 1
+    assert pairs == 742
+    # z = 1 always fails; z = -1 both passes and fails at some alpha > 1
+    assert passing[True, True] == 0 and passing[False, True] and passing[False, False]

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -154,9 +155,13 @@ def test_cross_validate_rejects_even_q_for_t2():
     assert len(reports) == 1 and not reports[0].ok and "rejected" in reports[0].notes
 
 
-def test_thm21_desk_sweep_small():
+def test_thm21_desk_sweep_small(monkeypatch):
+    # the bound's primality test runs once per p, not once per q
+    tested = []
+    monkeypatch.setattr(ppcheck, "is_probable_prime", lambda p: tested.append(p) or True)
     out = thm21_desk_sweep(5, q_cap_sq=10000)
     assert out["confirmed"] and out["q_swept"] > 0
+    assert sorted(tested) == sorted(set(tested)) and 3 in tested
 
 
 def test_thm21_desk_sweep_empty_range_raises():
@@ -254,6 +259,37 @@ def test_replay_reuses_the_towers_the_sweep_left_cached(tmp_path, monkeypatch):
     assert len(seen["cached"]) >= 3 and seen["built"]
     assert not set(seen["cached"]) & set(seen["built"])
     assert len(seen["built"]) == len(set(seen["built"]))
+
+
+def _live_contexts() -> list:
+    """Every field context alive."""
+    gc.collect()
+    return [ctx for ctx in gc.get_objects() if isinstance(ctx, ff.FieldCtx)]
+
+
+def test_replay_keeps_tables_within_the_tower_cache_bound(tmp_path, monkeypatch):
+    # each brute sample is walked before the replay builds the next q's tower,
+    # so what is alive then is the cache plus at most the tower being walked
+    monkeypatch.setattr(ff, "_towers", type(ff._towers)())
+    monkeypatch.setattr(ff, "TOWER_CACHE_BYTES", 30_000)  # about one tower near q = 49
+    brute, replay, live = ppcheck.is_pp_brute, search._replay_catalog, []
+    earlier = _live_contexts()  # held elsewhere in the session; kept, so no id is reused
+    old = set(map(id, earlier))
+
+    def measured_brute(params):
+        if live:
+            held = sum(ff._table_bytes((ctx,)) for ctx in _live_contexts() if id(ctx) not in old)
+            live.append((held, ff._table_bytes((params.sub, params.ctx2))))
+        return brute(params)
+
+    def measured_replay(path):
+        live.append((0, 0))  # from here on, every brute walk is the replay's
+        replay(path)
+    monkeypatch.setattr(ppcheck, "is_pp_brute", measured_brute)
+    monkeypatch.setattr(search, "_replay_catalog", measured_replay)
+    search_exceptional(5, 60, include_norm_one=True, out=str(tmp_path / "cat.jsonl"))
+    biggest = max(tower for _, tower in live)
+    assert len(live) > 10 and max(held for held, _ in live) <= ff.TOWER_CACHE_BYTES + biggest
 
 
 # ------------------------------------------------------------------- CLI
