@@ -313,10 +313,15 @@ def power_sum_t1_closed(r: int, a: FieldElement, s) -> FieldElement:
 def power_sum_brute(r: int, t: int, a: FieldElement, s: int) -> FieldElement:
     """The oracle: literally sum f(x)^s over every x in F_{q^2}.
 
-    No algebraic shortcuts beyond table lookups for the field arithmetic;
-    cost is one evaluation per field element.  f(g^k) is read in log form,
+    No algebraic shortcuts beyond table lookups for the field arithmetic and
+    integer arithmetic on exponents.  f(g^k) is read in log form,
     log(a + g^j) = log a + Z[j - log a] on the Zech table, and the counts of
-    each power g^j are summed by the same rule.
+    each power g^j are summed by the same rule.  With j = t(q-1)k the Zech
+    entry depends only on k mod q+1, since t(q-1)(q+1) = 0 mod q^2-1; so the
+    q+1 entries are read once and the walk goes class by class,
+    k = k0 + (q+1)i for 0 <= i < q-1.  Within a class log f(x)^s steps by
+    r*s*(q+1) and repeats with period L = (q-1)/gcd(r*s, q-1), so each of
+    its L exponents is counted gcd(r*s, q-1) times; L = 1 for every useful s.
     """
     ctx2 = a.ctx
     if ctx2.base is None:
@@ -327,17 +332,21 @@ def power_sum_brute(r: int, t: int, a: FieldElement, s: int) -> FieldElement:
         raise ValueError("r, t, s must be positive")
     q = ctx2.base.order
     n = ctx2.order - 1
-    te = t * (q - 1) % n
+    te = t * (q - 1)
     exp, log, zech = ctx2._exp, ctx2._log, ctx2._zech
     la = log[a.idx]
+    repeats = math.gcd(r * s, q - 1)
+    period = (q - 1) // repeats
+    step = r * s * (q + 1)
     counts = [0] * n
-    # log f(g^k)^s = s*(r*k + la) + s*z with z = Z[te*k - la]; s*(r*k + la)
-    # and te*k - la step as progressions in k
-    rs = r * s
-    for e, j in zip(range(la * s, la * s + rs * n, rs), range(-la, te * n - la, te)):
-        z = zech[j % n]
-        if z >= 0:  # z = -1: f(x) = 0 contributes nothing
-            counts[(e + z * s) % n] += 1
+    # log f(g^k)^s = s*(r*k + la + z) with z = Z[te*k - la], one z per class
+    for k0 in range(q + 1):
+        z = zech[(te * k0 - la) % n]
+        if z < 0:  # f(x) = 0 on the whole class contributes nothing
+            continue
+        e0 = s * (r * k0 + la + z)
+        for e in range(e0, e0 + step * period, step):
+            counts[e % n] += repeats
     # x = 0 contributes f(0)^s = 0 since r >= 1, s >= 1
     p = ctx2.char
     log_c = [log[c] for c in range(p)]

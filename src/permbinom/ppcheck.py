@@ -28,10 +28,9 @@ too: (r, z) = (1, 1/3) is family (iii) and (r, z) = (3, 3) is family (iv).
 from __future__ import annotations
 
 import math
-from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import cycle, zip_longest
 
 from .exactalg import is_probable_prime, mp_divmod, mp_eval, mp_gcd, mp_powmod, mp_sub
 from .ff import FieldCtx, FieldElement, build_subfield, compute_z, enumeration_cap
@@ -151,10 +150,14 @@ class FamilyTag:
 def is_pp_brute(params: BinomialParams) -> PPVerdict:
     """Evaluate f on every element; bijection iff no collision.
 
-    f(g^k) = g^(r*k) * (a + g^(te*k)) is read off the Zech table,
-    log(a + g^j) = log a + Z[j - log a], one lookup per element.  The first
-    collision found in enumeration order (g^0, g^1, ..., 0) is returned as a
-    witness.
+    Elements are enumerated in the order 0, g^0, g^1, ..., g^(Q-2), and the
+    first collision is returned as a witness: x2 is the first element whose
+    image is already taken, x1 the earlier element with that image (x1 = 0
+    when the image is 0).  f(g^k) = g^(r*k) * (a + g^(te*k)) is read off the
+    Zech table, log(a + g^j) = log a + Z[j - log a]; since te*(q+1) = 0 mod
+    Q-1, that entry depends only on k mod q+1, so one row of q+1 entries
+    serves the whole walk.  Images are marked by their logs in a bytearray of
+    Q-1 bytes, and x1 is recovered by one rescan of the earlier elements.
     """
     ctx2 = params.ctx2
     Q = ctx2.order
@@ -163,21 +166,22 @@ def is_pp_brute(params: BinomialParams) -> PPVerdict:
     n = Q - 1
     q = params.q
     r, t, a_idx = params.r, params.t, params.a.idx
-    te = t * (q - 1) % n
-    preimage = array("i", [-1]) * Q  # log index of the first preimage; n means x = 0
-    preimage[0] = n
+    te = t * (q - 1)
     exp, zech = ctx2._exp, ctx2._zech
     la = ctx2._log[a_idx]
-    for k, rk, j in zip(range(n), range(la, la + r * n, r), range(-la, te * n - la, te)):
-        z = zech[j % n]
-        fx = 0 if z < 0 else exp[(rk + z) % n]
-        prev = preimage[fx]
-        if prev >= 0:
-            x1 = ctx2.zero() if prev == n else ctx2.element(exp[prev])
-            x2 = ctx2.element(exp[k])
-            value = ctx2.element(fx)
-            return PPVerdict(False, "brute", Collision(x1, x2, value))
-        preimage[fx] = k
+    zrow = [zech[(te * k0 - la) % n] for k0 in range(q + 1)]
+    seen = bytearray(n)  # seen[e]: some earlier g^k has f(g^k) = g^e
+    for k, rk, z in zip(range(n), range(la, la + r * n, r), cycle(zrow)):
+        if z < 0:  # f(g^k) = 0 = f(0)
+            zero = ctx2.zero()
+            return PPVerdict(False, "brute", Collision(zero, ctx2.element(exp[k]), zero))
+        e = (rk + z) % n
+        if seen[e]:
+            k1 = next(k1 for k1, rk1, z1 in zip(range(k), range(la, la + r * k, r), cycle(zrow))
+                      if (rk1 + z1) % n == e)
+            x1, x2 = ctx2.element(exp[k1]), ctx2.element(exp[k])
+            return PPVerdict(False, "brute", Collision(x1, x2, ctx2.element(exp[e])))
+        seen[e] = 1
     return PPVerdict(True, "brute")
 
 

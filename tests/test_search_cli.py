@@ -326,6 +326,45 @@ def test_cli_is_pp_and_classify(capsys):
     assert out["tag"] == "thm42"
 
 
+BRUTE_CLI_PINS = [
+    ("is-pp --p 3 --r 5 --t 2 --a 2 --method brute",
+     '{"is_pp": false, "method": "brute", "witness": "Collision(x1=<[0,0] in GF(9)>, '
+     'x2=<[1,0] in GF(9)>, value=<[0,0] in GF(9)>)"}'),
+    ("is-pp --p 3 --r 1 --t 2 --a g^2 --method brute", '{"is_pp": true, "method": "brute"}'),
+    ("is-pp --p 5 --r 3 --t 2 --a g^4 --method brute",
+     '{"is_pp": false, "method": "brute", "witness": "Collision(x1=<[0,0] in GF(25)>, '
+     'x2=<[3,3] in GF(25)>, value=<[0,0] in GF(25)>)"}'),
+    ("is-pp --p 7 --r 4 --t 2 --a g^5 --method brute",
+     '{"is_pp": false, "method": "brute", "witness": "Collision(x1=<[3,4] in GF(49)>, '
+     'x2=<[2,6] in GF(49)>, value=<[1,2] in GF(49)>)"}'),
+    ("is-pp --p 3 --m 2 --r 7 --t 3 --a g^11 --method brute",
+     '{"is_pp": false, "method": "brute", "witness": "Collision(x1=<[[1,0],[1,0]] in GF(81)>, '
+     'x2=<[[0,1],[1,2]] in GF(81)>, value=<[[2,1],[0,2]] in GF(81)>)"}'),
+    ("is-pp --p 2 --m 2 --r 1 --t 1 --a g^1 --method brute", '{"is_pp": true, "method": "brute"}'),
+    ("is-pp --p 2 --m 3 --r 2 --t 2 --a g^9 --method brute", '{"is_pp": true, "method": "brute"}'),
+    ("is-pp --p 2 --m 3 --r 3 --t 1 --a g^5 --method brute",
+     '{"is_pp": false, "method": "brute", "witness": "Collision(x1=<[[1,0,1],[1,0,0]] in GF(64)>, '
+     'x2=<[[0,1,0],[1,1,1]] in GF(64)>, value=<[[0,1,1],[1,0,1]] in GF(64)>)"}'),
+    ("power-sum --p 5 --r 3 --t 2 --a [3,1] --alpha 1 --brute",
+     '{"s": 16, "alpha": 1, "beta": 3, "method": "brute", "value": "[2,4]"}'),
+    ("power-sum --p 3 --m 2 --r 5 --t 2 --a g^7 --alpha 3 --beta 4 --brute",
+     '{"s": 39, "alpha": 3, "beta": 4, "method": "brute", "value": "[[0,0],[0,0]]"}'),
+    ("power-sum --p 7 --r 4 --t 1 --a g^10 --alpha 2 --beta 0 --brute",
+     '{"s": 2, "alpha": 2, "beta": 0, "method": "brute", "value": "[0,0]"}'),
+    ("power-sum --p 2 --m 3 --r 3 --t 1 --a g^5 --alpha 2 --brute",
+     '{"s": 42, "alpha": 2, "beta": 5, "method": "brute", "value": "[[1,0,0],[1,0,0]]"}'),
+    ("power-sum --p 2 --m 2 --r 2 --t 2 --a g^3 --alpha 1 --beta 3 --brute",
+     '{"s": 13, "alpha": 1, "beta": 3, "method": "brute", "value": "[[0,0],[0,0]]"}'),
+]
+
+
+@pytest.mark.parametrize("argv,stdout", BRUTE_CLI_PINS)
+def test_cli_brute_output_pinned(argv, stdout, capsys):
+    # the witness is the first collision in the order 0, g^0, g^1, ...
+    assert run_cli(*argv.split()) == 0
+    assert capsys.readouterr().out == stdout + "\n"
+
+
 def test_cli_bound(capsys):
     assert run_cli("bound", "--r", "5", "--p", "3") == 0
     assert capsys.readouterr().out.strip() == "25"
