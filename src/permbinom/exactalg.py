@@ -317,10 +317,9 @@ def to_modp(f, p: int) -> list[int]:
 # The mp_* functions take coefficient sequences, constant term first, over
 # a ring F that supplies add, sub, mul, neg, pow and div.  mp_sub, mp_mul,
 # mp_divmod, mp_eval and mp_monic also serve the exact wrapper classes, and
-# mp_resultant serves RatPoly (Q); the rest need a field context (a FieldCtx
-# of any order q, on F indices).  A
-# prime context's indices are its residues, so to_modp output feeds in
-# unchanged.
+# mp_resultant serves RatPoly (Q); the rest need a field of any order q, on
+# its indices: an ff.PrimeField, whose indices are its residues, so to_modp
+# output feeds in unchanged, or an ff.FieldCtx extension.
 
 def mp_sub(a, b, F):
     out = list(a) + [0] * (len(b) - len(a))
@@ -349,7 +348,7 @@ def mp_divmod(a, b, F):
     rem, dd, lead = list(a), len(b) - 1, b[-1]
     quo = [0] * max(0, len(rem) - dd)
     for k in range(len(rem) - 1, dd - 1, -1):
-        c = quo[k - dd] = F.div(rem.pop(), lead)
+        c = quo[k - dd] = rem.pop() if lead == 1 else F.div(rem.pop(), lead)
         if c:
             nc = F.neg(c)
             for i in range(dd):
@@ -396,7 +395,6 @@ def mp_irreducible(f, F) -> bool:
     Uses gcds with z^(q^i) - z, whose roots are exactly the elements of the
     degree-i extensions of F.
     """
-    f = mp_monic(f, F)
     n = len(f) - 1
     if n <= 0:
         return False
@@ -404,6 +402,7 @@ def mp_irreducible(f, F) -> bool:
         return True
     if not f[0]:  # z divides f
         return False
+    f = mp_monic(f, F)
     frob = [0, 1]
     for _ in range(n // 2):
         frob = mp_powmod(frob, F.order, f, F)

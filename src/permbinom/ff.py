@@ -7,16 +7,17 @@ index of a base-field element.  Flattened all the way down this is the
 base-p digit expansion, and the subfield F_q sits inside F_{q^2} as the
 indexes below q.
 
-Arithmetic runs on generator exp/log tables built once per context by
+A prime field, PrimeField, runs on its residues: add, neg and mul mod p,
+and pow for powers, inverses and g^k, with no table.  An extension,
+FieldCtx, runs on generator exp/log tables built once per context by
 stepping through the powers of the generator g, stored as `array('i')`
-with log[0] = -1 for zero.  A prime field steps k -> k*g mod p, and adds
-and multiplies mod p.  An extension steps the coefficient vector of g^k by
-the matrix of x -> x*g over the base, whose columns X^j*g mod f come from
-exactalg.mp_divmod; for F_{p^2} = F_p[X]/(X^2 + m1*X + m0), the F_{q^2} of
-every prime q, that matrix is unrolled into two linear forms mod p on ints.
-The generator test is pow on a prime field and exactalg.mp_powmod on an
-extension.  An extension field adds through a Zech-log table
-Z[k] = log(1 + g^k) (Huber, IEEE Trans. IT 36(4), 1990):
+with log[0] = -1 for zero.  The step multiplies the coefficient vector of
+g^k by the matrix of x -> x*g over the base, whose columns X^j*g mod f come
+from exactalg.mp_divmod; for F_{p^2} = F_p[X]/(X^2 + m1*X + m0), the
+F_{q^2} of every prime q, that matrix is unrolled into two linear forms mod
+p on ints.  The generator test is pow on a prime field and
+exactalg.mp_powmod on an extension.  An extension adds through a Zech-log
+table Z[k] = log(1 + g^k) (Huber, IEEE Trans. IT 36(4), 1990):
 g^a + g^b = g^(a + Z[b - a]).
 
 Construction is fully deterministic: the modulus is the lexicographically
@@ -41,6 +42,7 @@ __all__ = [
     "enumeration_cap",
     "CapExceededError",
     "PrimePower",
+    "PrimeField",
     "FieldCtx",
     "FieldElement",
     "build_tower",
@@ -108,54 +110,133 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-class FieldCtx:
-    """One level of the tower; immutable after construction.
+class _Field:
+    """What both kinds of field share, on top of each kind's add, neg, mul,
+    pow, exp and render.  p is trusted, as build_subfield has checked it."""
+
+    __slots__ = ("char", "order", "gen_idx", "_n")
+
+    def _smallest_generator(self, start: int, power) -> int:
+        """The smallest index from start up that generates the multiplicative
+        group: power(x, n / l) != 1 for every prime l dividing n = order - 1."""
+        cofactors = [self._n // ell for ell in _prime_factors(self._n)]
+        return next(x for x in range(start, self.order) if all(power(x, e) != 1 for e in cofactors))
+
+    def sub(self, i: int, j: int) -> int:
+        return self.add(i, self.neg(j))
+
+    def div(self, i: int, j: int) -> int:
+        return self.mul(i, self.inv(j))
+
+    def element(self, idx: int) -> "FieldElement":
+        if not 0 <= idx < self.order:
+            raise ValueError(f"index {idx} out of range for field of order {self.order}")
+        return FieldElement(self, idx)
+
+    def zero(self) -> "FieldElement":
+        return FieldElement(self, 0)
+
+    def one(self) -> "FieldElement":
+        return FieldElement(self, 1)
+
+    def generator(self) -> "FieldElement":
+        return FieldElement(self, self.gen_idx)
+
+    def embed_int(self, n: int) -> int:
+        """Image of the rational integer n in the prime subfield."""
+        return n % self.char
+
+    def parse(self, text: str) -> int:
+        """Accepts the bracket form, g^k exponent notation, or a bare integer."""
+        text = text.strip()
+        if text.startswith("g^"):
+            return self.exp(int(text[2:]))
+        if text == "g":
+            return self.gen_idx
+        if text.startswith("["):
+            return self._parse_bracket(text)
+        return int(text) % self.char
+
+
+class PrimeField(_Field):
+    """F_p on its residues 0..p-1: add, neg and mul mod p, and pow for
+    powers, inverses and g^k.  No table; the generator is the smallest
+    residue that generates F_p*, found by pow."""
+
+    __slots__ = ()
+    base = modulus = None  # the bottom of every tower
+    abs_degree = 1
+
+    def __init__(self, p: int):
+        self.char = self.order = p
+        self._n = p - 1
+        self.gen_idx = self._smallest_generator(1, self.pow)  # 1 passes only for p = 2
+
+    def add(self, i: int, j: int) -> int:
+        return (i + j) % self.char
+
+    def neg(self, i: int) -> int:
+        return -i % self.char
+
+    def mul(self, i: int, j: int) -> int:
+        return i * j % self.char
+
+    def inv(self, i: int) -> int:
+        if not i:  # pow itself would raise ValueError
+            raise ZeroDivisionError("inverse of zero")
+        return pow(i, -1, self.char)
+
+    def pow(self, i: int, e: int) -> int:
+        if not i and e < 0:
+            raise ZeroDivisionError("0 to a negative power")
+        return pow(i, e, self.char)
+
+    def exp(self, k: int) -> int:
+        return pow(self.gen_idx, k, self.char)
+
+    def render(self, idx: int) -> str:
+        return str(idx)
+
+    def _parse_bracket(self, text: str) -> int:
+        raise ValueError(f"unexpected bracket for prime-field element: {text}")
+
+    def describe(self) -> dict:
+        """Construction data: (p, m, modulus), with no modulus."""
+        return {"p": self.char, "m": 1, "modulus": None}
+
+    def __repr__(self):
+        return f"PrimeField({self.char})"
+
+
+class FieldCtx(_Field):
+    """An extension level of the tower, on exp/log/Zech tables; immutable
+    after construction.
 
     Safe to share across workers: every table is built in __init__ and never
-    mutated afterwards.  p is trusted, as build_subfield has checked it;
-    abs_degree is the degree m over F_p.
+    mutated afterwards.  abs_degree is the degree m over F_p.
     """
 
-    __slots__ = (
-        "base",
-        "modulus",
-        "char",
-        "order",
-        "degree",
-        "abs_degree",
-        "gen_idx",
-        "_exp",
-        "_log",
-        "_zech",
-        "_n",
-    )
+    __slots__ = ("base", "modulus", "degree", "abs_degree", "_exp", "_log", "_zech")
 
-    def __init__(self, base: "FieldCtx | None", modulus: tuple[int, ...] | None, p: int | None = None):
-        if base is None:
-            if modulus is not None:
-                raise ValueError("prime field takes no modulus")
-            self.base = None
-            self.char = p
-            self.degree = 1
-            self.order = p
-            self.abs_degree = 1
-            self.modulus = None
-        else:
-            if modulus is None or len(modulus) < 3 or modulus[-1] != 1:
-                raise ValueError("extension needs a monic modulus of degree >= 2")
-            self.base = base
-            self.char = base.char
-            self.degree = len(modulus) - 1
-            self.order = base.order**self.degree
-            self.abs_degree = base.abs_degree * self.degree
-            self.modulus = tuple(modulus)
+    def __init__(self, base: FieldCtx | PrimeField, modulus: tuple[int, ...]):
+        if len(modulus) < 3 or modulus[-1] != 1:
+            raise ValueError("extension needs a monic modulus of degree >= 2")
+        self.base = base
+        self.char = base.char
+        self.degree = len(modulus) - 1
+        self.order = base.order**self.degree
+        self.abs_degree = base.abs_degree * self.degree
+        self.modulus = tuple(modulus)
         self._n = self.order - 1
-        self.gen_idx = self._find_generator()
+        # base elements have orders dividing B - 1, so start past them
+        self.gen_idx = self._smallest_generator(
+            base.order, lambda x, e: self._encode(mp_powmod(self.coeffs(x), e, self.modulus, base)))
         self._build_tables()
 
     # --- coefficient vectors over the base ---
 
-    def _decode(self, idx: int) -> list[int]:
+    def coeffs(self, idx: int) -> list[int]:
+        """Coefficient vector over the base field (indexes)."""
         B = self.base.order
         out = []
         for _ in range(self.degree):
@@ -170,33 +251,13 @@ class FieldCtx:
             idx = idx * B + d
         return idx
 
-    def _find_generator(self) -> int:
-        n = self._n
-        if n == 1:
-            return 1
-        primes = _prime_factors(n)
-        for cand in range(2 if self.base is None else self.base.order, self.order):
-            if self.base is None:
-                if all(pow(cand, n // ell, self.char) != 1 for ell in primes):
-                    return cand
-            elif all(mp_powmod(self._decode(cand), n // ell, self.modulus, self.base) != [1]
-                     for ell in primes):
-                return cand
-        raise AssertionError("no generator found")  # pragma: no cover
-
     def _build_tables(self):
         n = self._n
         exp = array("i", [0]) * n
         log = array("i", [-1]) * self.order  # zero has no log: -1
         cur = 1
         g = self.gen_idx
-        if self.base is None:
-            p = self.char
-            for k in range(n):
-                exp[k] = cur
-                log[cur] = k
-                cur = cur * g % p
-        elif self.degree == 2 and self.base.base is None:
+        if self.degree == 2 and isinstance(self.base, PrimeField):
             # F_p[X]/(X^2 + m1*X + m0) with g = g0 + g1*X: (c0 + c1*X)*g is
             # (c0*g0 - c1*k0) + (c0*g1 + c1*k1)*X, k0 = g1*m0, k1 = g0 - g1*m1
             p = self.char
@@ -213,7 +274,7 @@ class FieldCtx:
             # x -> x*g is linear over the base: column j is X^j * g mod f
             b, d = self.base, self.degree
             add, mul, encode = b.add, b.mul, self._encode
-            cols = [mp_divmod([0] * j + self._decode(g), self.modulus, b)[1] for j in range(d)]
+            cols = [mp_divmod([0] * j + self.coeffs(g), self.modulus, b)[1] for j in range(d)]
             c = [1] + [0] * (d - 1)
             for k in range(n):
                 exp[k] = cur
@@ -229,9 +290,6 @@ class FieldCtx:
             raise AssertionError("generator order mismatch")
         self._exp = exp
         self._log = log
-        if self.base is None:
-            self._zech = array("i")
-            return
         # Z[k] = log(1 + g^k).  Adding 1 steps only the lowest base-p digit
         # of an index, v -> v + 1, or v - (p - 1) when v % p = p - 1, so
         # log(1 + v) over all v is log shifted down one place with every
@@ -246,8 +304,6 @@ class FieldCtx:
     # --- fast index arithmetic ---
 
     def add(self, i: int, j: int) -> int:
-        if self.base is None:
-            return (i + j) % self.char
         if not i:
             return j
         if not j:
@@ -258,19 +314,12 @@ class FieldCtx:
         return 0 if z < 0 else self._exp[(li + z) % n]
 
     def neg(self, i: int) -> int:
-        if self.base is None:
-            return -i % self.char
         if not i or self.char == 2:
             return i
         # -1 = g^(n/2) for odd p
         return self._exp[(self._log[i] + (self._n >> 1)) % self._n]
 
-    def sub(self, i: int, j: int) -> int:
-        return self.add(i, self.neg(j))
-
     def mul(self, i: int, j: int) -> int:
-        if self.base is None:
-            return i * j % self.char
         if i == 0 or j == 0:
             return 0
         return self._exp[(self._log[i] + self._log[j]) % self._n]
@@ -279,13 +328,6 @@ class FieldCtx:
         if i == 0:
             raise ZeroDivisionError("inverse of zero")
         return self._exp[-self._log[i] % self._n]
-
-    def div(self, i: int, j: int) -> int:
-        if j == 0:
-            raise ZeroDivisionError("division by zero")
-        if i == 0:
-            return 0
-        return self._exp[(self._log[i] - self._log[j]) % self._n]
 
     def pow(self, i: int, e: int) -> int:
         """i^e with the exponent reduced mod (order-1) for nonzero i."""
@@ -307,56 +349,14 @@ class FieldCtx:
 
     # --- structure ---
 
-    def coeffs(self, idx: int) -> list[int]:
-        """Coefficient vector over the base field (indexes)."""
-        if self.base is None:
-            return [idx]
-        return self._decode(idx)
-
     def in_subfield(self, idx: int) -> bool:
         """Is this element in the base field (coefficients above c_0 all zero)?"""
-        if self.base is None:
-            return True
         return idx < self.base.order
 
-    def element(self, idx: int) -> "FieldElement":
-        if not 0 <= idx < self.order:
-            raise ValueError(f"index {idx} out of range for field of order {self.order}")
-        return FieldElement(self, idx)
-
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    def generator(self) -> "FieldElement":
-        return FieldElement(self, self.gen_idx)
-
-    def embed_int(self, n: int) -> int:
-        """Image of the rational integer n in the prime subfield."""
-        return n % self.char
-
     def render(self, idx: int) -> str:
-        if self.base is None:
-            return str(idx)
-        return "[" + ",".join(self.base.render(c) for c in self._decode(idx)) + "]"
-
-    def parse(self, text: str) -> int:
-        """Accepts the bracket form, g^k exponent notation, or a bare integer."""
-        text = text.strip()
-        if text.startswith("g^"):
-            return self._exp[int(text[2:]) % self._n] if self._n else 1
-        if text == "g":
-            return self.gen_idx
-        if not text.startswith("["):
-            val = int(text)
-            return val % self.char
-        return self._parse_bracket(text)
+        return "[" + ",".join(self.base.render(c) for c in self.coeffs(idx)) + "]"
 
     def _parse_bracket(self, text: str) -> int:
-        if self.base is None:
-            raise ValueError(f"unexpected bracket for prime-field element: {text}")
         inner = text.strip()
         if not (inner.startswith("[") and inner.endswith("]")):
             raise ValueError(f"bad element syntax: {text}")
@@ -384,9 +384,7 @@ class FieldCtx:
 
     def describe(self) -> dict:
         """Construction data: (p, m, modulus coefficient vectors)."""
-        mod = None
-        if self.modulus is not None:
-            mod = [self.base.coeffs(c) if self.base.base else c for c in self.modulus]
+        mod = [self.base.coeffs(c) if isinstance(self.base, FieldCtx) else c for c in self.modulus]
         return {"p": self.char, "m": self.abs_degree, "modulus": mod}
 
     def __repr__(self):
@@ -398,7 +396,7 @@ class FieldElement:
 
     __slots__ = ("ctx", "idx")
 
-    def __init__(self, ctx: FieldCtx, idx: int):
+    def __init__(self, ctx: FieldCtx | PrimeField, idx: int):
         self.ctx = ctx
         self.idx = idx
 
@@ -467,7 +465,7 @@ class FieldElement:
         return f"<{self.text} in GF({self.ctx.order})>"
 
 
-def _lex_smallest_irreducible(base: FieldCtx, degree: int) -> tuple[int, ...]:
+def _lex_smallest_irreducible(base: FieldCtx | PrimeField, degree: int) -> tuple[int, ...]:
     """Smallest monic irreducible of the given degree over base, coefficients
     compared low-degree-first as indices (c_0 is the most significant
     position)."""
@@ -476,13 +474,15 @@ def _lex_smallest_irreducible(base: FieldCtx, degree: int) -> tuple[int, ...]:
 
 
 # Towers are cached least recently used first, up to this many bytes of
-# exp/log/Zech tables over both levels; the newest tower is always kept.
+# exp/log/Zech tables over their extension levels; the newest tower is
+# always kept.
 TOWER_CACHE_BYTES = 256 * 2**20
-_towers: OrderedDict[tuple[int, int], tuple[FieldCtx, FieldCtx]] = OrderedDict()
+_towers: OrderedDict[tuple[int, int], tuple[FieldCtx | PrimeField, FieldCtx]] = OrderedDict()
 
 
-def _table_bytes(tower: tuple[FieldCtx, FieldCtx]) -> int:
-    return sum(t.buffer_info()[1] * t.itemsize for f in tower for t in (f._exp, f._log, f._zech))
+def _table_bytes(fields) -> int:
+    return sum(t.buffer_info()[1] * t.itemsize for f in fields if isinstance(f, FieldCtx)
+               for t in (f._exp, f._log, f._zech))
 
 
 def _check_cap(name: str, p: int, e: int):
@@ -492,7 +492,7 @@ def _check_cap(name: str, p: int, e: int):
         raise CapExceededError(f"{name} = {p}^{e} exceeds the enumeration cap {cap}")
 
 
-def build_tower(p: int, m: int) -> tuple[FieldCtx, FieldCtx]:
+def build_tower(p: int, m: int) -> tuple[FieldCtx | PrimeField, FieldCtx]:
     """Build (F_q, F_{q^2}) for q = p^m, deterministically.
 
     Raises if p is not prime or q^2 exceeds the enumeration cap (default
@@ -511,15 +511,13 @@ def build_tower(p: int, m: int) -> tuple[FieldCtx, FieldCtx]:
     return tower
 
 
-def build_subfield(p: int, m: int) -> FieldCtx:
+def build_subfield(p: int, m: int) -> FieldCtx | PrimeField:
     """F_q alone (cheap: only needs q <= cap, not q^2); checks p and m, once,
-    for every tower."""
+    for every tower.  A PrimeField when m = 1."""
     PrimePower(p, m)  # ValueError unless m >= 1 and p is prime
     _check_cap("q", p, m)
-    fp = FieldCtx(None, None, p=p)
-    if m == 1:
-        return fp
-    return FieldCtx(fp, _lex_smallest_irreducible(fp, m))
+    fp = PrimeField(p)
+    return fp if m == 1 else FieldCtx(fp, _lex_smallest_irreducible(fp, m))
 
 
 def compute_z(a: FieldElement) -> FieldElement:
@@ -540,16 +538,12 @@ def compute_z(a: FieldElement) -> FieldElement:
     return FieldElement(ctx2, ctx2.pow(ctx2.neg(a.idx), e))
 
 
-def enumerate_elements(ctx: FieldCtx, which: str = "all"):
+def enumerate_elements(ctx: FieldCtx | PrimeField, which: str = "all"):
     """Deterministic element stream: g^0, g^1, ..., then zero ('all'), or
     without the zero ('nonzero')."""
-    n = ctx.order - 1
-    if which == "all":
-        for k in range(n):
-            yield FieldElement(ctx, ctx._exp[k])
-        yield FieldElement(ctx, 0)
-    elif which == "nonzero":
-        for k in range(n):
-            yield FieldElement(ctx, ctx._exp[k])
-    else:
+    if which not in ("all", "nonzero"):
         raise ValueError(f"unknown enumeration mode {which!r}")
+    for k in range(ctx.order - 1):
+        yield FieldElement(ctx, ctx.exp(k))
+    if which == "all":
+        yield FieldElement(ctx, 0)

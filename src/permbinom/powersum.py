@@ -34,7 +34,7 @@ from functools import lru_cache
 from itertools import compress
 
 from .exactalg import BiPolyRZ, RatPoly, mp_eval
-from .ff import FieldCtx, FieldElement, compute_z
+from .ff import FieldCtx, FieldElement, PrimeField, compute_z
 from .report import PASS, FAIL, CheckReport
 
 __all__ = [
@@ -201,7 +201,7 @@ def t2_rows(alpha: int, r: int, q: int, p: int) -> tuple:
     return (d, *bracket_coeffs(alpha, d // 2, (q + 1) // 2, p))
 
 
-def t2_bracket(alpha: int, r: int, sub: FieldCtx, y_idx: int) -> tuple[int, int, int]:
+def t2_bracket(alpha: int, r: int, sub: FieldCtx | PrimeField, y_idx: int) -> tuple[int, int, int]:
     """The t=2 bracket at odd alpha as (d, E(y), O(y)), with y = z^2 an F_q
     index; the bracket is E(y) + z*O(y) up to a nonzero prefactor.
 
@@ -212,7 +212,7 @@ def t2_bracket(alpha: int, r: int, sub: FieldCtx, y_idx: int) -> tuple[int, int,
     return d, mp_eval(evens, y_idx, sub), mp_eval(odds, y_idx, sub)
 
 
-def t1_bracket(alpha: int, r: int, sub: FieldCtx, h_idx: int) -> tuple[int, int]:
+def t1_bracket(alpha: int, r: int, sub: FieldCtx | PrimeField, h_idx: int) -> tuple[int, int]:
     """The t=1 bracket at alpha as (d, T(h)), with h = a^(-(q+1)) an F_q
     index; the sum is T(h) up to a nonzero prefactor.
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from itertools import cycle, zip_longest
 
 from .exactalg import is_probable_prime, mp_divmod, mp_eval, mp_gcd, mp_powmod, mp_sub
-from .ff import FieldCtx, FieldElement, build_subfield, compute_z, enumeration_cap
+from .ff import FieldCtx, FieldElement, PrimeField, build_subfield, compute_z, enumeration_cap
 from .powersum import PowerSumIndex, surviving_alphas, t1_bracket, t2_rows
 
 __all__ = [
@@ -81,7 +81,7 @@ class BinomialParams:
         return self.a.ctx
 
     @property
-    def sub(self) -> FieldCtx:
+    def sub(self) -> FieldCtx | PrimeField:
         return self.a.ctx.base
 
     @property
@@ -197,7 +197,8 @@ def _root_excess(params: BinomialParams) -> int | None:
     return None
 
 
-def t2_z_first_failure(sub: FieldCtx, q: int, r: int, y_idx: int, z_sub_idx: int | None) -> int | None:
+def t2_z_first_failure(sub: FieldCtx | PrimeField, q: int, r: int, y_idx: int,
+                       z_sub_idx: int | None) -> int | None:
     """First odd alpha whose closed-form sum is nonzero, or None if all vanish.
 
     y_idx is z^2 as an F_q index; z_sub_idx is z itself when z lies in F_q,
@@ -333,7 +334,8 @@ def t2_passing_z(p: int, m: int, r: int, include_norm_one: bool = False) -> tupl
     b1 = [c for pair in zip_longest(evens, odds, fillvalue=0) for c in pair]
     minus_one = sub.neg(1)
     subs = [z for z in _fq_roots(b1, sub) if z > 1 and (include_norm_one or z != minus_one)]
-    exts = [y for y in _fq_roots(mp_gcd(evens, odds, sub), sub) if y and sub.dlog(y) % 2]
+    # y != 0 is a nonsquare iff y^((q-1)/2) != 1 (Euler's criterion)
+    exts = [y for y in _fq_roots(mp_gcd(evens, odds, sub), sub) if y and sub.pow(y, (q - 1) // 2) != 1]
     decided = q - 2 - (not include_norm_one) + (q - 1) // 2  # F_q* but 1 (and -1), nonsquares
     first = Counter({1: decided - len(subs) - len(exts)})
     hits = []
@@ -353,7 +355,7 @@ def t2_passing_z(p: int, m: int, r: int, include_norm_one: bool = False) -> tupl
 # exactalg's mp_* functions; a bracket row's prime-field residues are
 # F_q indices too, since F_p sits in F_q as the indices below p.
 
-def _fq_roots(f, sub: FieldCtx) -> list[int]:
+def _fq_roots(f, sub: FieldCtx | PrimeField) -> list[int]:
     """The distinct roots of f in F_q (q odd), ascending.
 
     G = gcd(f, z^q - z) is the product of the distinct linear factors of f.

@@ -73,9 +73,9 @@ def test_tower_cache_is_bounded_in_table_bytes(monkeypatch):
     # the bound, and keeps the newest whatever its size
     monkeypatch.setattr(ff, "_towers", type(ff._towers)())
     sizes = {}
-    for p in (3, 5, 7):
-        sizes[p] = sum(t.buffer_info()[1] * t.itemsize
-                       for f in build_tower(p, 1) for t in (f._exp, f._log, f._zech))
+    for p in (3, 5, 7):  # F_p holds no table, so only F_{p^2} counts
+        fq2 = build_tower(p, 1)[1]
+        sizes[p] = sum(t.buffer_info()[1] * t.itemsize for t in (fq2._exp, fq2._log, fq2._zech))
     monkeypatch.setattr(ff, "_towers", type(ff._towers)())
     monkeypatch.setattr(ff, "TOWER_CACHE_BYTES", sizes[5] + sizes[7])
     oldest, middle, newest = (build_tower(p, 1) for p in (3, 5, 7))
@@ -283,30 +283,36 @@ def _trimmed(cs):
 
 @pytest.mark.parametrize("p,m", TABLE_GRID)
 def test_tables_match_mul_raw(p, m):
-    for ctx in build_tower(p, m):
+    for ctx in (c for c in build_tower(p, m) if c.modulus is not None):  # F_p holds no table
         exp, log, g, n = ctx._exp, ctx._log, ctx.gen_idx, ctx.order - 1
         assert exp.typecode == log.typecode == ctx._zech.typecode == "i"
         assert len(exp) == n and len(log) == ctx.order and log[0] == -1
-        if ctx.base is None:
-            def times_g(u):
-                return _trimmed([u * g % p])
-        else:
-            gv = ctx.coeffs(g)
+        gv = ctx.coeffs(g)
 
-            def times_g(u):
-                return mp_divmod(mp_mul(ctx.coeffs(u), gv, ctx.base), ctx.modulus, ctx.base)[1]
+        def times_g(u):
+            return mp_divmod(mp_mul(ctx.coeffs(u), gv, ctx.base), ctx.modulus, ctx.base)[1]
         for k in range(n):
             assert times_g(exp[k]) == _trimmed(ctx.coeffs(exp[(k + 1) % n]))
             assert log[exp[k]] == k
 
 
+def _multiplicative_order(p, x):
+    k, y = 1, x
+    while y != 1:
+        k, y = k + 1, y * x % p
+    return k
+
+
 @pytest.mark.parametrize("p,m", TABLE_GRID)
 def test_generator_is_smallest(p, m):
-    # read off the tables: x generates the group iff gcd(log x, n) = 1
     for ctx in build_tower(p, m):
         n, g = ctx.order - 1, ctx.gen_idx
-        assert math.gcd(ctx.dlog(g), n) == 1
-        assert all(math.gcd(ctx.dlog(x), n) != 1 for x in range(2, g))
+        if ctx.modulus is None:  # F_p holds no table: brute multiplicative order
+            assert 0 < g < p and _multiplicative_order(p, g) == n
+            assert all(_multiplicative_order(p, x) < n for x in range(1, g))
+        else:  # read off the tables: x generates the group iff gcd(log x, n) = 1
+            assert math.gcd(ctx.dlog(g), n) == 1
+            assert all(math.gcd(ctx.dlog(x), n) != 1 for x in range(2, g))
 
 
 @pytest.mark.parametrize("p,m,modulus,gen,digest", [
@@ -357,8 +363,7 @@ def test_zech_arithmetic_matches_digit_reference(p, m):
             assert ctx.sub(i, j) == digit_add(p, i, digit_neg(p, j))
         for i in elements:
             assert ctx.neg(i) == digit_neg(p, i)
-        if ctx.base is None:
-            assert len(ctx._zech) == 0
+        if ctx.modulus is None:  # F_p holds no Zech table
             continue
         exp, zech = ctx._exp, ctx._zech
         assert len(zech) == n

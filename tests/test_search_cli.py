@@ -365,6 +365,115 @@ def test_cli_brute_output_pinned(argv, stdout, capsys):
     assert capsys.readouterr().out == stdout + "\n"
 
 
+# stdout bytes of field-info, and of g^k read through a prime base field:
+# F_7 under F_49, and F_3 under F_9 under F_81
+FIELD_CLI_PINS = [
+    ("field-info --p 5 --m 1",
+     '{\n'
+     '  "q": 5,\n'
+     '  "q2": 25,\n'
+     '  "subfield": {\n'
+     '    "p": 5,\n'
+     '    "m": 1,\n'
+     '    "modulus": null\n'
+     '  },\n'
+     '  "extension": {\n'
+     '    "p": 5,\n'
+     '    "m": 2,\n'
+     '    "modulus": [\n'
+     '      1,\n'
+     '      1,\n'
+     '      1\n'
+     '    ]\n'
+     '  },\n'
+     '  "generator": "[2,1]",\n'
+     '  "cap": 10000000\n'
+     '}\n'),
+    ("field-info --p 3 --m 2",
+     '{\n'
+     '  "q": 9,\n'
+     '  "q2": 81,\n'
+     '  "subfield": {\n'
+     '    "p": 3,\n'
+     '    "m": 2,\n'
+     '    "modulus": [\n'
+     '      1,\n'
+     '      0,\n'
+     '      1\n'
+     '    ]\n'
+     '  },\n'
+     '  "extension": {\n'
+     '    "p": 3,\n'
+     '    "m": 4,\n'
+     '    "modulus": [\n'
+     '      [\n'
+     '        1,\n'
+     '        0\n'
+     '      ],\n'
+     '      [\n'
+     '        1,\n'
+     '        1\n'
+     '      ],\n'
+     '      [\n'
+     '        1,\n'
+     '        0\n'
+     '      ]\n'
+     '    ]\n'
+     '  },\n'
+     '  "generator": "[[1,0],[1,0]]",\n'
+     '  "cap": 10000000\n'
+     '}\n'),
+    ("field-info --p 2 --m 3",
+     '{\n'
+     '  "q": 8,\n'
+     '  "q2": 64,\n'
+     '  "subfield": {\n'
+     '    "p": 2,\n'
+     '    "m": 3,\n'
+     '    "modulus": [\n'
+     '      1,\n'
+     '      0,\n'
+     '      1,\n'
+     '      1\n'
+     '    ]\n'
+     '  },\n'
+     '  "extension": {\n'
+     '    "p": 2,\n'
+     '    "m": 6,\n'
+     '    "modulus": [\n'
+     '      [\n'
+     '        1,\n'
+     '        0,\n'
+     '        0\n'
+     '      ],\n'
+     '      [\n'
+     '        1,\n'
+     '        0,\n'
+     '        0\n'
+     '      ],\n'
+     '      [\n'
+     '        1,\n'
+     '        0,\n'
+     '        0\n'
+     '      ]\n'
+     '    ]\n'
+     '  },\n'
+     '  "generator": "[[0,1,0],[1,0,0]]",\n'
+     '  "cap": 10000000\n'
+     '}\n'),
+    ("power-sum --p 7 --r 5 --t 2 --a [g^3,1] --alpha 3",
+     '{"s": 24, "alpha": 3, "beta": 3, "method": "closed", "value": "[0,0]"}\n'),
+    ("is-pp --p 3 --m 2 --r 5 --t 2 --a [[g^2,1],g] --method brute",
+     '{"is_pp": false, "method": "brute", "witness": "Collision(x1=<[[1,0],[0,0]] in GF(81)>, x2=<[[1,2],[0,2]] in GF(81)>, value=<[[2,1],[1,1]] in GF(81)>)"}\n'),
+]
+
+
+@pytest.mark.parametrize("argv,stdout", FIELD_CLI_PINS)
+def test_cli_field_output_pinned(argv, stdout, capsys):
+    assert run_cli(*argv.split()) == 0
+    assert capsys.readouterr().out == stdout
+
+
 def test_cli_bound(capsys):
     assert run_cli("bound", "--r", "5", "--p", "3") == 0
     assert capsys.readouterr().out.strip() == "25"
