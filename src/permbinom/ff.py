@@ -18,7 +18,8 @@ F_{q^2} of every prime q, that matrix is unrolled into two linear forms mod
 p on ints.  The generator test is pow on a prime field and
 exactalg.mp_powmod on an extension.  An extension adds through a Zech-log
 table Z[k] = log(1 + g^k) (Huber, IEEE Trans. IT 36(4), 1990):
-g^a + g^b = g^(a + Z[b - a]).
+g^a + g^b = g^(a + Z[b - a]).  The tables are private to this module; the
+brute walks read a row of logs log(a + g^(step*k)) through class_logs.
 
 Construction is fully deterministic: the modulus is the lexicographically
 smallest monic irreducible (coefficients compared low-degree-first), found
@@ -34,6 +35,7 @@ import os
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .exactalg import is_probable_prime, mp_divmod, mp_irreducible, mp_powmod
 
@@ -347,6 +349,13 @@ class FieldCtx(_Field):
             raise ValueError("dlog of zero")
         return self._log[i]
 
+    def class_logs(self, a: int, step: int, count: int) -> list[int]:
+        """log(a + g^(step*k)) for k < count, -1 where the sum is zero; a != 0.
+        a + g^j = a * (1 + g^(j - log a)), so each entry is log a + Z[j - log a]."""
+        n, la, zech = self._n, self.dlog(a), self._zech
+        return [-1 if (z := zech[j % n]) < 0 else (la + z) % n
+                for j in range(-la, step * count - la, step)]
+
     # --- structure ---
 
     def in_subfield(self, idx: int) -> bool:
@@ -512,10 +521,15 @@ def build_tower(p: int, m: int) -> tuple[FieldCtx | PrimeField, FieldCtx]:
 
 
 def build_subfield(p: int, m: int) -> FieldCtx | PrimeField:
-    """F_q alone (cheap: only needs q <= cap, not q^2); checks p and m, once,
-    for every tower.  A PrimeField when m = 1."""
-    PrimePower(p, m)  # ValueError unless m >= 1 and p is prime
+    """F_q alone (cheap: only needs q <= cap, not q^2), memoised: p and m are
+    checked once, the cap on every call.  A PrimeField when m = 1."""
     _check_cap("q", p, m)
+    return _subfield(p, m)
+
+
+@lru_cache(maxsize=512)  # every F_q with q^2 <= DEFAULT_CAP: 483 of them, under 1 MB
+def _subfield(p: int, m: int) -> FieldCtx | PrimeField:
+    PrimePower(p, m)  # ValueError unless m >= 1 and p is prime
     fp = PrimeField(p)
     return fp if m == 1 else FieldCtx(fp, _lex_smallest_irreducible(fp, m))
 

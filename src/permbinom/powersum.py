@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
 
 from .exactalg import BiPolyRZ, RatPoly, mp_eval
 from .ff import FieldCtx, FieldElement, PrimeField, compute_z
@@ -313,15 +312,14 @@ def power_sum_t1_closed(r: int, a: FieldElement, s) -> FieldElement:
 def power_sum_brute(r: int, t: int, a: FieldElement, s: int) -> FieldElement:
     """The oracle: literally sum f(x)^s over every x in F_{q^2}.
 
-    No algebraic shortcuts beyond table lookups for the field arithmetic and
-    integer arithmetic on exponents.  f(g^k) is read in log form,
-    log(a + g^j) = log a + Z[j - log a] on the Zech table, and the counts of
-    each power g^j are summed by the same rule.  With j = t(q-1)k the Zech
-    entry depends only on k mod q+1, since t(q-1)(q+1) = 0 mod q^2-1; so the
-    q+1 entries are read once and the walk goes class by class,
-    k = k0 + (q+1)i for 0 <= i < q-1.  Within a class log f(x)^s steps by
-    r*s*(q+1) and repeats with period L = (q-1)/gcd(r*s, q-1), so each of
-    its L exponents is counted gcd(r*s, q-1) times; L = 1 for every useful s.
+    No algebraic shortcuts beyond the field arithmetic and integer arithmetic
+    on exponents.  f(g^k) = g^(r*k) * (a + g^(t(q-1)k)), whose second factor
+    depends only on k mod q+1, as t(q-1)(q+1) = 0 mod q^2-1; so one row of q+1
+    logs from FieldCtx.class_logs serves the walk, class by class, k = k0 +
+    (q+1)i for 0 <= i < q-1.  Within a class log f(x)^s steps by r*s*(q+1)
+    and repeats with period L = (q-1)/gcd(r*s, q-1), so each of its L
+    exponents j is counted gcd(r*s, q-1) times (L = 1 for every useful s);
+    the sum of (count_j mod p) * g^j is taken with the field's add.
     """
     ctx2 = a.ctx
     if ctx2.base is None:
@@ -332,36 +330,24 @@ def power_sum_brute(r: int, t: int, a: FieldElement, s: int) -> FieldElement:
         raise ValueError("r, t, s must be positive")
     q = ctx2.base.order
     n = ctx2.order - 1
-    te = t * (q - 1)
-    exp, log, zech = ctx2._exp, ctx2._log, ctx2._zech
-    la = log[a.idx]
     repeats = math.gcd(r * s, q - 1)
-    period = (q - 1) // repeats
     step = r * s * (q + 1)
-    counts = [0] * n
-    # log f(g^k)^s = s*(r*k + la + z) with z = Z[te*k - la], one z per class
-    for k0 in range(q + 1):
-        z = zech[(te * k0 - la) % n]
-        if z < 0:  # f(x) = 0 on the whole class contributes nothing
+    steps = range(0, step * ((q - 1) // repeats), step)
+    counts = {}  # exponent j -> number of x with f(x)^s = g^j
+    for k0, lf in enumerate(ctx2.class_logs(a.idx, t * (q - 1), q + 1)):
+        if lf < 0:  # f(x) = 0 on the whole class contributes nothing
             continue
-        e0 = s * (r * k0 + la + z)
-        for e in range(e0, e0 + step * period, step):
-            counts[e % n] += repeats
+        e0 = s * (r * k0 + lf)  # log f(g^k0)^s = s*(r*k0 + log(a + g^(t(q-1)k0)))
+        for e in steps:
+            j = (e0 + e) % n
+            counts[j] = counts.get(j, 0) + repeats
     # x = 0 contributes f(0)^s = 0 since r >= 1, s >= 1
-    p = ctx2.char
-    log_c = [log[c] for c in range(p)]
-    acc = -1  # log of the running sum of (counts[j] mod p) * g^j; -1 for zero
-    for j in compress(range(n), counts):
-        c = counts[j] % p
-        if not c:
-            continue
-        lt = log_c[c] + j
-        if acc < 0:
-            acc = lt % n
-        else:
-            z = zech[(lt - acc) % n]
-            acc = -1 if z < 0 else (acc + z) % n
-    return FieldElement(ctx2, 0 if acc < 0 else exp[acc])
+    total = 0
+    for j, c in counts.items():
+        c %= ctx2.char  # an index below p is that integer in F_p
+        if c:
+            total = ctx2.add(total, ctx2.mul(c, ctx2.exp(j)))
+    return FieldElement(ctx2, total)
 
 
 # ----------------------------------------------------------- theta brackets

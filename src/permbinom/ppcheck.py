@@ -153,11 +153,11 @@ def is_pp_brute(params: BinomialParams) -> PPVerdict:
     Elements are enumerated in the order 0, g^0, g^1, ..., g^(Q-2), and the
     first collision is returned as a witness: x2 is the first element whose
     image is already taken, x1 the earlier element with that image (x1 = 0
-    when the image is 0).  f(g^k) = g^(r*k) * (a + g^(te*k)) is read off the
-    Zech table, log(a + g^j) = log a + Z[j - log a]; since te*(q+1) = 0 mod
-    Q-1, that entry depends only on k mod q+1, so one row of q+1 entries
-    serves the whole walk.  Images are marked by their logs in a bytearray of
-    Q-1 bytes, and x1 is recovered by one rescan of the earlier elements.
+    when the image is 0).  f(g^k) = g^(r*k) * (a + g^(te*k)); since
+    te*(q+1) = 0 mod Q-1, the second factor depends only on k mod q+1, so one
+    row of q+1 logs from FieldCtx.class_logs serves the whole walk.  Images
+    are marked by their logs in a bytearray of Q-1 bytes, and x1 is recovered
+    by one rescan of the earlier elements.
     """
     ctx2 = params.ctx2
     Q = ctx2.order
@@ -165,22 +165,19 @@ def is_pp_brute(params: BinomialParams) -> PPVerdict:
         raise ValueError("field too large for brute-force enumeration")
     n = Q - 1
     q = params.q
-    r, t, a_idx = params.r, params.t, params.a.idx
-    te = t * (q - 1)
-    exp, zech = ctx2._exp, ctx2._zech
-    la = ctx2._log[a_idx]
-    zrow = [zech[(te * k0 - la) % n] for k0 in range(q + 1)]
+    r, t = params.r, params.t
+    row = ctx2.class_logs(params.a.idx, t * (q - 1), q + 1)  # log(a + g^(te*k)), -1 for 0
     seen = bytearray(n)  # seen[e]: some earlier g^k has f(g^k) = g^e
-    for k, rk, z in zip(range(n), range(la, la + r * n, r), cycle(zrow)):
-        if z < 0:  # f(g^k) = 0 = f(0)
+    for k, rk, lf in zip(range(n), range(0, r * n, r), cycle(row)):
+        if lf < 0:  # f(g^k) = 0 = f(0)
             zero = ctx2.zero()
-            return PPVerdict(False, "brute", Collision(zero, ctx2.element(exp[k]), zero))
-        e = (rk + z) % n
+            return PPVerdict(False, "brute", Collision(zero, ctx2.element(ctx2.exp(k)), zero))
+        e = (rk + lf) % n
         if seen[e]:
-            k1 = next(k1 for k1, rk1, z1 in zip(range(k), range(la, la + r * k, r), cycle(zrow))
-                      if (rk1 + z1) % n == e)
-            x1, x2 = ctx2.element(exp[k1]), ctx2.element(exp[k])
-            return PPVerdict(False, "brute", Collision(x1, x2, ctx2.element(exp[e])))
+            k1 = next(k1 for k1, rk1, lf1 in zip(range(k), range(0, r * k, r), cycle(row))
+                      if (rk1 + lf1) % n == e)
+            x1, x2, fx = (ctx2.element(ctx2.exp(j)) for j in (k1, k, e))
+            return PPVerdict(False, "brute", Collision(x1, x2, fx))
         seen[e] = 1
     return PPVerdict(True, "brute")
 

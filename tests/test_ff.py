@@ -1,8 +1,10 @@
+import ast
 import functools
 import hashlib
 import itertools
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -374,3 +376,46 @@ def test_zech_arithmetic_matches_digit_reference(p, m):
                 assert exp[zech[k]] == one_plus
         # 1 + g^k = 0 exactly at g^k = -1: k = n/2 for odd p, k = 0 for p = 2
         assert zech.count(-1) == 1 and zech.index(-1) == (n // 2 if p % 2 else 0)
+
+
+# every prime power q <= 27, as (p, m)
+SMALL_Q = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2),
+           (7, 1), (11, 1), (13, 1), (17, 1), (19, 1), (23, 1)]
+
+
+@pytest.mark.parametrize("p,m", SMALL_Q)
+def test_class_logs_match_literal_sums(p, m):
+    # every extension context of the tower: F_{q^2}, and F_q when m > 1
+    rng = random.Random(f"class_logs:{p}:{m}")
+    for ctx in (c for c in build_tower(p, m) if c.modulus is not None):
+        n, B = ctx.order - 1, ctx.base.order
+        for step in (1, B - 1, 2 * (B - 1), 3 * (B - 1)):
+            count = n // math.gcd(step, n) + 2  # a full period, and past it
+            k0 = rng.randrange(count)
+            zero_class = ctx.neg(ctx.exp(step * k0))  # a + g^(step*k0) = 0
+            nonzero = range(1, ctx.order) if n <= 80 else [rng.randrange(1, ctx.order) for _ in range(8)]
+            for a in [zero_class, *nonzero]:
+                sums = (ctx.add(a, ctx.exp(step * k)) for k in range(count))
+                assert ctx.class_logs(a, step, count) == [ctx.dlog(v) if v else -1 for v in sums]
+            assert ctx.class_logs(zero_class, step, count)[k0] == -1
+        with pytest.raises(ValueError):
+            ctx.class_logs(0, 1, 1)
+
+
+def test_only_ff_reads_the_field_tables():
+    # the exp/log/Zech layout is private to ff: every other module goes
+    # through dlog, exp, add, mul and class_logs
+    package = Path(ff.__file__).parent
+    reads = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py")) if path.name != "ff.py"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr in ("_exp", "_log", "_zech")]
+    assert not reads, reads
+
+
+def test_subfield_is_built_once_and_shared_with_the_tower(monkeypatch):
+    fq = build_subfield(3, 2)
+    assert build_subfield(3, 2) is fq and build_tower(3, 2)[0] is fq
+    assert build_subfield(7, 1) is build_tower(7, 1)[0]
+    monkeypatch.setenv("PERMBINOM_CAP", "8")  # the cap is still checked on every call
+    with pytest.raises(CapExceededError, match=r"q = 3\^2 exceeds"):
+        build_subfield(3, 2)

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -391,3 +392,20 @@ def test_identity_sum_matches_rational_reference():
             expected = reference(alpha, Fraction(u, v), n1, n2)
             assert expected != 0
             assert powersum._identity_sum(alpha, u, v, n1, n2) == expected, (alpha, u, v, n1, n2)
+
+
+def test_power_sum_brute_counts_only_the_exponents_it_reaches():
+    # a useful s reaches at most q + 1 exponents, so the counts stay far
+    # below one entry per nonzero element of F_{101^2} (10200 of them)
+    fq, fq2 = build_tower(101, 1)
+    a = fq2.element(fq2.exp(3))
+    useful = (PowerSumIndex.useful(alpha, 101) for alpha in range(1, 100, 2))
+    s = next(s for s in useful if power_sum_t2_closed(7, a, s) != 0)
+    tracemalloc.start()
+    try:
+        got = power_sum_brute(7, 2, a, s.s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == power_sum_t2_closed(7, a, s)
+    assert peak < 16_000, peak
