@@ -9,13 +9,15 @@ indexes below q.
 
 A prime field, PrimeField, runs on its residues: add, neg and mul mod p,
 and pow for powers, inverses and g^k, with no table.  An extension,
-FieldCtx, runs on generator exp/log tables built once per context by
-stepping through the powers of the generator g, stored as `array('i')`
-with log[0] = -1 for zero.  The step multiplies the coefficient vector of
-g^k by the matrix of x -> x*g over the base, whose columns X^j*g mod f come
-from exactalg.mp_divmod; for F_{p^2} = F_p[X]/(X^2 + m1*X + m0), the
-F_{q^2} of every prime q, that matrix is unrolled into two linear forms mod
-p on ints.  The generator test is pow on a prime field and
+FieldCtx, of degree d over a base of order B runs on generator exp/log
+tables stored as `array('i')` with log[0] = -1 for zero, built once per
+context from its N = (B^d - 1)/(B - 1) heads g^0, ..., g^(N-1); for
+F_{q^2}, N is q + 1.  The heads are stepped by the matrix of x -> x*g over
+the base, whose columns X^j*g mod f come from exactalg.mp_divmod.  Then
+w = g^N lies in the base and generates F_B*, and g^(a*N + b) = w^a * g^b,
+so each stride-N column exp[b::N] is a sum of rotated lists of the powers
+of w, one per nonzero coordinate of g^b, built at C level; log is one
+inverse pass over exp.  The generator test is pow on a prime field and
 exactalg.mp_powmod on an extension.  An extension adds through a Zech-log
 table Z[k] = log(1 + g^k) (Huber, IEEE Trans. IT 36(4), 1990):
 g^a + g^b = g^(a + Z[b - a]).  The tables are private to this module; the
@@ -31,11 +33,12 @@ the base field, whose orders divide B - 1.  So catalogs replay bit for bit.
 from __future__ import annotations
 
 import itertools
+import operator
 import os
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 
 from .exactalg import is_probable_prime, mp_divmod, mp_irreducible, mp_powmod
 
@@ -254,42 +257,39 @@ class FieldCtx(_Field):
         return idx
 
     def _build_tables(self):
-        n = self._n
+        base, d, B, n = self.base, self.degree, self.base.order, self._n
+        N = n // (B - 1)
+        add, mul = base.add, base.mul
+        # the heads g^0, ..., g^(N-1), stepped by the matrix of x -> x*g over
+        # the base, whose column j is X^j * g mod f
+        cols = [mp_divmod([0] * j + self.coeffs(self.gen_idx), self.modulus, base)[1] for j in range(d)]
+        heads, c = [], [1] + [0] * (d - 1)
+        for _ in range(N):
+            heads.append(c)
+            nxt = [0] * d
+            for cj, col in zip(c, cols):
+                if cj:
+                    for t, v in enumerate(col):
+                        nxt[t] = add(nxt[t], mul(cj, v))
+            c = nxt
+        if any(c[1:]):  # pragma: no cover
+            raise AssertionError("g^N is not in the base field")
+        # w = g^N generates F_B*, and g^(a*N + b) = w^a * g^b.  With
+        # P = [w^0, ..., w^(B-2)], a coordinate c = w^l times w^a is
+        # P[(l + a) % (B - 1)], so the stride-N column exp[b::N] is the sum
+        # over j of B^j * P rotated by l(c_j), zero coordinates left out.
+        P = [1]
+        for _ in range(B - 2):
+            P.append(mul(P[-1], c[0]))
+        ell = {v: l for l, v in enumerate(P)}
+        weighted = [[B**j * v for v in P] for j in range(d)]
         exp = array("i", [0]) * n
+        for b, head in enumerate(heads):
+            rots = [wp[ell[cj]:] + wp[: ell[cj]] for wp, cj in zip(weighted, head) if cj]
+            exp[b::N] = array("i", reduce(partial(map, operator.add), rots))
         log = array("i", [-1]) * self.order  # zero has no log: -1
-        cur = 1
-        g = self.gen_idx
-        if self.degree == 2 and isinstance(self.base, PrimeField):
-            # F_p[X]/(X^2 + m1*X + m0) with g = g0 + g1*X: (c0 + c1*X)*g is
-            # (c0*g0 - c1*k0) + (c0*g1 + c1*k1)*X, k0 = g1*m0, k1 = g0 - g1*m1
-            p = self.char
-            g1, g0 = divmod(g, p)
-            k0, k1 = g1 * self.modulus[0], g0 - g1 * self.modulus[1]
-            c0, c1 = 1, 0
-            for k in range(n):
-                cur = c0 + c1 * p
-                exp[k] = cur
-                log[cur] = k
-                c0, c1 = (c0 * g0 - c1 * k0) % p, (c0 * g1 + c1 * k1) % p
-            cur = c0 + c1 * p
-        else:
-            # x -> x*g is linear over the base: column j is X^j * g mod f
-            b, d = self.base, self.degree
-            add, mul, encode = b.add, b.mul, self._encode
-            cols = [mp_divmod([0] * j + self.coeffs(g), self.modulus, b)[1] for j in range(d)]
-            c = [1] + [0] * (d - 1)
-            for k in range(n):
-                exp[k] = cur
-                log[cur] = k
-                nxt = [0] * d
-                for cj, col in zip(c, cols):
-                    if cj:
-                        for t, v in enumerate(col):
-                            nxt[t] = add(nxt[t], mul(cj, v))
-                c = nxt
-                cur = encode(c)
-        if cur != 1:  # pragma: no cover
-            raise AssertionError("generator order mismatch")
+        for k, v in enumerate(exp):
+            log[v] = k
         self._exp = exp
         self._log = log
         # Z[k] = log(1 + g^k).  Adding 1 steps only the lowest base-p digit

@@ -320,12 +320,43 @@ def test_generator_is_smallest(p, m):
 @pytest.mark.parametrize("p,m,modulus,gen,digest", [
     (1009, 1, (1, 9, 1), 1019, "b7eca70aa9d891f24163d0105a9b3540806f779e9772a12747ce9ef7b8e41368"),
     (13, 2, (1, 13, 1), 170, "0ba69d70d898afcdf013be6503a9e60c4b9453745026d736cd477df18520a992"),
+    # F_{27^2} over a degree-3 base, and p = 2
+    (3, 3, (1, 0, 1), 30, "46e29d36a469e5c1e05e94e5bcb0398fb83094e4c16c07f842a80e6ac0d7fa35"),
+    (2, 5, (1, 1, 1), 34, "d57c8d021dd2ba6e507ad079c4c91c45f8ca9c04612c4b8ea7ae1550d1aa0ad9"),
 ])
 def test_quadratic_tables_pinned(p, m, modulus, gen, digest):
     # SHA-256 of the exp table of F_{q^2} as space-separated decimal indexes
     _, fq2 = build_tower(p, m)
     assert fq2.modulus == modulus and fq2.gen_idx == gen
     assert hashlib.sha256(" ".join(map(str, fq2._exp)).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("table,digest", [
+    ("_log", "e386f308c557ffa0a2bf56bd4677964ea3984a02930c004f3627efaf4742418a"),
+    ("_zech", "4f890300336cc9fb8c7a287a82595bc12da60dee093f1370c9629be61b6ae108"),
+])
+def test_quadratic_log_and_zech_pinned(table, digest):
+    # the same digest over the log and Zech tables of F_{1009^2}
+    _, fq2 = build_tower(1009, 1)
+    assert hashlib.sha256(" ".join(map(str, getattr(fq2, table))).encode()).hexdigest() == digest
+
+
+def test_table_build_steps_only_the_heads(monkeypatch):
+    # g^(a*N + b) = w^a * g^b with N = q + 1 on F_{q^2}: the base products
+    # step the q + 1 heads and the powers of w, not all q^2 - 1 powers of g
+    fq, fq2 = build_tower(5, 2)
+    q, calls = fq.order, 0
+    tables = [t.tobytes() for t in (fq2._exp, fq2._log, fq2._zech)]
+    mul = ff.FieldCtx.mul
+
+    def counting_mul(self, i, j):
+        nonlocal calls
+        calls += self is fq
+        return mul(self, i, j)
+    monkeypatch.setattr(ff.FieldCtx, "mul", counting_mul)
+    fq2._build_tables()
+    assert 0 < calls <= 8 * (q + 1) + q
+    assert [t.tobytes() for t in (fq2._exp, fq2._log, fq2._zech)] == tables
 
 
 # reference twin of the Zech-log addition: indexes are base-p digit vectors,
