@@ -18,10 +18,12 @@ w = g^N lies in the base and generates F_B*, and g^(a*N + b) = w^a * g^b,
 so each stride-N column exp[b::N] is a sum of rotated lists of the powers
 of w, one per nonzero coordinate of g^b, built at C level; log is one
 inverse pass over exp.  The generator test is pow on a prime field and
-exactalg.mp_powmod on an extension.  An extension adds through a Zech-log
-table Z[k] = log(1 + g^k) (Huber, IEEE Trans. IT 36(4), 1990):
-g^a + g^b = g^(a + Z[b - a]).  The tables are private to this module; the
-brute walks read a row of logs log(a + g^(step*k)) through class_logs.
+exactalg.mp_powmod on an extension.  An extension adds by Zech logs
+Z[k] = log(1 + g^k) (Huber, IEEE Trans. IT 36(4), 1990), g^a + g^b =
+g^(a + Z[b - a]), with no Zech table: 1 + v steps only the lowest base-p
+digit of v, succ(v) = v + 1 or v - (p - 1) when v % p = p - 1, so Z[k] =
+log[succ(exp[k])], -1 at the one k where 1 + g^k = 0.  The tables are private
+to this module; the brute walks read log(a + g^(step*k)) through class_logs.
 
 Construction is fully deterministic: the modulus is the lexicographically
 smallest monic irreducible (coefficients compared low-degree-first), found
@@ -214,14 +216,14 @@ class PrimeField(_Field):
 
 
 class FieldCtx(_Field):
-    """An extension level of the tower, on exp/log/Zech tables; immutable
-    after construction.
+    """An extension level of the tower, on exp/log tables, adding through
+    Zech logs read as log[succ(exp[k])]; immutable after construction.
 
     Safe to share across workers: every table is built in __init__ and never
     mutated afterwards.  abs_degree is the degree m over F_p.
     """
 
-    __slots__ = ("base", "modulus", "degree", "abs_degree", "_exp", "_log", "_zech")
+    __slots__ = ("base", "modulus", "degree", "abs_degree", "_exp", "_log")
 
     def __init__(self, base: FieldCtx | PrimeField, modulus: tuple[int, ...]):
         if len(modulus) < 3 or modulus[-1] != 1:
@@ -292,16 +294,6 @@ class FieldCtx(_Field):
             log[v] = k
         self._exp = exp
         self._log = log
-        # Z[k] = log(1 + g^k).  Adding 1 steps only the lowest base-p digit
-        # of an index, v -> v + 1, or v - (p - 1) when v % p = p - 1, so
-        # log(1 + v) over all v is log shifted down one place with every
-        # p-th entry taken from the start of its digit block.  log[0] = -1
-        # lands at the one k where 1 + g^k = 0.
-        p = self.char
-        log_succ = log[1:]
-        log_succ.append(-1)
-        log_succ[p - 1 :: p] = log[::p]
-        self._zech = array("i", map(log_succ.__getitem__, exp))
 
     # --- fast index arithmetic ---
 
@@ -310,10 +302,13 @@ class FieldCtx(_Field):
             return j
         if not j:
             return i
-        n = self._n
-        li = self._log[i]
-        z = self._zech[(self._log[j] - li) % n]
-        return 0 if z < 0 else self._exp[(li + z) % n]
+        log, p = self._log, self.char
+        li = log[i]
+        # g^li * (1 + g^k) for k = lj - li, with Z[k] = log[succ(exp[k])]; the
+        # indexes lj - li and li + z - n lie in [-n, n) and wrap into exp mod n
+        u = self._exp[log[j] - li] + 1
+        z = log[u if u % p else u - p]
+        return 0 if z < 0 else self._exp[li + z - self._n]
 
     def neg(self, i: int) -> int:
         if not i or self.char == 2:
@@ -351,10 +346,14 @@ class FieldCtx(_Field):
 
     def class_logs(self, a: int, step: int, count: int) -> list[int]:
         """log(a + g^(step*k)) for k < count, -1 where the sum is zero; a != 0.
-        a + g^j = a * (1 + g^(j - log a)), so each entry is log a + Z[j - log a]."""
-        n, la, zech = self._n, self.dlog(a), self._zech
-        return [-1 if (z := zech[j % n]) < 0 else (la + z) % n
-                for j in range(-la, step * count - la, step)]
+        a + g^j = a * (1 + g^(j - log a)): log a + Z[j - log a], Z read as in add."""
+        n, p, la, exp, log = self._n, self.char, self.dlog(a), self._exp, self._log
+        row = []
+        for j in range(-la, step * count - la, step):
+            u = exp[j % n] + 1
+            z = log[u if u % p else u - p]
+            row.append(-1 if z < 0 else (la + z) % n)
+        return row
 
     # --- structure ---
 
@@ -483,15 +482,15 @@ def _lex_smallest_irreducible(base: FieldCtx | PrimeField, degree: int) -> tuple
 
 
 # Towers are cached least recently used first, up to this many bytes of
-# exp/log/Zech tables over their extension levels; the newest tower is
-# always kept.
+# exp/log tables over their extension levels, about 8*q^2 per tower (adds
+# read Z[k] as log[succ(exp[k])], no Zech table); the newest is always kept.
 TOWER_CACHE_BYTES = 256 * 2**20
 _towers: OrderedDict[tuple[int, int], tuple[FieldCtx | PrimeField, FieldCtx]] = OrderedDict()
 
 
 def _table_bytes(fields) -> int:
     return sum(t.buffer_info()[1] * t.itemsize for f in fields if isinstance(f, FieldCtx)
-               for t in (f._exp, f._log, f._zech))
+               for t in (f._exp, f._log))
 
 
 def _check_cap(name: str, p: int, e: int):

@@ -4,7 +4,7 @@ power_sum_brute and is_pp_brute walk F_{q^2}* by the q+1 classes of
 x^(q-1), reading one Zech entry per class.  The references below read one
 Zech entry per element, Z[j mod Q-1] for j = t(q-1)k - log a, and record
 each image's first preimage in an array of Q entries; they share only the
-field tables with the package.
+exp/log tables with the package, and read Z from its table-backed twin.
 """
 
 import random
@@ -18,6 +18,8 @@ from permbinom.ff import FieldElement, build_tower, enumerate_elements
 from permbinom.ppcheck import BinomialParams, Collision, PPVerdict, is_pp_brute, is_pp_powersum
 from permbinom.powersum import PowerSumIndex, power_sum_brute
 
+from zech_twin import zech_table
+
 # every prime power q <= 27, as (p, m)
 FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2),
           (7, 1), (11, 1), (13, 1), (17, 1), (19, 1), (23, 1)]
@@ -29,7 +31,7 @@ def power_sum_reference(r, t, a, s):
     q = ctx2.base.order
     n = ctx2.order - 1
     te = t * (q - 1) % n
-    exp, log, zech = ctx2._exp, ctx2._log, ctx2._zech
+    exp, log, zech = ctx2._exp, ctx2._log, zech_table(ctx2)
     la = log[a.idx]
     counts = [0] * n
     rs = r * s
@@ -64,7 +66,7 @@ def is_pp_reference(params):
     te = t * (q - 1) % n
     preimage = array("i", [-1]) * Q  # log index of the first preimage; n means x = 0
     preimage[0] = n
-    exp, zech = ctx2._exp, ctx2._zech
+    exp, zech = ctx2._exp, zech_table(ctx2)
     la = ctx2._log[a_idx]
     for k, rk, j in zip(range(n), range(la, la + r * n, r), range(-la, te * n - la, te)):
         z = zech[j % n]

@@ -19,6 +19,8 @@ from permbinom.ff import (
     enumerate_elements,
 )
 
+from zech_twin import zech_table
+
 
 def test_prime_power_validation():
     assert PrimePower(5, 2).q == 25
@@ -74,10 +76,10 @@ def test_tower_cache_is_bounded_in_table_bytes(monkeypatch):
     # the cache evicts the least recently used tower once its tables exceed
     # the bound, and keeps the newest whatever its size
     monkeypatch.setattr(ff, "_towers", type(ff._towers)())
-    sizes = {}
-    for p in (3, 5, 7):  # F_p holds no table, so only F_{p^2} counts
-        fq2 = build_tower(p, 1)[1]
-        sizes[p] = sum(t.buffer_info()[1] * t.itemsize for t in (fq2._exp, fq2._log, fq2._zech))
+    # F_p holds no table, so only F_{p^2} counts: exp (p^2 - 1) and log
+    # (p^2) entries of int32, and no Zech table
+    assert ff._table_bytes(build_tower(101, 1)) == 4 * (2 * 101**2 - 1)
+    sizes = {p: ff._table_bytes(build_tower(p, 1)) for p in (3, 5, 7)}
     monkeypatch.setattr(ff, "_towers", type(ff._towers)())
     monkeypatch.setattr(ff, "TOWER_CACHE_BYTES", sizes[5] + sizes[7])
     oldest, middle, newest = (build_tower(p, 1) for p in (3, 5, 7))
@@ -287,8 +289,9 @@ def _trimmed(cs):
 def test_tables_match_mul_raw(p, m):
     for ctx in (c for c in build_tower(p, m) if c.modulus is not None):  # F_p holds no table
         exp, log, g, n = ctx._exp, ctx._log, ctx.gen_idx, ctx.order - 1
-        assert exp.typecode == log.typecode == ctx._zech.typecode == "i"
+        assert exp.typecode == log.typecode == "i"
         assert len(exp) == n and len(log) == ctx.order and log[0] == -1
+        assert ff._table_bytes((ctx,)) == 4 * (n + ctx.order)  # the two tables alone
         gv = ctx.coeffs(g)
 
         def times_g(u):
@@ -336,9 +339,11 @@ def test_quadratic_tables_pinned(p, m, modulus, gen, digest):
     ("_zech", "4f890300336cc9fb8c7a287a82595bc12da60dee093f1370c9629be61b6ae108"),
 ])
 def test_quadratic_log_and_zech_pinned(table, digest):
-    # the same digest over the log and Zech tables of F_{1009^2}
+    # the same digest over the log table of F_{1009^2} and its Zech row
+    # log(1 + g^k), k < n, which class_logs(1, 1, n) reads with no table
     _, fq2 = build_tower(1009, 1)
-    assert hashlib.sha256(" ".join(map(str, getattr(fq2, table))).encode()).hexdigest() == digest
+    row = fq2._log if table == "_log" else fq2.class_logs(1, 1, fq2.order - 1)
+    assert hashlib.sha256(" ".join(map(str, row)).encode()).hexdigest() == digest
 
 
 def test_table_build_steps_only_the_heads(monkeypatch):
@@ -346,7 +351,7 @@ def test_table_build_steps_only_the_heads(monkeypatch):
     # step the q + 1 heads and the powers of w, not all q^2 - 1 powers of g
     fq, fq2 = build_tower(5, 2)
     q, calls = fq.order, 0
-    tables = [t.tobytes() for t in (fq2._exp, fq2._log, fq2._zech)]
+    tables = [t.tobytes() for t in (fq2._exp, fq2._log)]
     mul = ff.FieldCtx.mul
 
     def counting_mul(self, i, j):
@@ -356,7 +361,7 @@ def test_table_build_steps_only_the_heads(monkeypatch):
     monkeypatch.setattr(ff.FieldCtx, "mul", counting_mul)
     fq2._build_tables()
     assert 0 < calls <= 8 * (q + 1) + q
-    assert [t.tobytes() for t in (fq2._exp, fq2._log, fq2._zech)] == tables
+    assert [t.tobytes() for t in (fq2._exp, fq2._log)] == tables
 
 
 # reference twin of the Zech-log addition: indexes are base-p digit vectors,
@@ -396,9 +401,12 @@ def test_zech_arithmetic_matches_digit_reference(p, m):
             assert ctx.sub(i, j) == digit_add(p, i, digit_neg(p, j))
         for i in elements:
             assert ctx.neg(i) == digit_neg(p, i)
-        if ctx.modulus is None:  # F_p holds no Zech table
+        if ctx.modulus is None:  # F_p has no Zech logs
             continue
-        exp, zech = ctx._exp, ctx._zech
+        # the Zech row Z[k] = log(1 + g^k), read with no table, equals the
+        # table-backed twin
+        exp, zech = ctx._exp, ctx.class_logs(1, 1, n)
+        assert zech == zech_table(ctx).tolist()
         assert len(zech) == n
         for k in range(n):
             one_plus = digit_add(p, 1, exp[k])
@@ -434,7 +442,7 @@ def test_class_logs_match_literal_sums(p, m):
 
 
 def test_only_ff_reads_the_field_tables():
-    # the exp/log/Zech layout is private to ff: every other module goes
+    # the exp/log layout is private to ff: every other module goes
     # through dlog, exp, add, mul and class_logs
     package = Path(ff.__file__).parent
     reads = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py")) if path.name != "ff.py"

@@ -242,7 +242,7 @@ def test_replay_reuses_the_towers_the_sweep_left_cached(tmp_path, monkeypatch):
     # the sweep ends on its largest q; the replay, newest q first, uses the
     # towers still cached before any miss evicts them
     monkeypatch.setattr(ff, "_towers", type(ff._towers)())
-    monkeypatch.setattr(ff, "TOWER_CACHE_BYTES", 80_000)  # the last few towers of q <= 60
+    monkeypatch.setattr(ff, "TOWER_CACHE_BYTES", 53_333)  # the last few towers of q <= 60
     replay, seen = search._replay_catalog, {}
 
     def counted_replay(path):
@@ -271,7 +271,7 @@ def test_replay_keeps_tables_within_the_tower_cache_bound(tmp_path, monkeypatch)
     # each brute sample is walked before the replay builds the next q's tower,
     # so what is alive then is the cache plus at most the tower being walked
     monkeypatch.setattr(ff, "_towers", type(ff._towers)())
-    monkeypatch.setattr(ff, "TOWER_CACHE_BYTES", 30_000)  # about one tower near q = 49
+    monkeypatch.setattr(ff, "TOWER_CACHE_BYTES", 20_000)  # about one tower near q = 49
     brute, replay, live = ppcheck.is_pp_brute, search._replay_catalog, []
     earlier = _live_contexts()  # held elsewhere in the session; kept, so no id is reused
     old = set(map(id, earlier))
