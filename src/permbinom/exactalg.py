@@ -433,6 +433,9 @@ def mp_resultant(a, b, F):
 # ----------------------------------------------------------- primality
 
 MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# psi_12: every n below it that passes the bases above is prime (Sorenson and
+# Webster 2015; OEIS A014233), so the seeded rounds only run from here up
+MR_BASES_DECIDE_BELOW = 318_665_857_834_031_151_167_461
 MR_EXTRA_ROUNDS = 20
 
 
@@ -448,8 +451,9 @@ def _mr_witness(a: int, d: int, s: int, n: int) -> bool:
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin with the fixed small-prime bases plus 20 rounds whose
-    bases come from a generator seeded deterministically from n."""
+    """Miller-Rabin with the fixed small-prime bases, which decide every n
+    below MR_BASES_DECIDE_BELOW, plus, from there up, 20 rounds whose bases
+    come from a generator seeded deterministically from n."""
     if n < 2:
         return False
     for q in MR_BASES:
@@ -462,6 +466,8 @@ def is_probable_prime(n: int) -> bool:
     for a in MR_BASES:
         if _mr_witness(a, d, s, n):
             return False
+    if n < MR_BASES_DECIDE_BELOW:
+        return True
     rng = random.Random(n)
     for _ in range(MR_EXTRA_ROUNDS):
         a = rng.randrange(2, n - 1)

@@ -15,10 +15,12 @@ context from its N = (B^d - 1)/(B - 1) heads g^0, ..., g^(N-1); for
 F_{q^2}, N is q + 1.  The heads are stepped by the matrix of x -> x*g over
 the base, whose columns X^j*g mod f come from exactalg.mp_divmod.  Then
 w = g^N lies in the base and generates F_B*, and g^(a*N + b) = w^a * g^b,
-so each stride-N column exp[b::N] is a sum of rotated lists of the powers
-of w, one per nonzero coordinate of g^b, built at C level; log is one
-inverse pass over exp.  The generator test is pow on a prime field and
-exactalg.mp_powmod on an extension.  An extension adds by Zech logs
+so each stride-N column exp[b::N] is a sum of rotations of the powers of
+w, one per nonzero coordinate of g^b, and each row of log a rotated row
+filled from the heads plus a constant, all written by slice copies and
+integer sums over whole int32 rows, in O(N + B^(d-1)) Python steps.  The
+generator test is pow on a prime field and exactalg.mp_powmod on an
+extension.  An extension adds by Zech logs
 Z[k] = log(1 + g^k) (Huber, IEEE Trans. IT 36(4), 1990), g^a + g^b =
 g^(a + Z[b - a]), with no Zech table: 1 + v steps only the lowest base-p
 digit of v, succ(v) = v + 1 or v - (p - 1) when v % p = p - 1, so Z[k] =
@@ -35,12 +37,12 @@ the base field, whose orders divide B - 1.  So catalogs replay bit for bit.
 from __future__ import annotations
 
 import itertools
-import operator
 import os
+import sys
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache, partial, reduce
+from functools import lru_cache
 
 from .exactalg import is_probable_prime, mp_divmod, mp_irreducible, mp_powmod
 
@@ -232,6 +234,8 @@ class FieldCtx(_Field):
         self.char = base.char
         self.degree = len(modulus) - 1
         self.order = base.order**self.degree
+        if self.order > 2**31:  # checked before anything is allocated
+            raise CapExceededError(f"order {base.order}^{self.degree} exceeds the int32 table limit 2^31")
         self.abs_degree = base.abs_degree * self.degree
         self.modulus = tuple(modulus)
         self._n = self.order - 1
@@ -276,22 +280,55 @@ class FieldCtx(_Field):
             c = nxt
         if any(c[1:]):  # pragma: no cover
             raise AssertionError("g^N is not in the base field")
-        # w = g^N generates F_B*, and g^(a*N + b) = w^a * g^b.  With
-        # P = [w^0, ..., w^(B-2)], a coordinate c = w^l times w^a is
-        # P[(l + a) % (B - 1)], so the stride-N column exp[b::N] is the sum
-        # over j of B^j * P rotated by l(c_j), zero coordinates left out.
-        P = [1]
+        # Slice copies and integer sums over whole array('i') rows, read by
+        # int.from_bytes as integers of int32 lanes, write every entry: all are
+        # below n < 2^31, so no lane carries.  w = g^N generates F_B*, g^(a*N +
+        # b) = w^a * g^b, and with W = [w^0, ..., w^(B-2)] and L its log table
+        # (L[0] = -1), the stride-N column exp[b::N] is the sum over the nonzero
+        # coordinates c_j of g^b of B^j * W rotated by L[c_j].
+        exp, log, m, order = array("i", [0]) * n, array("i", [-1]) * self.order, B - 1, sys.byteorder
+        assert exp.itemsize == 4
+        W = [1]
         for _ in range(B - 2):
-            P.append(mul(P[-1], c[0]))
-        ell = {v: l for l, v in enumerate(P)}
-        weighted = [[B**j * v for v in P] for j in range(d)]
-        exp = array("i", [0]) * n
+            W.append(mul(W[-1], c[0]))
+        L = {0: -1} | {v: i for i, v in enumerate(W)}
+        WW = [array("i", [B**j * v for v in W]) * 2 for j in range(d)]
+        # Until its columns are sorted, row V of log holds log(B*V) at 0 and
+        # log(W[i] + B*V) at 1 + i.  For V != 0 of top coordinate w^l, u + B*V
+        # = w^l * (u/w^l + B*V') with V' = V/w^l of top coordinate 1, so row V
+        # is N*l plus row V' rotated by l.  The rows V' hold the g^(b - N*l),
+        # head b over its top coordinate w^l; each holds one B*V' (u = 0).
+        rows = []
         for b, head in enumerate(heads):
-            rots = [wp[ell[cj]:] + wp[: ell[cj]] for wp, cj in zip(weighted, head) if cj]
-            exp[b::N] = array("i", reduce(partial(map, operator.add), rots))
-        log = array("i", [-1]) * self.order  # zero has no log: -1
-        for k, v in enumerate(exp):
-            log[v] = k
+            lane_sum = sum(int.from_bytes(Wj[L[cj]:L[cj] + m], order) for Wj, cj in zip(WW, head) if cj)
+            exp[b::N] = array("i", lane_sum.to_bytes(4 * m, order))
+            if b:
+                k = (b - N * L[next(filter(None, reversed(head)))]) % n
+                e = exp[k]  # u + B*V' with u = e % B, at 1 + L[u] of row V'
+                log[e - e % B + 1 + L[e % B]] = k
+                if not e % B:
+                    rows.append(e)
+        log[1:B] = array("i", range(0, n, N))  # row 0 is F_B, log w^i = N*i
+        # a lane of N*l plus a rotated row reaches n iff adding 2^31 - n sets bit 31
+        ones = int.from_bytes(array("i", [1]) * m, order)
+        high, offset = ones << 31, (2**31 - n) * ones
+        for e in rows:
+            t, D = log[e], log[e + 1:e + B] * 2
+            for l in range(1, m):
+                k = (t + N * l) % n
+                v = exp[k]  # B*V for V = w^l * V'
+                log[v] = k
+                lane_sum = int.from_bytes(D[m - l:2 * m - l], order) + N * l * ones
+                lane_sum -= (((lane_sum + offset) & high) >> 31) * n
+                log[v + 1:v + B] = array("i", lane_sum.to_bytes(4 * m, order))
+        # the cycles of 1 + i -> W[i] move the columns into index order
+        done = bytearray(B)
+        for start in itertools.filterfalse(done.__getitem__, range(1, B)):
+            held, x = log[start::B], start
+            while not done[x]:
+                done[x], src = 1, 1 + L[x]
+                log[x::B] = held if src == start else log[src::B]
+                x = src
         self._exp = exp
         self._log = log
 

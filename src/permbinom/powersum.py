@@ -51,6 +51,7 @@ __all__ = [
     "power_sum_t2_closed",
     "power_sum_t1_closed",
     "power_sum_brute",
+    "power_sum_on_class_row",
     "theta_numeric",
     "theta_modp_poly",
     "theta_symbolic",
@@ -329,12 +330,20 @@ def power_sum_brute(r: int, t: int, a: FieldElement, s: int) -> FieldElement:
     if r < 1 or t < 1 or s < 1:
         raise ValueError("r, t, s must be positive")
     q = ctx2.base.order
+    return power_sum_on_class_row(ctx2, r, s, ctx2.class_logs(a.idx, t * (q - 1), q + 1))
+
+
+def power_sum_on_class_row(ctx2: FieldCtx, r: int, s: int, row: list[int]) -> FieldElement:
+    """power_sum_brute(r, t, a, s) walked on the class row of its a and t,
+    row = ctx2.class_logs(a, t(q-1), q+1), which depends on (a, t) alone:
+    a caller summing over many (r, s) computes it once."""
+    q = ctx2.base.order
     n = ctx2.order - 1
     repeats = math.gcd(r * s, q - 1)
     step = r * s * (q + 1)
     steps = range(0, step * ((q - 1) // repeats), step)
     counts = {}  # exponent j -> number of x with f(x)^s = g^j
-    for k0, lf in enumerate(ctx2.class_logs(a.idx, t * (q - 1), q + 1)):
+    for k0, lf in enumerate(row):
         if lf < 0:  # f(x) = 0 on the whole class contributes nothing
             continue
         e0 = s * (r * k0 + lf)  # log f(g^k0)^s = s*(r*k0 + log(a + g^(t(q-1)k0)))

@@ -24,7 +24,13 @@ from typing import get_type_hints
 
 from . import __version__, ppcheck
 from .ff import PrimePower, build_tower, enumeration_cap, enumerate_elements
-from .powersum import PowerSumIndex, power_sum_brute, power_sum_closed, surviving_alphas
+from .powersum import (
+    PowerSumIndex,
+    power_sum_brute,
+    power_sum_closed,
+    power_sum_on_class_row,
+    surviving_alphas,
+)
 from .ppcheck import (
     BinomialParams,
     classify_family,
@@ -416,12 +422,15 @@ def _xval_exhaustive(fq2, q: int, t: int, modes=("oracle", "pp")) -> list[CheckR
     if "oracle" in modes:
         mismatches = []
         n_sums = 0
+        # the class row of a depends on (a, t) alone, so it serves every (r, alpha)
+        rows = [(a, fq2.class_logs(a.idx, t * (q - 1), q + 1))
+                for a in enumerate_elements(fq2, "nonzero")]
         for r in _admissible_r(q):
-            for a in enumerate_elements(fq2, "nonzero"):
+            for a, row in rows:
                 for alpha in surviving_alphas(q, t):
                     s = PowerSumIndex.useful(alpha, q)
                     n_sums += 1
-                    if power_sum_closed(r, t, a, s) != power_sum_brute(r, t, a, s.s):
+                    if power_sum_closed(r, t, a, s) != power_sum_on_class_row(fq2, r, s.s, row):
                         mismatches.append((r, a.text, alpha))
         out.append(_tally(f"xval.q{q}.t{t}.oracle", "closed form == brute force",
                           f"{n_sums} sums", mismatches, "mismatches"))

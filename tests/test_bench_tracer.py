@@ -42,3 +42,16 @@ def test_tracer_counts_closed_dispatch_once(monkeypatch):
             assert t.hot["powersum.closed"][0] == calls
     finally:
         t.uninstall()
+
+
+def test_kernel_probe_reads_the_field_tables(monkeypatch):
+    # bench/run.py --trace 1 probes F_{q^2} add/mul and reads _exp and _log,
+    # so a table rename or layout change fails here first
+    monkeypatch.syspath_prepend(BENCH_DIR)
+    import tracer
+
+    _, fq2 = build_tower(7, 2)
+    probe = tracer.kernel_probe(fq2, 0, 100)
+    assert probe["add_mops"] > 0 and probe["mul_mops"] > 0
+    assert probe["table_entries"] == 2 * fq2.order - 1  # exp has n entries, log n + 1
+    assert probe["table_bytes"] > 4 * probe["table_entries"]

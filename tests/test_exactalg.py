@@ -6,10 +6,13 @@ from fractions import Fraction
 import pytest
 
 from permbinom.exactalg import (
+    MR_BASES,
+    MR_BASES_DECIDE_BELOW,
     BiPolyRZ,
     Factorization,
     IntPoly,
     RatPoly,
+    _mr_witness,
     is_probable_prime,
     mp_divmod,
     mp_eval,
@@ -348,6 +351,17 @@ def test_probable_prime_basics():
     assert not is_probable_prime(561)  # Carmichael
     assert not is_probable_prime(1)
     assert is_probable_prime(2)
+
+
+def test_fixed_bases_decide_only_below_psi12():
+    # psi_12 is a strong pseudoprime to all twelve fixed bases, so only the
+    # seeded rounds, which run from psi_12 up, reject it
+    n = MR_BASES_DECIDE_BELOW
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    assert all(n % a and not _mr_witness(a, d, s, n) for a in MR_BASES)
+    assert not is_probable_prime(n)
 
 
 def test_primality_and_factor_check():

@@ -4,11 +4,13 @@ import hashlib
 import itertools
 import math
 import random
+import sys
 from pathlib import Path
 
 import pytest
 
 from permbinom import ff
+from permbinom.cli import main
 from permbinom.exactalg import mp_divmod, mp_irreducible, mp_mul
 from permbinom.ff import (
     CapExceededError,
@@ -19,6 +21,7 @@ from permbinom.ff import (
     enumerate_elements,
 )
 
+from table_twin import twin_tables
 from zech_twin import zech_table
 
 
@@ -362,6 +365,53 @@ def test_table_build_steps_only_the_heads(monkeypatch):
     fq2._build_tables()
     assert 0 < calls <= 8 * (q + 1) + q
     assert [t.tobytes() for t in (fq2._exp, fq2._log)] == tables
+
+
+@pytest.mark.parametrize("p,m", [*TABLE_GRID, (1009, 1), (31, 2)])
+def test_tables_match_the_per_entry_twin(p, m):
+    # every extension level, F_{1009^2}, and F_{961^2} over F_{31^2}: the
+    # slice-and-lane build writes the bytes of the per-entry build
+    for ctx in (c for c in build_tower(p, m) if c.modulus is not None):
+        exp, log = twin_tables(ctx)
+        assert ctx._exp.tobytes() == exp.tobytes()
+        assert ctx._log.tobytes() == log.tobytes()
+
+
+def test_table_build_runs_no_per_entry_loop():
+    # line events raised in ff.py while F_{243^2} (over F_{3^5}, whose add
+    # and mul are ff.py too) builds its tables: O(1) per head and per row of
+    # log, where one Python step per table entry alone would be 2q^2
+    fq, fq2 = build_tower(3, 5)
+    q, lines = fq.order, 0
+
+    def count_lines(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return count_lines
+
+    def in_ff(frame, event, arg):
+        return count_lines if frame.f_code.co_filename == ff.__file__ else None
+    tracer = sys.gettrace()
+    sys.settrace(in_ff)
+    try:
+        fq2._build_tables()
+    finally:
+        sys.settrace(tracer)
+    assert 0 < lines < 128 * (q + 1)
+
+
+def test_orders_past_the_int32_tables_are_refused_before_any_build(monkeypatch, capsys):
+    # 46349 is the smallest prime with p^2 > 2^31; with the enumeration cap
+    # raised, FieldCtx refuses the order before its generator search
+    def no_build(*args):
+        raise AssertionError("reached past the order check")
+    monkeypatch.setenv("PERMBINOM_CAP", str(10**10))
+    monkeypatch.setattr(ff.FieldCtx, "_smallest_generator", no_build)
+    monkeypatch.setattr(ff.FieldCtx, "_build_tables", no_build)
+    with pytest.raises(CapExceededError, match=r"46349\^2 exceeds the int32 table limit 2\^31"):
+        build_tower(46349, 1)
+    assert main(["field-info", "--p", "46349"]) == 2
+    assert "int32 table limit" in capsys.readouterr().err
 
 
 # reference twin of the Zech-log addition: indexes are base-p digit vectors,
