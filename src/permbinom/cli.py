@@ -18,7 +18,7 @@ from .powersum import PowerSumIndex, power_sum_brute, power_sum_closed
 from .ppcheck import BinomialParams, classify_family, is_pp_brute, is_pp_powersum, thm21_bound
 from .refcheck import SUITES, run_suite
 from .report import all_ok, render_table
-from .search import catalog_to_csv, cross_validate, search_exceptional
+from .search import catalog_to_csv, check_output_path, cross_validate, search_exceptional
 
 
 def _add_field_args(sp, with_params: bool = True):
@@ -95,6 +95,8 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    if args.csv:
+        check_output_path(args.csv)  # before the sweep, as search_exceptional does for --out
     summary = search_exceptional(
         args.r,
         args.q_max,

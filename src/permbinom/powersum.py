@@ -12,9 +12,12 @@ here; the permutation test and the search call it.
 Every bracket is built from one memoised row kernel, bracket_row(alpha,
 shift, p): the coefficients binom(alpha,i)(-1)^i binom(i+shift, alpha) mod p.
 The t = 2 even and odd halves, the d = q-1 branch and the t = 1 bracket
-differ only in shift.  The t = 2 rows with their d are memoised per
-(alpha, r, q), so a z-sweep pays only the Horner evaluations at each z,
-through exactalg.mp_eval over the subfield.
+differ only in shift.  t2_rows memoises the t = 2 rows with their d per
+(alpha, r, q), shared by the few candidate z a sweep tests per q, by the
+fast tests of a catalog replay and by the closed forms of one (r, q);
+bracket_row's own memo serves the t = 1 bracket, whose closed forms ask
+for the same row at every a of a field.  Rows are evaluated at a point of
+F_q by exactalg.mp_eval over the subfield.
 
 Binomial coefficients mod p are Lucas digit products (binom_lucas); the
 closed forms use integer upper entries reduced through base-p digits
@@ -52,7 +55,6 @@ __all__ = [
     "power_sum_t1_closed",
     "power_sum_brute",
     "power_sum_on_class_row",
-    "theta_numeric",
     "theta_modp_poly",
     "theta_symbolic",
     "identity_value",
@@ -167,8 +169,9 @@ def bracket_row(alpha: int, shift: int, p: int) -> tuple:
     for i = 0..alpha.
 
     shift is an integer representative; any representative correct mod p^L
-    with p^L > alpha gives the same row.  Memoised: a sweep evaluates the
-    same few rows at every z of a field.
+    with p^L > alpha gives the same row.  Memoised for t1_bracket, which
+    asks for the same row at every a of a field; the t = 2 rows reach it
+    only through the memo of t2_rows.
     """
     out = []
     sign = 1
@@ -246,6 +249,13 @@ def _closed_alpha(r: int, t: int, a: FieldElement, s) -> int | None:
     return None
 
 
+def _scaled(a: FieldElement, e: int, value: int, parity: int) -> FieldElement:
+    """a^e * value, negated when parity is odd: the last step of every closed form."""
+    ctx2 = a.ctx
+    out = ctx2.mul(ctx2.pow(a.idx, e % (ctx2.order - 1)), value)
+    return FieldElement(ctx2, ctx2.neg(out) if parity % 2 else out)
+
+
 def power_sum_closed(r: int, t: int, a: FieldElement, s) -> FieldElement:
     """The closed form for t in {1, 2}: power_sum_t2_closed or
     power_sum_t1_closed, looked up by name at each call."""
@@ -267,23 +277,15 @@ def power_sum_t2_closed(r: int, a: FieldElement, s) -> FieldElement:
     if alpha is None:
         return ctx2.zero()
     q = ctx2.base.order
-    n = ctx2.order - 1
     z = compute_z(a)
     y = ctx2.mul(z.idx, z.idx)
     if not ctx2.in_subfield(y):  # pragma: no cover - z^2 is always in F_q
         raise AssertionError("z^2 outside the subfield")
     d, e_val, o_val = t2_bracket(alpha, r, ctx2.base, y)
     if d == q - 1:
-        pref = ctx2.pow(a.idx, (alpha + 1) % n)
-        out = ctx2.neg(ctx2.mul(ctx2.mul(pref, z.idx), e_val))
-        return FieldElement(ctx2, out)
+        return _scaled(a, alpha + 1, ctx2.mul(z.idx, e_val), 1)
     dh = d // 2
-    bracket = ctx2.add(e_val, ctx2.mul(z.idx, o_val))
-    pref = ctx2.pow(a.idx, (alpha + 1 - q * (1 + dh)) % n)
-    out = ctx2.mul(pref, bracket)
-    if dh % 2:
-        out = ctx2.neg(out)
-    return FieldElement(ctx2, out)
+    return _scaled(a, alpha + 1 - q * (1 + dh), ctx2.add(e_val, ctx2.mul(z.idx, o_val)), dh)
 
 
 def power_sum_t1_closed(r: int, a: FieldElement, s) -> FieldElement:
@@ -302,12 +304,7 @@ def power_sum_t1_closed(r: int, a: FieldElement, s) -> FieldElement:
     d, t_val = t1_bracket(alpha, r, sub, h)
     if d == q:
         return ctx2.zero()
-    n = ctx2.order - 1
-    pref = ctx2.pow(a.idx, (alpha + 1 - q * (1 + d)) % n)
-    out = ctx2.mul(pref, t_val)
-    if (alpha + d + 1) % 2:
-        out = ctx2.neg(out)
-    return FieldElement(ctx2, out)
+    return _scaled(a, alpha + 1 - q * (1 + d), t_val, alpha + d + 1)
 
 
 def power_sum_brute(r: int, t: int, a: FieldElement, s: int) -> FieldElement:
@@ -397,12 +394,6 @@ def theta_modp_poly(alpha: int, dhalf: int, p: int) -> list[int]:
     while out and not out[-1]:
         out.pop()
     return out
-
-
-def theta_numeric(alpha: int, dhalf: int, z: FieldElement) -> FieldElement:
-    """The bracket at a field value z, for an integer representative dhalf of d/2."""
-    coeffs = theta_modp_poly(alpha, dhalf, z.ctx.char)
-    return FieldElement(z.ctx, mp_eval(coeffs, z.idx, z.ctx))
 
 
 # ------------------------------------------------- exact rational identities

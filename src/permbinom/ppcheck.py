@@ -32,9 +32,9 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import cycle, zip_longest
 
-from .exactalg import is_probable_prime, mp_divmod, mp_eval, mp_gcd, mp_powmod, mp_sub
+from .exactalg import is_probable_prime, mp_divmod, mp_gcd, mp_powmod, mp_sub
 from .ff import FieldCtx, FieldElement, PrimeField, build_subfield, compute_z, enumeration_cap
-from .powersum import PowerSumIndex, surviving_alphas, t1_bracket, t2_rows
+from .powersum import PowerSumIndex, surviving_alphas, t1_bracket, t2_bracket, t2_rows
 
 __all__ = [
     "BinomialParams",
@@ -199,21 +199,20 @@ def t2_z_first_failure(sub: FieldCtx | PrimeField, q: int, r: int, y_idx: int,
     """First odd alpha whose closed-form sum is nonzero, or None if all vanish.
 
     y_idx is z^2 as an F_q index; z_sub_idx is z itself when z lies in F_q,
-    None when it does not (then a bracket vanishes iff both of its halves do,
-    so O(y) is read only when E(y) = 0).  For odd r, y = 1 (z = +-1) is closed
-    form: E(1) = O(1) = (-1)^alpha, so z = 1 fails at alpha = 1 and z = -1 where
-    d = q-1, at the first odd alpha with (alpha+1)(r-2) = 0 mod q+1.
+    None when it does not, and then a bracket vanishes iff E(y) = O(y) = 0.
+    For odd r, y = 1 (z = +-1) is closed form: E(1) = O(1) = (-1)^alpha, so
+    z = 1 fails at alpha = 1 and z = -1 where d = q-1, at the first odd alpha
+    with (alpha+1)(r-2) = 0 mod q+1.
     """
     if y_idx == 1:
         g = math.gcd(r - 2, q + 1)
         return 1 if z_sub_idx == 1 else (None if g == 1 else (q + 1) // g - 1)
     for alpha in surviving_alphas(q, 2):
-        _, evens, odds = t2_rows(alpha, r, q, sub.char)
-        e_val = mp_eval(evens, y_idx, sub)
+        _, e_val, o_val = t2_bracket(alpha, r, sub, y_idx)
         if z_sub_idx is None:
-            if e_val or mp_eval(odds, y_idx, sub):
+            if e_val or o_val:
                 return alpha
-        elif sub.add(e_val, sub.mul(z_sub_idx, mp_eval(odds, y_idx, sub))):
+        elif sub.add(e_val, sub.mul(z_sub_idx, o_val)):
             return alpha
     return None
 

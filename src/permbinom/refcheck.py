@@ -20,6 +20,7 @@ from .exactalg import (
     RatPoly,
     BiPolyRZ,
     mp_divmod,
+    mp_eval,
     mp_gcd,
     mp_irreducible,
     mp_resultant,
@@ -33,7 +34,6 @@ from .powersum import (
     binom_intmod,
     cd_pair,
     theta_modp_poly,
-    theta_numeric,
     theta_symbolic,
     verify_identities,
 )
@@ -296,6 +296,7 @@ def sec7_p3_check() -> list[CheckReport]:
         )
 
     a14 = to_modp(REG.A1.eval_r(4), p)
+    a14_ok = a14 == to_modp(REG.A1_at_4, p)  # the divisor must be the transcribed A1(4, z)
     a34 = to_modp(third_A3.eval_r(4), p)
     a34_claim = to_modp(_expand_factored(1, REG.A3_at_4_factors), p)
     reports.append(check("sec7p3.factor.a3", a34_claim, a34))
@@ -310,11 +311,11 @@ def sec7_p3_check() -> list[CheckReport]:
         )
     )
     reports.append(
-        check("sec7p3.divides.a3", True, not mp_divmod(a34, a14, fp)[1])
+        check("sec7p3.divides.a3", True, a14_ok and not mp_divmod(a34, a14, fp)[1])
     )
     a54_full = to_modp(REG.A5.eval_r(4), p)
     reports.append(
-        check("sec7p3.divides.a5", True, not mp_divmod(a54_full, a14, fp)[1])
+        check("sec7p3.divides.a5", True, a14_ok and not mp_divmod(a54_full, a14, fp)[1])
     )
 
     inv2 = pow(2, -1, 9)  # alpha = 7 needs representatives mod 3^2
@@ -371,8 +372,8 @@ def sec7_p181_check() -> list[CheckReport]:
     root = (-g[0]) % p if len(g) == 2 else None
     reports.append(check("sec7p181.common-root", REG.p181_common_root, root))
 
-    th = theta_numeric(7, pow(2, -1, p), fp.element(REG.p181_common_root))
-    reports.append(check("sec7p181.theta7", REG.p181_theta7, th.idx))
+    th = mp_eval(theta_modp_poly(7, pow(2, -1, p), p), REG.p181_common_root, fp)
+    reports.append(check("sec7p181.theta7", REG.p181_theta7, th))
     return reports
 
 

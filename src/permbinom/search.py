@@ -23,7 +23,7 @@ from itertools import groupby
 from typing import get_type_hints
 
 from . import __version__, ppcheck
-from .ff import PrimePower, build_tower, enumeration_cap, enumerate_elements
+from .ff import CapExceededError, PrimePower, build_tower, enumeration_cap, enumerate_elements
 from .powersum import (
     PowerSumIndex,
     power_sum_brute,
@@ -45,6 +45,7 @@ __all__ = [
     "SearchRecord",
     "odd_prime_powers",
     "search_exceptional",
+    "check_output_path",
     "cross_validate",
     "read_catalog",
     "catalog_to_csv",
@@ -168,6 +169,16 @@ def _sweep_one_q(task) -> list[dict]:
     return records
 
 
+def check_output_path(path: str):
+    """Refuse, before any sweep, an output path that names a directory or
+    lies in a missing one; the file itself is left alone for --resume."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"output path {path} is a directory")
+    out_dir = os.path.dirname(path)
+    if out_dir and not os.path.isdir(out_dir):
+        raise FileNotFoundError(f"output directory {out_dir} does not exist")
+
+
 def _write_catalog(path: str, header: dict, records: list[dict], done: list[dict]):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("#PERMBINOM-CATALOG " + json.dumps(header) + "\n")
@@ -245,10 +256,8 @@ def search_exceptional(
     """
     if r <= 3 or r % 2 == 0:
         raise ValueError("search needs odd r > 3")
-    out_dir = os.path.dirname(out) if out else ""
-    if out_dir and not os.path.isdir(out_dir):
-        # fail before the sweep; the file itself is left alone for --resume
-        raise FileNotFoundError(f"output directory {out_dir} does not exist")
+    if out:
+        check_output_path(out)
     cap = enumeration_cap()
     qs = _admissible_qs(r, q_max, cap)
     if not qs:  # r is odd, so only q_max < 3 or a cap below 9 gets here
@@ -389,6 +398,10 @@ def cross_validate(
         raise ValueError("no field orders to cross-validate")
     if samples is not None and samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    cap = enumeration_cap()
+    big = next((q for q in q_list if q * q > cap), None)
+    if big is not None:  # before PrimePower.from_q trial-divides it
+        raise CapExceededError(f"q^2 = {big}^2 exceeds the enumeration cap {cap}")
     reports = []
     for q in q_list:
         pp = PrimePower.from_q(q)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from permbinom import powersum
-from permbinom.exactalg import BiPolyRZ, RatPoly, to_modp
+from permbinom.exactalg import BiPolyRZ, RatPoly, mp_eval, to_modp
 from permbinom.ff import build_tower, build_subfield, enumerate_elements
 from permbinom.powersum import (
     CDPair,
@@ -22,7 +22,6 @@ from permbinom.powersum import (
     power_sum_t1_closed,
     power_sum_t2_closed,
     theta_modp_poly,
-    theta_numeric,
     theta_symbolic,
     verify_identities,
 )
@@ -338,7 +337,7 @@ def test_theta_symbolic_vanishes_at_3_3():
 
 def test_theta_numeric_181():
     fp = build_subfield(181, 1)
-    assert theta_numeric(7, pow(2, -1, 181), fp.element(65)).idx == 46  # d/2 = 1/2
+    assert mp_eval(theta_modp_poly(7, pow(2, -1, 181), 181), 65, fp) == 46  # d/2 = 1/2
 
 
 def test_theta_numeric_matches_symbolic_reduction():

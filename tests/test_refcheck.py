@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from permbinom import refcheck
 from permbinom.cli import main
 from permbinom.exactalg import IntPoly, resultant_univar
 from permbinom.refcheck import (
@@ -100,6 +101,25 @@ def test_run_suite_all_and_unknown():
     with pytest.raises(ValueError):
         run_suite("nope")
     assert all_ok(run_suite("sec5r32"))
+
+
+def test_every_registry_constant_is_read_by_a_suite(monkeypatch):
+    # a transcribed constant no suite reads is never verified
+    read = set()
+
+    class Recorder:
+        def __getattr__(self, name):
+            read.add(name)
+            return getattr(REG, name)
+
+    monkeypatch.setattr(refcheck, "REG", Recorder())
+    assert all_ok(run_suite("all"))
+    assert sorted(set(vars(REG)) - read) == []
+
+
+def test_sec7_p3_compares_the_transcribed_a1_cofactor(monkeypatch):
+    monkeypatch.setattr(REG, "A1_at_4", IntPoly((1, 1, 1)))
+    assert [r.check_id for r in failures(sec7_p3_check())] == ["sec7p3.divides.a3", "sec7p3.divides.a5"]
 
 
 def test_resultant_sign_finding():

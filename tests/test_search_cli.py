@@ -778,6 +778,36 @@ def test_search_missing_out_dir_fails_before_sweep(tmp_path, capsys, monkeypatch
     assert calls
 
 
+def test_search_refuses_unusable_output_paths_before_sweep(tmp_path, capsys, monkeypatch):
+    def sweep(task):
+        raise AssertionError("swept before the output paths were checked")
+
+    monkeypatch.setattr(search, "_sweep_one_q", sweep)
+    out = str(tmp_path / "c.jsonl")
+    with pytest.raises(IsADirectoryError):
+        search_exceptional(5, 10, out=str(tmp_path))
+    for argv in (("--out", str(tmp_path)),
+                 ("--out", out, "--csv", str(tmp_path)),
+                 ("--out", out, "--csv", str(tmp_path / "no-such-dir" / "c.csv"))):
+        _assert_usage_error(capsys, "search", "--r", "5", "--q-max", "10", *argv)
+    assert not os.path.exists(out)
+
+
+def test_cross_validate_refuses_q_past_the_cap_before_factoring(capsys, monkeypatch):
+    # trial division of q would take ~sqrt(q) steps; the cap is decided first
+    cap = ff.enumeration_cap()
+    factor = ff._prime_factors
+
+    def guarded(n):
+        if n > cap:
+            raise AssertionError(f"trial division of {n}, above the cap {cap}")
+        return factor(n)
+
+    monkeypatch.setattr(ff, "_prime_factors", guarded)
+    err = _assert_usage_error(capsys, "cross-validate", "--q", "3,1000000000000000003")
+    assert err.strip() == f"error: q^2 = 1000000000000000003^2 exceeds the enumeration cap {cap}"
+
+
 def test_cross_validate_rejects_nothing_to_check(capsys):
     with pytest.raises(ValueError):
         cross_validate([])
