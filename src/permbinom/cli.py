@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -97,6 +98,8 @@ def _cmd_bound(args) -> int:
 def _cmd_search(args) -> int:
     if args.csv:
         check_output_path(args.csv)  # before the sweep, as search_exceptional does for --out
+        if os.path.realpath(args.csv) == os.path.realpath(args.out):
+            raise ValueError(f"--csv {args.csv} would overwrite the catalog --out {args.out}")
     summary = search_exceptional(
         args.r,
         args.q_max,
@@ -120,6 +123,8 @@ def _cmd_cross_validate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.json:
+        check_output_path(args.json)  # before the suites run
     reports = run_suite(args.suite)
     print(render_table(reports))
     if args.json:

@@ -148,16 +148,21 @@ class FamilyTag:
 
 
 def is_pp_brute(params: BinomialParams) -> PPVerdict:
-    """Evaluate f on every element; bijection iff no collision.
+    """Decide f by the q+1 classes of x^(q-1); walk elements only for a witness.
 
-    Elements are enumerated in the order 0, g^0, g^1, ..., g^(Q-2), and the
-    first collision is returned as a witness: x2 is the first element whose
-    image is already taken, x1 the earlier element with that image (x1 = 0
-    when the image is 0).  f(g^k) = g^(r*k) * (a + g^(te*k)); since
-    te*(q+1) = 0 mod Q-1, the second factor depends only on k mod q+1, so one
-    row of q+1 logs from FieldCtx.class_logs serves the whole walk.  Images
-    are marked by their logs in a bytearray of Q-1 bytes, and x1 is recovered
-    by one rescan of the earlier elements.
+    f(g^k) = g^(r*k) * (a + g^(te*k)); since te*(q+1) = 0 mod Q-1, the second
+    factor depends only on k mod q+1, so one row of q+1 logs from
+    FieldCtx.class_logs serves every element.  Class k holds the q-1 elements
+    g^(k + (q+1)j), whose images have logs r*k + row[k] + (q+1)*(r*j mod q-1);
+    so f permutes iff gcd(r, q-1) = 1, no row entry is -1 (a zero image) and
+    k -> (r*k + row[k]) mod q+1 is a bijection (Park-Lee 2001; Zieve 2009).
+    Otherwise elements are walked in the order 0, g^0, g^1, ..., g^(Q-2), and
+    the first collision is returned as a witness: x2 is the first element
+    whose image is already taken, x1 the earlier element with that image
+    (x1 = 0 when the image is 0).  Images are marked by their logs in a
+    bytearray of Q-1 bytes, and x1 is recovered by one rescan of the earlier
+    elements.  A walk that ends without a collision contradicts the class
+    test and raises AssertionError.
     """
     ctx2 = params.ctx2
     Q = ctx2.order
@@ -167,6 +172,9 @@ def is_pp_brute(params: BinomialParams) -> PPVerdict:
     q = params.q
     r, t = params.r, params.t
     row = ctx2.class_logs(params.a.idx, t * (q - 1), q + 1)  # log(a + g^(te*k)), -1 for 0
+    if (math.gcd(r, q - 1) == 1 and -1 not in row
+            and len({(r * k + lf) % (q + 1) for k, lf in enumerate(row)}) == q + 1):
+        return PPVerdict(True, "brute")
     seen = bytearray(n)  # seen[e]: some earlier g^k has f(g^k) = g^e
     for k, rk, lf in zip(range(n), range(0, r * n, r), cycle(row)):
         if lf < 0:  # f(g^k) = 0 = f(0)
@@ -179,7 +187,7 @@ def is_pp_brute(params: BinomialParams) -> PPVerdict:
             x1, x2, fx = (ctx2.element(ctx2.exp(j)) for j in (k1, k, e))
             return PPVerdict(False, "brute", Collision(x1, x2, fx))
         seen[e] = 1
-    return PPVerdict(True, "brute")
+    raise AssertionError(f"class test and element walk disagree on {params!r}")
 
 
 def _root_excess(params: BinomialParams) -> int | None:

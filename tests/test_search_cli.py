@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from permbinom import ff, ppcheck, search
+from permbinom import cli, ff, ppcheck, search
 from permbinom.cli import main
 from permbinom.ff import build_tower, compute_z
 from permbinom.ppcheck import BinomialParams, FamilyTag, PPVerdict, is_pp_brute, is_pp_powersum
@@ -791,6 +791,30 @@ def test_search_refuses_unusable_output_paths_before_sweep(tmp_path, capsys, mon
                  ("--out", out, "--csv", str(tmp_path / "no-such-dir" / "c.csv"))):
         _assert_usage_error(capsys, "search", "--r", "5", "--q-max", "10", *argv)
     assert not os.path.exists(out)
+
+
+def test_search_refuses_one_file_for_catalog_and_csv(tmp_path, capsys, monkeypatch):
+    def sweep(task):
+        raise AssertionError("swept although --csv names the catalog")
+
+    monkeypatch.setattr(search, "_sweep_one_q", sweep)
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "c.jsonl"
+    (tmp_path / "link.jsonl").symlink_to(out)
+    for csv in (str(out), "c.jsonl", str(tmp_path / "." / "c.jsonl"), "link.jsonl"):
+        err = _assert_usage_error(capsys, "search", "--r", "5", "--q-max", "10",
+                                  "--out", str(out), "--csv", csv)
+        assert "would overwrite the catalog" in err
+    assert not out.exists()
+
+
+def test_verify_refuses_a_json_directory_before_running_suites(tmp_path, capsys, monkeypatch):
+    def run_suite(name):
+        raise AssertionError("ran a suite before the --json path was checked")
+
+    monkeypatch.setattr(cli, "run_suite", run_suite)
+    for path in (tmp_path, tmp_path / "no-such-dir" / "r.jsonl"):
+        _assert_usage_error(capsys, "verify", "--suite", "all", "--json", str(path))
 
 
 def test_cross_validate_refuses_q_past_the_cap_before_factoring(capsys, monkeypatch):
