@@ -15,9 +15,9 @@ verdict needs only F_q arithmetic; when z is outside F_q the bracket
 vanishes iff E and O both do.  The sweep exploits this to decide every a of
 a field at once, and never scans the z values: the alpha = 1 bracket is a
 nonzero polynomial of degree <= 3 in z, so the only z that can pass are its
-roots in F_q and the nonsquare common roots y of E_1 and O_1, found by
-gcd(., z^q - z) and Cantor-Zassenhaus splitting (Math. Comp. 36, 1981) on
-exactalg's polynomial functions over F_q.  Those few candidates are then
+roots in F_q and the nonsquare common roots y of E_1 and O_1 (degree <= 1).
+Off the d = q-1 branch z = -1 is always a root, and the quotient, like the
+d = q-1 bracket, is a quadratic solved by Tonelli-Shanks.  Those few are then
 tested bracket by bracket, but the norm-one z = -1 (the paper's case (i))
 needs none: sum_i (-1)^i C(alpha,i) C(i+s,alpha) = (-1)^alpha puts its
 first failing alpha in closed form.  The sweep returns the passing z and
@@ -30,9 +30,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import cycle, zip_longest
+from itertools import cycle
 
-from .exactalg import is_probable_prime, mp_divmod, mp_gcd, mp_powmod, mp_sub
+from .exactalg import is_probable_prime, mp_gcd
 from .ff import FieldCtx, FieldElement, PrimeField, build_subfield, compute_z, enumeration_cap
 from .powersum import PowerSumIndex, surviving_alphas, t1_bracket, t2_bracket, t2_rows
 
@@ -323,10 +323,11 @@ def t2_passing_z(p: int, m: int, r: int, include_norm_one: bool = False) -> tupl
     a has norm one iff z = +-1; z = 1 never passes (extra roots), z = -1 is
     included only when include_norm_one is set.
 
-    Only roots of the alpha = 1 bracket are tested.  z in F_q must be a root
-    of B_1(z) = E_1(z^2) + z*O_1(z^2); y = z^2 outside the squares must be a
-    root of both E_1 and O_1 (of E_1 alone in the d = q-1 branch, which has
-    no odd row).  Every other z fails at alpha = 1.
+    Only roots of the alpha = 1 bracket are tested, every one in closed form.
+    z in F_q must be a root of B_1(z) = E_1(z^2) + z*O_1(z^2): z = -1 or a root
+    of the quadratic B_1/(z + 1), or of B_1 itself in the d = q-1 branch,
+    which has no odd row.  y = z^2 outside the squares must be a root of the
+    line gcd(E_1, O_1).  Every other z fails at alpha = 1.
     """
     sub = build_subfield(p, m)
     q = sub.order
@@ -335,11 +336,11 @@ def t2_passing_z(p: int, m: int, r: int, include_norm_one: bool = False) -> tupl
     if math.gcd(r, q - 1) != 1:
         return [], {}
     _, evens, odds = t2_rows(1, r, q, p)
-    b1 = [c for pair in zip_longest(evens, odds, fillvalue=0) for c in pair]
-    minus_one = sub.neg(1)
-    subs = [z for z in _fq_roots(b1, sub) if z > 1 and (include_norm_one or z != minus_one)]
+    known, cofactor = _b1_cofactor(evens, odds, p)
+    subs = [z for z in sorted({*known, *_small_roots(cofactor, sub)})
+            if z > 1 and (include_norm_one or z != p - 1)]
     # y != 0 is a nonsquare iff y^((q-1)/2) != 1 (Euler's criterion)
-    exts = [y for y in _fq_roots(mp_gcd(evens, odds, sub), sub) if y and sub.pow(y, (q - 1) // 2) != 1]
+    exts = [y for y in _small_roots(mp_gcd(evens, odds, sub), sub) if y and sub.pow(y, (q - 1) // 2) != 1]
     decided = q - 2 - (not include_norm_one) + (q - 1) // 2  # F_q* but 1 (and -1), nonsquares
     first = Counter({1: decided - len(subs) - len(exts)})
     hits = []
@@ -355,43 +356,52 @@ def t2_passing_z(p: int, m: int, r: int, include_norm_one: bool = False) -> tupl
     return hits, {alpha: c for alpha, c in sorted(first.items()) if c}
 
 
-# Polynomials over F_q are lists of F_q indices, constant term first, on
-# exactalg's mp_* functions; a bracket row's prime-field residues are
-# F_q indices too, since F_p sits in F_q as the indices below p.
+# Polynomials over F_q are lists of F_q indices, constant term first; a
+# bracket row's residues mod p are F_q indices too, as F_p is the indices
+# below p.  Every root the sweep needs is found in closed form from them.
 
-def _fq_roots(f, sub: FieldCtx | PrimeField) -> list[int]:
-    """The distinct roots of f in F_q (q odd), ascending.
+def _b1_cofactor(evens, odds, p: int) -> tuple[tuple, list[int]]:
+    """(known, Q) with B_1(z) = E_1(z^2) + z*O_1(z^2) = Q * prod(z - u for u
+    in known): known = (-1,) and Q = B_1 / (z + 1), or on the d = q-1 branch,
+    which has no odd row, known = () and Q = B_1 = E_1(z^2)."""
+    e0, e1 = evens
+    if not odds:
+        return (), [e0, 0, e1]
+    o0, o1 = odds
+    if (e0 - o0 + e1 - o1) % p:  # pragma: no cover - rows (s, -(s+1)) give E_1(1) = O_1(1) = -1
+        raise AssertionError(f"z = -1 is no root of B_1 = {[e0, o0, e1, o1]} mod {p}")
+    return (p - 1,), [(o0 - e1 + o1) % p, (e1 - o1) % p, o1]
 
-    G = gcd(f, z^q - z) is the product of the distinct linear factors of f.
-    G splits into gcd(G, (z + delta)^((q-1)/2) - 1) and its cofactor at the
-    first delta in 0, g, g^2, ..., g^(q-1) = 1 that gives a proper factor;
-    some delta in F_q separates any two distinct roots, and about half of
-    them do.  (Index order would try all of F_p first, and when q is an even
-    power of p every element of F_p is a square, so two roots in F_p are
-    separated only at delta = -root.)  ValueError on the zero polynomial.
-    """
-    g = mp_gcd(f, (), sub)
-    if not g:
+
+def _sqrt(a: int, sub: FieldCtx | PrimeField) -> int:
+    """A square root of the square a in F_q, q odd, by Tonelli-Shanks with
+    the generator as the nonsquare: for q-1 = 2^s*u, x^2 = a*t holds while
+    the squares of c = g^u push t = a^u down the 2-power subgroups to 1."""
+    s = ((sub.order - 1) & (1 - sub.order)).bit_length() - 1  # the 2-adic valuation of q-1
+    u = (sub.order - 1) >> s
+    x, t, c = sub.pow(a, (u + 1) // 2), sub.pow(a, u), sub.pow(sub.gen_idx, u)
+    for i in range(s - 1, 0, -1):  # t^(2^i) = 1, c of order 2^(i+1)
+        if sub.pow(t, 1 << (i - 1)) != 1:
+            x, t = sub.mul(x, c), sub.mul(t, sub.mul(c, c))
+        c = sub.mul(c, c)
+    return x
+
+
+def _small_roots(f, sub: FieldCtx | PrimeField) -> list[int]:
+    """The distinct roots in F_q (q odd) of f of degree <= 2, ascending: of
+    monic z + c, -c; of z^2 + b*z + c, -h +- sqrt(h^2 - c) with h = b/2 when
+    h^2 - c passes Euler's criterion.  ValueError on the zero polynomial."""
+    f = mp_gcd(f, (), sub)  # monic, trailing zeros dropped
+    if not f:
         raise ValueError("roots of the zero polynomial")
-    q = sub.order
-    if len(g) > 2:  # a linear f has its root in F_q
-        g = mp_gcd(g, mp_sub(mp_powmod([0, 1], q, g, sub), [0, 1], sub), sub)
-    todo, roots = [g], []
-    while todo:
-        g = todo.pop()
-        if len(g) == 2:
-            roots.append(sub.neg(g[0]))
-        elif len(g) > 2:
-            for k in range(q):
-                delta = sub.exp(k) if k else 0
-                h = mp_sub(mp_powmod([delta, 1], (q - 1) // 2, g, sub), [1], sub)
-                part = mp_gcd(g, h, sub)
-                if 1 < len(part) < len(g):
-                    todo += [part, mp_divmod(g, part, sub)[0]]
-                    break
-            else:  # pragma: no cover - some delta separates any two roots
-                raise AssertionError(f"no delta splits {g} over F_{q}")
-    return sorted(roots)
+    if len(f) < 3:
+        return [sub.neg(f[0])] if len(f) == 2 else []
+    h = sub.div(f[1], sub.add(1, 1))
+    disc = sub.sub(sub.mul(h, h), f[0])
+    if disc and sub.pow(disc, (sub.order - 1) // 2) != 1:
+        return []
+    root = _sqrt(disc, sub)
+    return sorted({sub.sub(root, h), sub.neg(sub.add(root, h))})
 
 
 def expand_z_to_a(ctx2: FieldCtx, zdesc: tuple) -> list[tuple[int, FieldElement]]:

@@ -5,7 +5,8 @@ from collections import Counter
 
 import pytest
 
-from permbinom import powersum, ppcheck
+from permbinom import exactalg, powersum, ppcheck
+from permbinom.exactalg import mp_gcd, mp_mul, mp_sub
 from permbinom.ff import PrimePower, build_subfield, build_tower, compute_z, enumerate_elements
 from permbinom.ppcheck import (
     BinomialParams,
@@ -22,6 +23,7 @@ from permbinom.ppcheck import (
 )
 from permbinom.powersum import PowerSumIndex, power_sum_closed, surviving_alphas
 from permbinom.search import odd_prime_powers, thm21_desk_sweep
+from cz_twin import fq_roots
 
 
 def params(p, m, r, t, a_idx):
@@ -369,7 +371,8 @@ def test_expand_preimage_count():
 
 # ------------------------------------------------- alpha = 1 candidate roots
 
-ROOT_FIELDS = ((3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (13, 1))
+EXHAUSTIVE_ROOT_FIELDS = ((3, 1), (5, 1), (7, 1), (3, 2), (5, 2))
+SAMPLED_ROOT_FIELDS = ((97, 1), (257, 1), (3, 4), (7, 2))
 
 
 def _horner(f, z, sub):
@@ -389,59 +392,115 @@ def _times_linear(f, u, sub):
 
 
 def _root_cases(sub, rng):
-    """Cubics with F_p coefficients (all of them, or a seeded sample), seeded
-    cubics with F_q coefficients, repeated roots, irreducible factors."""
-    p, q = sub.char, sub.order
-    prime = list(itertools.product(range(p), repeat=4))
-    cases = prime if len(prime) <= 625 else rng.sample(prime, 300)
-    cases = [list(c) for c in cases if any(c)]
-    cases += [[rng.randrange(q) for _ in range(3)] + [rng.randrange(1, q)] for _ in range(200)]
-    u, v = rng.randrange(q), rng.randrange(q)
-    nonsquare = sub.exp(1)
-    cases += [
-        _times_linear(_times_linear([sub.neg(v), 1], u, sub), u, sub),  # (z-u)^2 (z-v)
-        _times_linear(_times_linear([sub.neg(u), 1], u, sub), u, sub),  # (z-u)^3
-        [sub.neg(nonsquare), 0, 1],                                      # irreducible
-        _times_linear([sub.neg(nonsquare), 0, 1], u, sub),               # one F_q root
-        [1, 0, 0, 0],                                                    # constant
-    ]
+    """Every nonzero polynomial of degree <= 2 over F_q for q <= 25; above,
+    a seeded sample of quadratics with random coefficients, double roots,
+    two given roots and no root ((z - u)^2 - g*w^2, g a nonsquare), lines
+    and constants, each scaled by a random leading coefficient."""
+    q = sub.order
+    if q <= 25:
+        return [list(c) for c in itertools.product(range(q), repeat=3) if any(c)]
+    cases = []
+    for _ in range(60):
+        u, v, w, lead = rng.randrange(q), rng.randrange(q), rng.randrange(1, q), rng.randrange(1, q)
+        double = _times_linear(_times_linear([lead], u, sub), u, sub)
+        irreducible = list(double)
+        irreducible[0] = sub.sub(irreducible[0], sub.mul(lead, sub.mul(sub.gen_idx, sub.mul(w, w))))
+        cases += [
+            [rng.randrange(q), rng.randrange(q), lead],
+            double,
+            _times_linear(_times_linear([lead], u, sub), v, sub),
+            irreducible,
+            [rng.randrange(q), lead],
+            [lead],
+        ]
     return cases
 
 
 def test_fq_roots_match_exhaustive_evaluation():
+    # the sweep's closed-form roots of degree <= 2, against every z of F_q
     rng = random.Random(20160101)
-    for p, m in ROOT_FIELDS:
+    for p, m in EXHAUSTIVE_ROOT_FIELDS + SAMPLED_ROOT_FIELDS:
         sub = build_subfield(p, m)
         kinds = Counter()
         for f in _root_cases(sub, rng):
             want = [z for z in range(sub.order) if _horner(f, z, sub) == 0]
-            assert ppcheck._fq_roots(f, sub) == want, (p, m, f)
-            kinds[len(want)] += 1
-        # the sample holds cubics with no root in F_q and with three distinct roots
-        assert kinds[0] and kinds[3], (p, m, kinds)
-    f3 = build_subfield(3, 1)
-    assert ppcheck._fq_roots([0, 2, 0, 1], f3) == [0, 1, 2]  # z^3 - z over F_3
-    for zero in ([], [0, 0, 0]):
-        with pytest.raises(ValueError, match="zero polynomial"):
-            ppcheck._fq_roots(zero, f3)
+            assert ppcheck._small_roots(f, sub) == want, (p, m, f)
+            kinds[max(i for i, c in enumerate(f) if c), len(want)] += 1
+        # constants, lines, and quadratics with no, one (double) and two roots
+        assert all(kinds[key] for key in ((0, 0), (1, 1), (2, 0), (2, 1), (2, 2))), (p, m, kinds)
+        for zero in ([], [0], [0, 0, 0]):
+            with pytest.raises(ValueError, match="zero polynomial"):
+                ppcheck._small_roots(zero, sub)
 
 
-def test_fq_roots_split_in_few_trials(monkeypatch):
-    # each delta separates two given roots about half the time, so splitting
-    # k distinct roots takes about 2(k - 1) powers; a wrong exponent can
-    # still find the roots, by trying delta = -u for every root u, at O(q)
-    # powers a split
-    powmod = ppcheck.mp_powmod
-    tries = Counter()  # powers taken to split, not the z^q of the gcd
-    monkeypatch.setattr(ppcheck, "mp_powmod",
-                        lambda f, e, g, sub: tries.update([e != sub.order]) or powmod(f, e, g, sub))
-    rng = random.Random(7)
-    splits = 0
-    for p, m in ((7, 2), (3, 4), (5, 3), (13, 1)):
-        sub = build_subfield(p, m)
-        for f in _root_cases(sub, rng):
-            splits += max(0, len(ppcheck._fq_roots(f, sub)) - 1)
-    assert 0 < splits < tries[True] <= 4 * splits, (tries, splits)
+def _interleave(evens, odds):
+    """E(z^2) + z*O(z^2) as one coefficient list."""
+    return [c for pair in itertools.zip_longest(evens, odds, fillvalue=0) for c in pair]
+
+
+def test_alpha1_bracket_is_z_plus_one_times_the_cofactor():
+    # off the d = q-1 branch the rows (s, -(s+1)) put z = -1 among the roots
+    # of B_1, and B_1 = (z + 1)*Q; on it, Q is B_1 = E_1(z^2) undivided
+    off = deficient = 0
+    for p, m, q in odd_prime_powers(125):
+        fp = build_subfield(p, 1)
+        for r in range(1, 42, 2):
+            _, evens, odds = powersum.t2_rows(1, r, q, p)
+            known, cofactor = ppcheck._b1_cofactor(evens, odds, p)
+            if odds:
+                off += 1
+                assert known == (p - 1,), (q, r)
+                assert not mp_sub(mp_mul([1, 1], cofactor, fp), _interleave(evens, odds), fp), (q, r)
+            else:
+                deficient += 1
+                assert known == () and not mp_sub(cofactor, _interleave(evens, [0, 0]), fp), (q, r)
+    assert off > 500 and deficient
+
+
+def test_sweep_takes_no_polynomial_powers(monkeypatch):
+    fields = [(p, m) for p, m, _ in odd_prime_powers(125)]
+    for p, m in fields:  # a modulus search powers polynomials; the fields are memoised
+        build_subfield(p, m)
+    calls = Counter()
+    powmod = exactalg.mp_powmod
+
+    def counted(*args):
+        calls[args[1]] += 1
+        return powmod(*args)
+
+    monkeypatch.setattr(exactalg, "mp_powmod", counted)
+    monkeypatch.setattr(ppcheck, "mp_powmod", counted, raising=False)
+    decided = sum(sum(t2_passing_z(p, m, r, True)[1].values()) for p, m in fields for r in (5, 7, 9))
+    assert decided > 5000 and not calls, calls
+
+
+@pytest.mark.parametrize("r", [5, 7, 9])
+def test_sweep_candidates_match_cantor_zassenhaus_twin(r, monkeypatch):
+    # every admissible prime q <= 3162 at or above the bound: the sweep tests
+    # exactly the twin's roots of B_1 above 1 and its nonsquare roots of
+    # gcd(E_1, O_1), and the closed-form root sets equal the twin's in full
+    qs = [q for p, m, q in odd_prime_powers(3162)
+          if m == 1 and math.gcd(r, q - 1) == 1 and q >= thm21_bound(r, p)]
+    tested = []
+    first_failure = ppcheck.t2_z_first_failure
+    monkeypatch.setattr(ppcheck, "t2_z_first_failure",
+                        lambda sub, q, r, y, z: tested.append((y, z)) or first_failure(sub, q, r, y, z))
+    candidates = 0
+    for q in qs:
+        sub = build_subfield(q, 1)
+        _, evens, odds = powersum.t2_rows(1, r, q, q)
+        known, cofactor = ppcheck._b1_cofactor(evens, odds, q)
+        zs = fq_roots(_interleave(evens, odds), sub)
+        ys = fq_roots(mp_gcd(evens, odds, sub), sub)
+        assert sorted({*known, *ppcheck._small_roots(cofactor, sub)}) == zs, q
+        assert ppcheck._small_roots(mp_gcd(evens, odds, sub), sub) == ys, q
+        tested.clear()
+        t2_passing_z(q, 1, r, True)
+        want = [(sub.mul(z, z), z) for z in zs if z > 1]
+        want += [(y, None) for y in ys if y and sub.pow(y, (q - 1) // 2) != 1]
+        assert tested == want, q
+        candidates += len(want)
+    assert len(qs) > 200 and candidates > len(qs)
 
 
 def _per_z_sweep(p, m, r, include_norm_one):

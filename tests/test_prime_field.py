@@ -139,3 +139,19 @@ def test_prime_sweep_builds_no_table():
         tracemalloc.stop()
     assert hits == [] and sum(first.values()) == 999983 - 3 + 999982 // 2
     assert peak < 64 * 1024, peak
+
+
+# q - 1 of 2-adic valuation 1, 2, 3, 4, 5, 6, 7, 8, then 4 and 4 off the primes
+SQRT_FIELDS = ((7, 1), (13, 1), (41, 1), (17, 1), (97, 1), (193, 1), (641, 1), (257, 1), (3, 4), (7, 2))
+
+
+@pytest.mark.parametrize("p, m", SQRT_FIELDS)
+def test_tonelli_shanks_squares_back(p, m):
+    # the sweep's square root reads only field operations and gen_idx, so it
+    # runs on the table twin too
+    for sub in [build_subfield(p, m)] + ([TablePrimeField(p)] if m == 1 else []):
+        squares = {sub.mul(x, x) for x in range(sub.order)}
+        assert len(squares) == (sub.order + 1) // 2
+        for a in squares:
+            root = ppcheck._sqrt(a, sub)
+            assert sub.mul(root, root) == a, (p, m, a, root)
