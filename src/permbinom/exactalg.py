@@ -12,15 +12,16 @@ the exact quotient of two coefficients), so the wrappers' arithmetic is the
 mp_* functions over Python ints, fractions.Fraction or, for BiPolyRZ (a
 polynomial in z over Q[r]), RatPoly coefficients; no floating point.
 
-The univariate resultant is mp_resultant, the Euclidean remainder sequence
-over any field, with Q given as RatPoly; the two-variable one (with respect
-to z, coefficients in Q[r]) is evaluation at integer points and exact
-Lagrange interpolation.  The independent Sylvester-determinant routes that
-cross-check both live in the tests.
+The resultants over Z and Q clear denominators once and then use integers
+only: the subresultant PRS, and in two variables (z over Q[r]) that PRS at
+integer values of r and Newton interpolation with exact integer division.
+mp_resultant, the Euclidean sequence, serves finite fields.  The
+Sylvester-determinant and Fraction twins that cross-check them live in tests/.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import random
 from dataclasses import dataclass
@@ -202,9 +203,6 @@ class RatPoly(_BasePoly):
     __slots__ = ()
     _coerce = staticmethod(Fraction)
 
-    def monic(self) -> "RatPoly":
-        return RatPoly(mp_monic(self.coeffs, RatPoly))
-
 
 class BiPolyRZ(_BasePoly):
     """Polynomial in z whose coefficients are exact rational polynomials in r."""
@@ -242,62 +240,70 @@ class BiPolyRZ(_BasePoly):
 # -------------------------------------------------------------- resultants
 
 def resultant_univar(f, g):
-    """Exact resultant of two univariate polynomials over Z or Q: the
-    Euclidean sequence of mp_resultant with RatPoly as the field.
+    """Exact resultant of two univariate polynomials over Z or Q: _res_zz on
+    both cleared of denominators, then the scale taken off.
 
     Two IntPoly inputs give an int; otherwise the result is a Fraction.
     """
-    res = Fraction(mp_resultant(RatPoly(f.coeffs).coeffs, RatPoly(g.coeffs).coeffs, RatPoly))
-    if not (isinstance(f, IntPoly) and isinstance(g, IntPoly)):
-        return res
-    if res.denominator != 1:  # pragma: no cover - int inputs always land here
-        raise AssertionError("integer resultant produced a fraction")
-    return res.numerator
+    (df, (fz,)), (dg, (gz,)) = _clear([f.coeffs]), _clear([g.coeffs])
+    res = Fraction(_res_zz(fz, gz), df**g.degree * dg**f.degree)
+    return res.numerator if isinstance(f, IntPoly) and isinstance(g, IntPoly) else res
 
 
 def resultant_bivar_z(F: BiPolyRZ, G: BiPolyRZ) -> RatPoly:
     """Resultant with respect to z of two polynomials in (r, z), exact over Q[r].
 
-    Evaluates the univariate resultant at enough integer values of r (skipping
-    points where either leading z-coefficient vanishes, which would drop the
-    degree) and interpolates.
+    _res_zz of D_F F and D_G G, in Z[r][z] by the lcms of their denominators,
+    at bound + 1 integer r (skipping points where either leading z-coefficient
+    vanishes, which would drop the degree), interpolated, over D_F^deg G D_G^deg F.
     """
-    if F.degree <= 0 and G.degree <= 0:
+    (df, fz), (dg, gz) = _clear([c.coeffs for c in F.coeffs]), _clear([c.coeffs for c in G.coeffs])
+    if F.degree == 0 and G.degree == 0:
         raise ValueError("both arguments have z-degree 0")
-    if F.degree <= 0:
-        c = F.coeffs[0] if F.coeffs else RatPoly.zero()
-        return c**G.degree
-    if G.degree <= 0:
-        c = G.coeffs[0] if G.coeffs else RatPoly.zero()
-        return c**F.degree
     bound = F.r_degree * G.degree + G.r_degree * F.degree
-    lf, lg = F.lc, G.lc
-    xs: list[Fraction] = []
-    ys: list[Fraction] = []
-    x = 0
-    while len(xs) < bound + 1:
-        for cand in ([0] if x == 0 else [x, -x]):
-            c = Fraction(cand)
-            if lf.eval(c) == 0 or lg.eval(c) == 0:
-                continue
-            xs.append(c)
-            ys.append(resultant_univar(F.eval_r(c), G.eval_r(c)))
-            if len(xs) == bound + 1:
-                break
-        x += 1
-    return _newton(xs, ys)
+    xs, ys, x = [], [], 0
+    while len(xs) <= bound:
+        fx, gx = ([mp_eval(cs, x, IntPoly) for cs in P] for P in (fz, gz))
+        if fx[-1] and gx[-1]:
+            xs.append(x)
+            ys.append(_res_zz(fx, gx))
+        x = (x <= 0) - x  # 0, 1, -1, 2, -2, ...
+    return _newton(xs, ys).to_rat() * Fraction(1, df**G.degree * dg**F.degree)
 
 
-def _newton(xs: list[Fraction], ys: list[Fraction]) -> RatPoly:
-    """The polynomial through (xs, ys): Newton's divided differences,
-    expanded from the innermost factor of the nested form outwards."""
+def _clear(rows):
+    """(D, rows * D in ints), D the lcm of the denominators of a nonzero polynomial."""
+    if not rows or not rows[-1]:
+        raise ValueError("resultant of the zero polynomial")
+    d = math.lcm(*(c.denominator for row in rows for c in row))
+    return d, [[c.numerator * (d // c.denominator) for c in row] for row in rows]
+
+
+def _res_zz(a, b) -> int:
+    """Res(a, b) of nonzero integer lists by the subresultant PRS (Collins 1967; Brown
+    and Traub 1971; Cohen, Alg. 3.3.7), pseudo-remainders from mp_divmod over IntPoly."""
+    if len(a) < len(b):
+        return (-1) ** ((len(a) - 1) * (len(b) - 1)) * _res_zz(b, a)
+    s = g = h = h_prev = 1
+    while len(b) > 1:
+        d, s = len(a) - len(b), s * (-1) ** ((len(a) - 1) * (len(b) - 1))
+        r = mp_divmod([c * b[-1] ** (d + 1) for c in a], b, IntPoly)[1]
+        if not r:
+            return 0
+        a, b, g, h, h_prev = b, [c // (g * h**d) for c in r], b[-1], b[-1] ** d * h // h**d, h
+    return s * b[0] ** (len(a) - 1) // h_prev ** max(len(a) - 2, 0)
+
+
+def _newton(xs: list[int], ys: list[int]) -> IntPoly:
+    """The polynomial in Z[r] through integer points: Newton's divided differences,
+    exact under // at integer nodes, expanded from the innermost factor out."""
     cs = list(ys)
     for j in range(1, len(xs)):
         for i in range(len(xs) - 1, j - 1, -1):
-            cs[i] = (cs[i] - cs[i - 1]) / (xs[i] - xs[i - j])
-    out = RatPoly.zero()
+            cs[i] = (cs[i] - cs[i - 1]) // (xs[i] - xs[i - j])
+    out = IntPoly.zero()
     for x, c in zip(reversed(xs), reversed(cs)):
-        out = out * RatPoly((-x, 1)) + RatPoly.const(c)
+        out = out * IntPoly((-x, 1)) + c
     return out
 
 
@@ -316,8 +322,8 @@ def to_modp(f, p: int) -> list[int]:
 
 # The mp_* functions take coefficient sequences, constant term first, over
 # a ring F that supplies add, sub, mul, neg, pow and div.  mp_sub, mp_mul,
-# mp_divmod, mp_eval and mp_monic also serve the exact wrapper classes, and
-# mp_resultant serves RatPoly (Q); the rest need a field of any order q, on
+# mp_divmod, mp_eval and mp_monic also serve the exact wrapper classes; the
+# rest, mp_resultant among them, need a field of any order q, on
 # its indices: an ff.PrimeField, whose indices are its residues, so to_modp
 # output feeds in unchanged, or an ff.FieldCtx extension.
 
@@ -412,8 +418,8 @@ def mp_irreducible(f, F) -> bool:
 
 
 def mp_resultant(a, b, F):
-    """Resultant over any field F by the Euclidean remainder sequence: an F
-    index for a field context, a rational number for F = RatPoly (Q)."""
+    """Resultant over a finite field F by the Euclidean remainder sequence, as
+    an F index; resultant_univar and resultant_bivar_z serve Z and Q."""
     if not a or not b:
         raise ValueError("resultant of the zero polynomial")
     acc = 1

@@ -401,12 +401,15 @@ def theta_modp_poly(alpha: int, dhalf: int, p: int) -> list[int]:
 def _identity_sum(alpha: int, u: int, v: int, n1: int, n2: int) -> Fraction:
     """sum_i binom(alpha,i) (-1)^i (binom(i + n1/2, alpha) x^(2i) + binom(i + n2/2,
     alpha) x^(2i+1)) at x = u/v.  As binom(n/2, alpha) = prod_{j<alpha}(n - 2j)
-    / (2^alpha alpha!), it is one integer sum over 2^alpha alpha! v^(2alpha+1)."""
+    / (2^alpha alpha!), it is one integer sum over 2^alpha alpha! v^(2alpha+1),
+    each product a window f[i:i + alpha] that slides one factor in and one out."""
+    fe, fo = (range(n - 2 * alpha + 2, n + 2 * alpha + 3, 2) for n in (n1, n2))
+    pe, po = (math.prod(c or 1 for c in f[:alpha]) for f in (fe, fo))  # zeros left out: // stays exact
     total = 0
     for i in range(alpha + 1):
-        e, o = 2 * i + n1, 2 * i + n2
-        total += (-1) ** i * math.comb(alpha, i) * u ** (2 * i) * v ** (2 * (alpha - i)) * (
-            math.prod(range(e, e - 2 * alpha, -2)) * v + math.prod(range(o, o - 2 * alpha, -2)) * u)
+        e, o = (0 if 0 in f[i:i + alpha] else p for f, p in ((fe, pe), (fo, po)))
+        total += (-1) ** i * math.comb(alpha, i) * u ** (2 * i) * v ** (2 * (alpha - i)) * (e * v + o * u)
+        pe, po = (p * (f[i + alpha] or 1) // (f[i] or 1) for f, p in ((fe, pe), (fo, po)))
     return Fraction(total, 2**alpha * math.factorial(alpha) * v ** (2 * alpha + 1))
 
 

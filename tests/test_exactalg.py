@@ -2,6 +2,7 @@ import itertools
 import operator
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -18,6 +19,7 @@ from permbinom.exactalg import (
     mp_eval,
     mp_gcd,
     mp_irreducible,
+    mp_monic,
     mp_mul,
     mp_resultant,
     primality_and_factor_check,
@@ -26,6 +28,8 @@ from permbinom.exactalg import (
     to_modp,
 )
 from permbinom.ff import build_subfield
+from permbinom.registry import REG
+from resultant_twin import resultant_bivar_z_twin, resultant_univar_twin
 
 EXT_FIELDS = tuple(build_subfield(p, m) for p, m in ((3, 2), (5, 2), (3, 3)))  # F_9, F_25, F_27
 
@@ -91,11 +95,15 @@ def resultant_sylvester_z(f: IntPoly, g: IntPoly) -> int:
     return bareiss_det(sylvester(list(f.coeffs), list(g.coeffs), 0), 1, operator.floordiv)
 
 
+def monic(f: RatPoly) -> RatPoly:
+    return RatPoly(mp_monic(f.coeffs, RatPoly))
+
+
 def rational_gcd(f: RatPoly, g: RatPoly) -> RatPoly:
     """Monic gcd over Q by the Euclidean algorithm."""
     while not g.is_zero():
         f, g = g, f.divmod(g)[1]
-    return f.monic() if not f.is_zero() else f
+    return monic(f) if not f.is_zero() else f
 
 
 def resultant_bivar_z_sylvester(F: BiPolyRZ, G: BiPolyRZ) -> RatPoly:
@@ -131,7 +139,7 @@ def test_ratpoly_divmod_and_monic():
     g = RatPoly([1, 1])
     q, r = f.divmod(g)
     assert q * g + r == f
-    assert RatPoly([2, 4]).monic().coeffs == (Fraction(1, 2), Fraction(1))
+    assert monic(RatPoly([2, 4])).coeffs == (Fraction(1, 2), Fraction(1))
 
 
 def _no_float(poly):
@@ -203,6 +211,18 @@ def test_resultant_zero_error():
         resultant_univar(IntPoly.zero(), IntPoly([1, 1]))
 
 
+def test_resultant_zero_polynomial_contract_is_shared():
+    # both resultants refuse the zero polynomial with the same message,
+    # whatever the other argument's z-degree
+    zero, one_plus_z, r = BiPolyRZ([]), BiPolyRZ([RatPoly([1]), RatPoly([1])]), BiPolyRZ([RatPoly([0, 1])])
+    calls = [partial(resultant_univar, IntPoly.zero(), IntPoly([1, 1])),
+             partial(resultant_univar, RatPoly([Fraction(1, 2)]), RatPoly.zero())]
+    calls += [partial(resultant_bivar_z, *pair) for other in (one_plus_z, r) for pair in ((zero, other), (other, zero))]
+    for call in calls:
+        with pytest.raises(ValueError, match="^resultant of the zero polynomial$"):
+            call()
+
+
 def test_resultant_cross_methods_and_antisymmetry():
     rng = random.Random(2024)
     for _ in range(200):
@@ -261,6 +281,52 @@ def test_bivar_resultant_degenerate():
     const = BiPolyRZ([RatPoly([1, 1])])
     with pytest.raises(ValueError):
         resultant_bivar_z(const, const)
+    # a z-degree 0 argument gives its constant to the other's z-degree
+    G = BiPolyRZ([RatPoly([1, 2]), RatPoly([0, 0, 3]), RatPoly([Fraction(1, 3), 1])])
+    assert resultant_bivar_z(const, G) == RatPoly([1, 1]) ** 2
+    assert resultant_bivar_z(G, BiPolyRZ([RatPoly([Fraction(-1, 2), 0, 1])])) == RatPoly([Fraction(-1, 2), 0, 1]) ** 2
+
+
+def test_sec5_resultants_match_fraction_twin():
+    # R13, R15, R35 and the two integer eliminants, integer route against
+    # the Fraction route it replaced
+    A1, A3, A5 = REG.A1, REG.A3 * Fraction(1, 3), REG.A5 * Fraction(1, 5)
+    for F, G in ((A1, A3), (A1, A5), (A3, A5)):
+        got = resultant_bivar_z(F, G)
+        assert type(got) is RatPoly and got == resultant_bivar_z_twin(F, G)
+    for g in (REG.h15, REG.h35):
+        got = resultant_univar(REG.h13, g)
+        assert type(got) is int and got == resultant_univar_twin(REG.h13, g)
+
+
+def test_bivar_resultant_skips_vanishing_leading_coefficients():
+    # F's leading z-coefficient vanishes at r = 0, +-1 and 2, the first four
+    # evaluation points, and G's at r = +-1
+    F = BiPolyRZ([RatPoly([1, 2]), RatPoly([0, -1, 1]), RatPoly([0, -1, 0, 1]) * RatPoly([-2, 1])])
+    G = BiPolyRZ([RatPoly([3, 0, -1]), RatPoly([2]), RatPoly([1, 1]), RatPoly([-1, 0, 1])])
+    for a, b in ((F, G), (G, F), (F, F + G)):
+        assert resultant_bivar_z(a, b) == resultant_bivar_z_sylvester(a, b) == resultant_bivar_z_twin(a, b)
+    assert resultant_bivar_z(F, G) != 0
+
+
+def test_bivar_resultant_coprime_denominators_match_twin():
+    # D_F = 2^2 * 7 and D_G = 3^2 * 5, coprime, with z-degrees 2 and 3, so
+    # swapped scale exponents or a missed denominator show
+    F = BiPolyRZ([RatPoly([Fraction(1, 4), 1]), RatPoly([0, Fraction(3, 7)]), RatPoly([Fraction(-1, 2), 0, 1])])
+    G = BiPolyRZ([RatPoly([2, Fraction(1, 9)]), RatPoly([Fraction(5, 3)]), RatPoly([0, 1]),
+                  RatPoly([Fraction(-2, 5), Fraction(1, 3)])])
+    for a, b in ((F, G), (G, F), (F, F * G + G)):
+        got = resultant_bivar_z(a, b)
+        assert type(got) is RatPoly and got == resultant_bivar_z_twin(a, b) == resultant_bivar_z_sylvester(a, b)
+    assert any(c.denominator != 1 for c in resultant_bivar_z(F, G).coeffs)
+    rng = random.Random(11)
+    for _ in range(20):
+        F, G = (BiPolyRZ([RatPoly([Fraction(rng.randint(-4, 4), d) for _ in range(rng.randint(1, 3))])
+                          for _ in range(rng.randint(2, 4))]) for d in (rng.randint(1, 6), rng.randint(1, 6)))
+        if F.degree >= 1 and G.degree >= 1:
+            assert resultant_bivar_z(F, G) == resultant_bivar_z_twin(F, G)
+    f, g = RatPoly([Fraction(1, 4), Fraction(3, 7), 1]), RatPoly([Fraction(2, 9), 0, Fraction(5, 3), 1])
+    assert resultant_univar(f, g) == resultant_univar_twin(f, g) and type(resultant_univar(f, g)) is Fraction
 
 
 # ------------------------------------------------------- finite fields

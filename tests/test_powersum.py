@@ -393,6 +393,32 @@ def test_identity_sum_matches_rational_reference():
             assert powersum._identity_sum(alpha, u, v, n1, n2) == expected, (alpha, u, v, n1, n2)
 
 
+def identity_sum_twin(alpha, u, v, n1, n2):
+    """powersum._identity_sum with every falling product taken afresh for
+    each i by math.prod, O(alpha^2) factors per sum."""
+    total = 0
+    for i in range(alpha + 1):
+        e, o = 2 * i + n1, 2 * i + n2
+        total += (-1) ** i * math.comb(alpha, i) * u ** (2 * i) * v ** (2 * (alpha - i)) * (
+            math.prod(range(e, e - 2 * alpha, -2)) * v + math.prod(range(o, o - 2 * alpha, -2)) * u)
+    return Fraction(total, 2**alpha * math.factorial(alpha) * v ** (2 * alpha + 1))
+
+
+def test_identity_sum_matches_product_twin():
+    # the sliding windows against fresh products: both identities for every
+    # odd alpha <= 99, then (n1, n2) shifted by 2k, where the even one's
+    # windows still contain 0 but the sums no longer vanish
+    nonzero = 0
+    for alpha in range(1, 100, 2):
+        for u, v, n1, n2 in ((1, 3, alpha - 1, alpha), (3, 1, -2 - alpha, -1 - alpha)):
+            assert powersum._identity_sum(alpha, u, v, n1, n2) == identity_sum_twin(alpha, u, v, n1, n2) == 0
+            for k in (-2, 1):
+                want = identity_sum_twin(alpha, u, v, n1 + 2 * k, n2 + 2 * k)
+                assert powersum._identity_sum(alpha, u, v, n1 + 2 * k, n2 + 2 * k) == want, (alpha, u, k)
+                nonzero += want != 0
+    assert nonzero > 150
+
+
 def test_power_sum_brute_counts_only_the_exponents_it_reaches():
     # a useful s reaches at most q + 1 exponents, so the counts stay far
     # below one entry per nonzero element of F_{101^2} (10200 of them)
