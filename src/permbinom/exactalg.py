@@ -284,14 +284,14 @@ def _res_zz(a, b) -> int:
     and Traub 1971; Cohen, Alg. 3.3.7), pseudo-remainders from mp_divmod over IntPoly."""
     if len(a) < len(b):
         return (-1) ** ((len(a) - 1) * (len(b) - 1)) * _res_zz(b, a)
-    s = g = h = h_prev = 1
+    s = g = h = 1
     while len(b) > 1:
         d, s = len(a) - len(b), s * (-1) ** ((len(a) - 1) * (len(b) - 1))
         r = mp_divmod([c * b[-1] ** (d + 1) for c in a], b, IntPoly)[1]
         if not r:
             return 0
-        a, b, g, h, h_prev = b, [c // (g * h**d) for c in r], b[-1], b[-1] ** d * h // h**d, h
-    return s * b[0] ** (len(a) - 1) // h_prev ** max(len(a) - 2, 0)
+        a, b, g, h = b, [c // (g * h**d) for c in r], b[-1], b[-1] ** d * h // h**d
+    return s * b[0] ** (len(a) - 1) // h ** max(len(a) - 2, 0)
 
 
 def _newton(xs: list[int], ys: list[int]) -> IntPoly:

@@ -242,6 +242,49 @@ def test_resultant_cross_methods_and_antisymmetry():
         assert resultant_univar(fk, g) == Fraction(r, k**g.degree)
 
 
+def gap_chain(rng, P, coef, lead, steps):
+    """A pair (a, b) of P polynomials built from the end of its Euclidean
+    remainder sequence: a nonzero constant, then a divisor of degree 2 to 4
+    (so the sequence ends with a degree gap), then 1 to steps quotients of
+    degree 1 to 3.  coef() draws a coefficient, lead() a leading one that is
+    never zero, so every step keeps its degree under any specialisation."""
+    rems = [P([lead()]), P([coef() for _ in range(rng.randint(2, 4))] + [lead()])]
+    for _ in range(rng.randint(1, steps)):
+        rems.append(P([coef() for _ in range(rng.randint(1, 3))] + [lead()]) * rems[-1] + rems[-2])
+    return rems[-1], rems[-2]
+
+
+def test_resultant_sequence_ending_in_a_degree_gap():
+    # the last divisor has degree 2 and the last remainder is a constant:
+    # Res = 2^3 * 1, and the PRS must end with the h of its last step
+    f, g = IntPoly([1, 1, 0, 1]), IntPoly([2, 0, 2])
+    assert resultant_univar(f, g) == 8 == resultant_sylvester_z(f, g) == resultant_univar_twin(f, g)
+    rng = random.Random(31)
+    for _ in range(60):
+        a, b = gap_chain(rng, IntPoly, lambda: rng.randint(-5, 5), lambda: rng.choice((1, -1, 2, -3, 5)), 3)
+        k, l = rng.randint(1, 9), rng.randint(1, 9)
+        for f, g in ((a, b), (b, a)):
+            got = resultant_univar(f, g)
+            assert type(got) is int and got == resultant_sylvester_z(f, g) == resultant_univar_twin(f, g) != 0
+            fk, gl = RatPoly([Fraction(c, k) for c in f.coeffs]), RatPoly([Fraction(c, l) for c in g.coeffs])
+            assert resultant_univar(fk, gl) == resultant_univar_twin(fk, gl) == Fraction(got, k**g.degree * l**f.degree)
+
+
+def test_bivar_resultant_sequence_ending_in_a_degree_gap():
+    # at every integer r the specialised pair's remainder sequence ends in a
+    # constant after a divisor of z-degree >= 2; some coefficients have
+    # denominators, and the leading ones (1 + r^2 and 2 - r + r^2 among
+    # them, so the resultant depends on r) never vanish
+    rng = random.Random(37)
+    coef = lambda: RatPoly([Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) for _ in range(rng.randint(0, 2))])
+    lead = lambda: rng.choice((RatPoly([1]), RatPoly([-2]), RatPoly([Fraction(3, 2)]), RatPoly([1, 0, 1]), RatPoly([2, -1, 1])))
+    for _ in range(8):
+        a, b = gap_chain(rng, BiPolyRZ, coef, lead, 1)
+        for F, G in ((a, b), (b, a)):
+            got = resultant_bivar_z(F, G)
+            assert got == resultant_bivar_z_sylvester(F, G) == resultant_bivar_z_twin(F, G) != 0
+
+
 def test_resultant_vanishes_iff_common_factor():
     rng = random.Random(7)
     for _ in range(200):
