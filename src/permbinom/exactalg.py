@@ -11,10 +11,11 @@ Each wrapper class is its own coefficient ring (add, sub, mul, neg, and div,
 the exact quotient of two coefficients), so the wrappers' arithmetic is the
 mp_* functions over Python ints, fractions.Fraction or, for BiPolyRZ (a
 polynomial in z over Q[r]), RatPoly coefficients; no floating point.
+IntPoly.div is divmod, raising ValueError on a nonzero remainder.
 
 The resultants over Z and Q clear denominators once and then use integers
 only: the subresultant PRS, and in two variables (z over Q[r]) that PRS at
-integer values of r and Newton interpolation with exact integer division.
+integer values of r and Newton interpolation, every quotient an IntPoly.div.
 mp_resultant, the Euclidean sequence, serves finite fields.  The
 Sylvester-determinant and Fraction twins that cross-check them live in tests/.
 """
@@ -61,18 +62,12 @@ def _trim(cs):
 class _BasePoly:
     """Shared plumbing for the dense wrappers.  The class is also the
     coefficient ring the mp_* functions read: add, sub, mul, neg, pow, and
-    div, the exact quotient of two coefficients."""
+    each subclass's div, the exact quotient of two coefficients."""
 
     __slots__ = ("coeffs",)
     _coerce = staticmethod(lambda c: c)
     add, sub, mul, neg = operator.add, operator.sub, operator.mul, operator.neg
     pow = operator.pow
-
-    @classmethod
-    def div(cls, a, b):
-        """Through Fraction, so that an integer pair never reaches float
-        division."""
-        return cls._coerce(Fraction(a) / b)
 
     def __init__(self, coeffs=()):
         self.coeffs = tuple(_trim([self._coerce(c) for c in coeffs]))
@@ -193,6 +188,14 @@ class IntPoly(_BasePoly):
             raise TypeError(f"integer coefficient expected, got {type(c).__name__}")
         return c
 
+    @staticmethod
+    def div(a: int, b: int) -> int:
+        """The exact integer quotient; ValueError on a nonzero remainder."""
+        quo, rem = divmod(a, b)
+        if rem:
+            raise ValueError(f"{a} is not divisible by {b}")
+        return quo
+
     def to_rat(self) -> "RatPoly":
         return RatPoly(Fraction(c) for c in self.coeffs)
 
@@ -202,6 +205,7 @@ class RatPoly(_BasePoly):
 
     __slots__ = ()
     _coerce = staticmethod(Fraction)
+    div = staticmethod(lambda a, b: Fraction(a) / b)  # never float division
 
 
 class BiPolyRZ(_BasePoly):
@@ -246,8 +250,8 @@ def resultant_univar(f, g):
     Two IntPoly inputs give an int; otherwise the result is a Fraction.
     """
     (df, (fz,)), (dg, (gz,)) = _clear([f.coeffs]), _clear([g.coeffs])
-    res = Fraction(_res_zz(fz, gz), df**g.degree * dg**f.degree)
-    return res.numerator if isinstance(f, IntPoly) and isinstance(g, IntPoly) else res
+    res, scale = _res_zz(fz, gz), df**g.degree * dg**f.degree
+    return res if isinstance(f, IntPoly) and isinstance(g, IntPoly) else Fraction(res, scale)
 
 
 def resultant_bivar_z(F: BiPolyRZ, G: BiPolyRZ) -> RatPoly:
@@ -276,7 +280,7 @@ def _clear(rows):
     if not rows or not rows[-1]:
         raise ValueError("resultant of the zero polynomial")
     d = math.lcm(*(c.denominator for row in rows for c in row))
-    return d, [[c.numerator * (d // c.denominator) for c in row] for row in rows]
+    return d, [[c.numerator * IntPoly.div(d, c.denominator) for c in row] for row in rows]
 
 
 def _res_zz(a, b) -> int:
@@ -285,22 +289,24 @@ def _res_zz(a, b) -> int:
     if len(a) < len(b):
         return (-1) ** ((len(a) - 1) * (len(b) - 1)) * _res_zz(b, a)
     s = g = h = 1
+    div = IntPoly.div
     while len(b) > 1:
         d, s = len(a) - len(b), s * (-1) ** ((len(a) - 1) * (len(b) - 1))
         r = mp_divmod([c * b[-1] ** (d + 1) for c in a], b, IntPoly)[1]
         if not r:
             return 0
-        a, b, g, h = b, [c // (g * h**d) for c in r], b[-1], b[-1] ** d * h // h**d
-    return s * b[0] ** (len(a) - 1) // h ** max(len(a) - 2, 0)
+        a, b, g, h = b, [div(c, g * h**d) for c in r], b[-1], div(b[-1] ** d * h, h**d)
+    return div(s * b[0] ** (len(a) - 1), h ** max(len(a) - 2, 0))
 
 
 def _newton(xs: list[int], ys: list[int]) -> IntPoly:
     """The polynomial in Z[r] through integer points: Newton's divided differences,
-    exact under // at integer nodes, expanded from the innermost factor out."""
+    each an exact IntPoly.div (ValueError if the interpolant is not in Z[r]),
+    expanded from the innermost factor out."""
     cs = list(ys)
     for j in range(1, len(xs)):
         for i in range(len(xs) - 1, j - 1, -1):
-            cs[i] = (cs[i] - cs[i - 1]) // (xs[i] - xs[i - j])
+            cs[i] = IntPoly.div(cs[i] - cs[i - 1], xs[i] - xs[i - j])
     out = IntPoly.zero()
     for x, c in zip(reversed(xs), reversed(cs)):
         out = out * IntPoly((-x, 1)) + c

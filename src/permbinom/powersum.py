@@ -19,9 +19,8 @@ bracket_row's own memo serves the t = 1 bracket, whose closed forms ask
 for the same row at every a of a field.  Rows are evaluated at a point of
 F_q by exactalg.mp_eval over the subfield.
 
-Binomial coefficients mod p are Lucas digit products (binom_lucas); the
-closed forms use integer upper entries reduced through base-p digits
-(binom_intmod), exact for any integer entry: the value of binom(., k) mod p
+Binomial coefficients mod p have one kernel, binom_intmod: Lucas' product
+of base-p digits, exact for any integer upper entry, since binom(., k) mod p
 depends on its argument only mod p^L once p^L > k.  The rational vanishing
 identities are one integer sum over a common denominator; the Fraction and
 residue falling-factorial binomials they are checked against live in the
@@ -42,7 +41,6 @@ from .report import PASS, FAIL, CheckReport
 __all__ = [
     "PowerSumIndex",
     "CDPair",
-    "binom_lucas",
     "binom_intmod",
     "cd_pair",
     "surviving_alphas",
@@ -64,20 +62,6 @@ __all__ = [
 
 # ------------------------------------------------------------- binomials
 
-def binom_lucas(n: int, k: int, p: int) -> int:
-    """binom(n, k) mod p by base-p digit products, for n >= 0."""
-    if n < 0 or k < 0:
-        raise ValueError("lucas mode needs nonnegative entries")
-    out = 1
-    while k:
-        n, nd = divmod(n, p)
-        k, kd = divmod(k, p)
-        if kd > nd:
-            return 0
-        out = out * (math.comb(nd, kd) % p) % p
-    return out
-
-
 def _period(k: int, p: int) -> int:
     """The smallest power p^L > k: binom(., k) mod p has period p^L."""
     period = p
@@ -87,11 +71,20 @@ def _period(k: int, p: int) -> int:
 
 
 def binom_intmod(n: int, k: int, p: int) -> int:
-    """binom(n, k) mod p for any integer n (negative allowed), by reducing n
-    into [0, p^L) with p^L > k and applying the digit product."""
+    """binom(n, k) mod p for any integer n (negative allowed): Lucas' product
+    of base-p digits.  It reads only the digits k has, below p^L > k, and
+    floor divmod gives them as the digits of n mod p^L, on which binom(., k)
+    mod p depends, also for n < 0."""
     if k < 0:
         raise ValueError("negative lower index")
-    return binom_lucas(n % _period(k, p), k, p)
+    out = 1
+    while k:
+        n, nd = divmod(n, p)
+        k, kd = divmod(k, p)
+        if kd > nd:
+            return 0
+        out = out * (math.comb(nd, kd) % p) % p
+    return out
 
 
 # ------------------------------------------------------ (c, d) index pairs
@@ -176,7 +169,7 @@ def bracket_row(alpha: int, shift: int, p: int) -> tuple:
     out = []
     sign = 1
     for i in range(alpha + 1):
-        row = binom_lucas(alpha, i, p)
+        row = binom_intmod(alpha, i, p)
         out.append(sign * row * binom_intmod(i + shift, alpha, p) % p if row else 0)
         sign = -sign
     return tuple(out)

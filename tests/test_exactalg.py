@@ -14,6 +14,8 @@ from permbinom.exactalg import (
     IntPoly,
     RatPoly,
     _mr_witness,
+    _newton,
+    _res_zz,
     is_probable_prime,
     mp_divmod,
     mp_eval,
@@ -173,6 +175,57 @@ def test_shared_long_division_seeded():
         assert a == q * b + r and r.degree < b.degree and _no_float(q)
     with pytest.raises(ValueError):
         IntPoly([1, 2]).divexact(IntPoly([2, 2]))  # quotient 1/2 is not an integer
+
+
+def _count_fractions(monkeypatch):
+    """The argument tuples of every Fraction built from here on."""
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    return made
+
+
+def test_intpoly_div_is_the_checked_integer_quotient(monkeypatch):
+    rng = random.Random(27)
+    made = _count_fractions(monkeypatch)
+    for _ in range(400):
+        a, b = rng.randint(-10**6, 10**6), rng.choice((-1, 1)) * rng.randint(1, 50)
+        for n in (a, a * b):
+            if n % b == 0:
+                assert IntPoly.div(n, b) == n // b and type(IntPoly.div(n, b)) is int
+            else:
+                with pytest.raises(ValueError):
+                    IntPoly.div(n, b)
+    assert made == []
+
+
+def test_integer_quotients_build_no_fraction(monkeypatch):
+    rng = random.Random(62)
+    pairs = [(IntPoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 6))] + [rng.randint(1, 4)]),
+              IntPoly([rng.randint(-9, 9) for _ in range(rng.randint(0, 3))] + [rng.randint(1, 4)]))
+             for _ in range(30)]
+    pairs += [(a * b, b) for a, b in pairs]
+    made = _count_fractions(monkeypatch)
+    for g in (REG.h15, REG.h35):
+        _res_zz(list(REG.h13.coeffs), list(g.coeffs))
+        assert made == [], g.degree
+    for a, b in pairs:
+        try:
+            a.divmod(b)
+        except ValueError:  # lc(b) does not divide an intermediate coefficient
+            pass
+    assert made == []
+
+
+def test_newton_refuses_a_non_integral_interpolant():
+    assert _newton([0, 1, -1, 2], [2, 3, 3, 18]) == IntPoly([2, -2, 1, 2])
+    with pytest.raises(ValueError):
+        _newton([0, 1, 2], [0, 1, 3])  # (r^2 + r)/2 is not in Z[r]
 
 
 def test_reduce_mod_denominator_error():

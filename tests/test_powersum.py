@@ -12,7 +12,6 @@ from permbinom.powersum import (
     CDPair,
     PowerSumIndex,
     binom_intmod,
-    binom_lucas,
     bracket_coeffs,
     bracket_coeffs_deficient,
     bracket_row,
@@ -44,7 +43,7 @@ def binom_rational(x, k: int) -> Fraction:
 def binom_residue(x, k: int, p: int) -> int:
     """Falling-factorial binomial with x a residue mod p (or a rational whose
     denominator is invertible mod p).  Needs k < p so that k! is invertible;
-    an independent route to binom_lucas for small entries."""
+    an independent route to binom_intmod for small entries."""
     if k < 0:
         raise ValueError("negative lower index")
     if k >= p:
@@ -73,21 +72,21 @@ def test_binom_lucas_prime_power_upper():
         n = p**l
         for k in range(2 * n + 1):
             expected = 1 if k in (0, n) else 0
-            assert binom_lucas(n, k, p) == expected
+            assert binom_intmod(n, k, p) == expected
 
 
 def test_binom_lucas_vs_factorial():
     for p in (3, 5, 7):
         for n in range(40):
             for k in range(40):
-                assert binom_lucas(n, k, p) == math.comb(n, k) % p
+                assert binom_intmod(n, k, p) == math.comb(n, k) % p
 
 
 def test_binom_residue_agrees_with_lucas():
     for p in (3, 5, 7, 181):
         for x in range(min(p, 12)):
             for k in range(min(p, 9)):
-                assert binom_residue(x, k, p) == binom_lucas(x, k, p)
+                assert binom_residue(x, k, p) == binom_intmod(x, k, p)
 
 
 def test_binom_residue_refuses_large_k():
@@ -118,7 +117,7 @@ def test_binom_intmod_periodicity_and_negatives():
 def test_binom_flavours_direct():
     assert binom_rational(Fraction(1, 2), 2) == Fraction(-1, 8)
     assert binom_residue(2, 2, 5) == 1
-    assert binom_lucas(7, 3, 5) == 0
+    assert binom_intmod(7, 3, 5) == 0
 
 
 # ------------------------------------------------------------- bracket rows
