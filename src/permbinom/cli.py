@@ -96,7 +96,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    if args.csv:
+    if args.csv is not None:
         check_output_path(args.csv)  # before the sweep, as search_exceptional does for --out
         if os.path.realpath(args.csv) == os.path.realpath(args.out):
             raise ValueError(f"--csv {args.csv} would overwrite the catalog --out {args.out}")
@@ -109,7 +109,7 @@ def _cmd_search(args) -> int:
         resume=args.resume,
     )
     print(json.dumps(summary, indent=2))
-    if args.csv:
+    if args.csv is not None:
         catalog_to_csv(args.out, args.csv)
         print(f"csv written to {args.csv}", file=sys.stderr)
     return 0 if summary["bound_confirmed"] else 1
@@ -123,11 +123,11 @@ def _cmd_cross_validate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.json:
+    if args.json is not None:
         check_output_path(args.json)  # before the suites run
     reports = run_suite(args.suite)
     print(render_table(reports))
-    if args.json:
+    if args.json is not None:
         with open(args.json, "w", encoding="utf-8") as fh:
             for rep in reports:
                 fh.write(json.dumps(rep.to_dict()) + "\n")

@@ -13,11 +13,12 @@ mp_* functions over Python ints, fractions.Fraction or, for BiPolyRZ (a
 polynomial in z over Q[r]), RatPoly coefficients; no floating point.
 IntPoly.div is divmod, raising ValueError on a nonzero remainder.
 
-The resultants over Z and Q clear denominators once and then use integers
-only: the subresultant PRS, and in two variables (z over Q[r]) that PRS at
-integer values of r and Newton interpolation, every quotient an IntPoly.div.
-mp_resultant, the Euclidean sequence, serves finite fields.  The
-Sylvester-determinant and Fraction twins that cross-check them live in tests/.
+One resultant algorithm, mp_resultant's subresultant PRS, serves Z (over
+IntPoly) and finite fields.  The resultants over Z and Q clear denominators
+once and run it on integers, in two variables (z over Q[r]) at integer values
+of r followed by Newton interpolation, every quotient an IntPoly.div.  The
+Sylvester-determinant, Euclidean and Fraction twins that cross-check them live
+in tests/.
 """
 
 from __future__ import annotations
@@ -244,20 +245,20 @@ class BiPolyRZ(_BasePoly):
 # -------------------------------------------------------------- resultants
 
 def resultant_univar(f, g):
-    """Exact resultant of two univariate polynomials over Z or Q: _res_zz on
-    both cleared of denominators, then the scale taken off.
+    """Exact resultant of two univariate polynomials over Z or Q: mp_resultant
+    over IntPoly on both cleared of denominators, then the scale taken off.
 
     Two IntPoly inputs give an int; otherwise the result is a Fraction.
     """
     (df, (fz,)), (dg, (gz,)) = _clear([f.coeffs]), _clear([g.coeffs])
-    res, scale = _res_zz(fz, gz), df**g.degree * dg**f.degree
+    res, scale = mp_resultant(fz, gz, IntPoly), df**g.degree * dg**f.degree
     return res if isinstance(f, IntPoly) and isinstance(g, IntPoly) else Fraction(res, scale)
 
 
 def resultant_bivar_z(F: BiPolyRZ, G: BiPolyRZ) -> RatPoly:
     """Resultant with respect to z of two polynomials in (r, z), exact over Q[r].
 
-    _res_zz of D_F F and D_G G, in Z[r][z] by the lcms of their denominators,
+    mp_resultant of D_F F and D_G G, in Z[r][z] by the lcms of their denominators,
     at bound + 1 integer r (skipping points where either leading z-coefficient
     vanishes, which would drop the degree), interpolated, over D_F^deg G D_G^deg F.
     """
@@ -270,7 +271,7 @@ def resultant_bivar_z(F: BiPolyRZ, G: BiPolyRZ) -> RatPoly:
         fx, gx = ([mp_eval(cs, x, IntPoly) for cs in P] for P in (fz, gz))
         if fx[-1] and gx[-1]:
             xs.append(x)
-            ys.append(_res_zz(fx, gx))
+            ys.append(mp_resultant(fx, gx, IntPoly))
         x = (x <= 0) - x  # 0, 1, -1, 2, -2, ...
     return _newton(xs, ys).to_rat() * Fraction(1, df**G.degree * dg**F.degree)
 
@@ -281,22 +282,6 @@ def _clear(rows):
         raise ValueError("resultant of the zero polynomial")
     d = math.lcm(*(c.denominator for row in rows for c in row))
     return d, [[c.numerator * IntPoly.div(d, c.denominator) for c in row] for row in rows]
-
-
-def _res_zz(a, b) -> int:
-    """Res(a, b) of nonzero integer lists by the subresultant PRS (Collins 1967; Brown
-    and Traub 1971; Cohen, Alg. 3.3.7), pseudo-remainders from mp_divmod over IntPoly."""
-    if len(a) < len(b):
-        return (-1) ** ((len(a) - 1) * (len(b) - 1)) * _res_zz(b, a)
-    s = g = h = 1
-    div = IntPoly.div
-    while len(b) > 1:
-        d, s = len(a) - len(b), s * (-1) ** ((len(a) - 1) * (len(b) - 1))
-        r = mp_divmod([c * b[-1] ** (d + 1) for c in a], b, IntPoly)[1]
-        if not r:
-            return 0
-        a, b, g, h = b, [div(c, g * h**d) for c in r], b[-1], div(b[-1] ** d * h, h**d)
-    return div(s * b[0] ** (len(a) - 1), h ** max(len(a) - 2, 0))
 
 
 def _newton(xs: list[int], ys: list[int]) -> IntPoly:
@@ -328,9 +313,9 @@ def to_modp(f, p: int) -> list[int]:
 
 # The mp_* functions take coefficient sequences, constant term first, over
 # a ring F that supplies add, sub, mul, neg, pow and div.  mp_sub, mp_mul,
-# mp_divmod, mp_eval and mp_monic also serve the exact wrapper classes; the
-# rest, mp_resultant among them, need a field of any order q, on
-# its indices: an ff.PrimeField, whose indices are its residues, so to_modp
+# mp_divmod, mp_eval, mp_monic and mp_resultant also serve the exact wrapper
+# classes; mp_gcd, mp_powmod and mp_irreducible need a field of any order q,
+# on its indices: an ff.PrimeField, whose indices are its residues, so to_modp
 # output feeds in unchanged, or an ff.FieldCtx extension.
 
 def mp_sub(a, b, F):
@@ -424,22 +409,24 @@ def mp_irreducible(f, F) -> bool:
 
 
 def mp_resultant(a, b, F):
-    """Resultant over a finite field F by the Euclidean remainder sequence, as
-    an F index; resultant_univar and resultant_bivar_z serve Z and Q."""
+    """Res(a, b) in F by the subresultant PRS (Collins 1967; Brown and Traub
+    1971; Cohen, Alg. 3.3.7), pseudo-remainders from mp_divmod: every quotient
+    is exact, so F may be Z (IntPoly, an int) or a finite field (an index)."""
     if not a or not b:
         raise ValueError("resultant of the zero polynomial")
-    acc = 1
-    while True:
-        m, n = len(a) - 1, len(b) - 1
-        if n == 0:
-            return F.mul(acc, F.pow(b[0], m))
-        r = mp_divmod(a, b, F)[1]
+    if len(a) < len(b):
+        res = mp_resultant(b, a, F)
+        return F.neg(res) if (len(a) - 1) * (len(b) - 1) % 2 else res
+    s = g = h = 1
+    mul, pw, div = F.mul, F.pow, F.div
+    while len(b) > 1:
+        d, s = len(a) - len(b), F.neg(s) if (len(a) - 1) * (len(b) - 1) % 2 else s
+        lead, gh = pw(b[-1], d + 1), mul(g, pw(h, d))
+        r = mp_divmod([mul(c, lead) for c in a], b, F)[1]
         if not r:
             return 0
-        acc = F.mul(acc, F.pow(b[-1], m - (len(r) - 1)))
-        if m * n % 2:
-            acc = F.neg(acc)
-        a, b = b, r
+        a, b, g, h = b, [div(c, gh) for c in r], b[-1], div(mul(pw(b[-1], d), h), pw(h, d))
+    return div(mul(s, pw(b[0], len(a) - 1)), pw(h, max(len(a) - 2, 0)))
 
 
 # ----------------------------------------------------------- primality

@@ -499,10 +499,6 @@ class FieldElement:
         return self.idx != 0
 
     @property
-    def coeffs(self):
-        return self.ctx.coeffs(self.idx)
-
-    @property
     def text(self) -> str:
         return self.ctx.render(self.idx)
 

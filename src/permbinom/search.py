@@ -170,8 +170,10 @@ def _sweep_one_q(task) -> list[dict]:
 
 
 def check_output_path(path: str):
-    """Refuse, before any sweep, an output path that names a directory or
-    lies in a missing one; the file itself is left alone for --resume."""
+    """Refuse, before any sweep, an output path that is empty, names a directory
+    or lies in a missing one; the file itself is left alone for --resume."""
+    if not path:
+        raise ValueError("output path is empty")
     if os.path.isdir(path):
         raise IsADirectoryError(f"output path {path} is a directory")
     out_dir = os.path.dirname(path)
@@ -256,7 +258,7 @@ def search_exceptional(
     """
     if r <= 3 or r % 2 == 0:
         raise ValueError("search needs odd r > 3")
-    if out:
+    if out is not None:
         check_output_path(out)
     cap = enumeration_cap()
     qs = _admissible_qs(r, q_max, cap)
@@ -265,7 +267,7 @@ def search_exceptional(
     params = {"r": r, "t": 2, "q_min": 3, "q_max": q_max, "include_norm_one": include_norm_one}
     done_pairs: set[tuple[int, int]] = set()
     records: list[dict] = []
-    if resume and out and os.path.exists(out):
+    if resume and out is not None and os.path.exists(out):
         old_header, old, done = read_catalog(out)
         if old_header.get("params") != params or old_header.get("cap") != cap:
             raise ValueError("cannot resume: existing catalog was produced with different flags")
@@ -284,7 +286,7 @@ def search_exceptional(
         records.extend(q_records)
     records.sort(key=_record_key)
 
-    if out:
+    if out is not None:
         header = {
             "schema": SCHEMA_VERSION,
             "version": __version__,
@@ -320,7 +322,7 @@ def search_exceptional(
         "norm_not_one_hits_at_or_above_bound": above,
         "bound_confirmed": above == 0,
     }
-    if out:
+    if out is not None:
         summary["catalog"] = out
     return summary
 

@@ -1,21 +1,41 @@
-"""The Fraction twin of exactalg's integer resultants.
+"""The Euclidean and Fraction twins of exactalg's resultants.
 
-exactalg.resultant_univar and resultant_bivar_z clear denominators and run
-the subresultant PRS and Newton interpolation on integers.  The twin is the
-route they replaced, on rational numbers throughout: mp_resultant's
-Euclidean remainder sequence with RatPoly as the field, and in two
-variables that resultant at integer values of r, interpolated by Newton's
+exactalg.mp_resultant is the subresultant PRS over Z or a finite field, and
+resultant_univar and resultant_bivar_z clear denominators and run it and
+Newton interpolation on integers.  The twin is independent of that kernel:
+euclid_resultant, the Euclidean remainder sequence over any field (RatPoly
+as Q, or a finite-field context), and on rational numbers throughout that
+resultant, in two variables at integer values of r, interpolated by Newton's
 divided differences in Fraction arithmetic.
 """
 
 from fractions import Fraction
 
-from permbinom.exactalg import BiPolyRZ, IntPoly, RatPoly, mp_resultant
+from permbinom.exactalg import BiPolyRZ, IntPoly, RatPoly, mp_divmod
+
+
+def euclid_resultant(a, b, F):
+    """Res(a, b) over a field F by the Euclidean remainder sequence: each step
+    Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r), r = a mod b."""
+    if not a or not b:
+        raise ValueError("resultant of the zero polynomial")
+    acc = 1
+    while True:
+        m, n = len(a) - 1, len(b) - 1
+        if n == 0:
+            return F.mul(acc, F.pow(b[0], m))
+        r = mp_divmod(a, b, F)[1]
+        if not r:
+            return 0
+        acc = F.mul(acc, F.pow(b[-1], m - (len(r) - 1)))
+        if m * n % 2:
+            acc = F.neg(acc)
+        a, b = b, r
 
 
 def resultant_univar_twin(f, g):
     """Res(f, g) over Q: an int for two IntPoly inputs, else a Fraction."""
-    res = Fraction(mp_resultant(RatPoly(f.coeffs).coeffs, RatPoly(g.coeffs).coeffs, RatPoly))
+    res = Fraction(euclid_resultant(RatPoly(f.coeffs).coeffs, RatPoly(g.coeffs).coeffs, RatPoly))
     if isinstance(f, IntPoly) and isinstance(g, IntPoly):
         assert res.denominator == 1
         return res.numerator

@@ -15,7 +15,6 @@ from permbinom.exactalg import (
     RatPoly,
     _mr_witness,
     _newton,
-    _res_zz,
     is_probable_prime,
     mp_divmod,
     mp_eval,
@@ -31,7 +30,7 @@ from permbinom.exactalg import (
 )
 from permbinom.ff import build_subfield
 from permbinom.registry import REG
-from resultant_twin import resultant_bivar_z_twin, resultant_univar_twin
+from resultant_twin import euclid_resultant, resultant_bivar_z_twin, resultant_univar_twin
 
 EXT_FIELDS = tuple(build_subfield(p, m) for p, m in ((3, 2), (5, 2), (3, 3)))  # F_9, F_25, F_27
 
@@ -93,7 +92,7 @@ def bareiss_det(rows, one, divexact):
 
 def resultant_sylvester_z(f: IntPoly, g: IntPoly) -> int:
     """Res(f, g) over Z as the Sylvester determinant; independent of the
-    package's Euclidean route."""
+    package's subresultant PRS."""
     return bareiss_det(sylvester(list(f.coeffs), list(g.coeffs), 0), 1, operator.floordiv)
 
 
@@ -212,7 +211,7 @@ def test_integer_quotients_build_no_fraction(monkeypatch):
     pairs += [(a * b, b) for a, b in pairs]
     made = _count_fractions(monkeypatch)
     for g in (REG.h15, REG.h35):
-        _res_zz(list(REG.h13.coeffs), list(g.coeffs))
+        mp_resultant(list(REG.h13.coeffs), list(g.coeffs), IntPoly)
         assert made == [], g.degree
     for a, b in pairs:
         try:
@@ -491,18 +490,47 @@ def test_irreducible_matches_root_search():
     assert irreducible == 36 + 300 + 351 + 240
 
 
+def test_mp_resultant_over_intpoly_matches_sylvester():
+    # the subresultant PRS over Z, in both argument orders; the first pair's
+    # quotient 1/3 is not an integer, so a field-only route would raise there
+    rng = random.Random(28)
+    pairs = [(IntPoly([1, 0, 1]), IntPoly([2, 3]))]
+    pairs += [(rand_intpoly(rng, max_deg=7), rand_intpoly(rng, max_deg=7)) for _ in range(150)]
+    pairs += [gap_chain(rng, IntPoly, lambda: rng.randint(-5, 5), lambda: rng.choice((1, -1, 2, -3, 5)), 4)
+              for _ in range(40)]
+    for a, b in pairs:
+        for f, g in ((a, b), (b, a)):
+            got = mp_resultant(list(f.coeffs), list(g.coeffs), IntPoly)
+            assert type(got) is int and got == resultant_sylvester_z(f, g), (f, g)
+
+
 def test_mp_resultant_matches_integer_reduction():
+    # over F_p and F_{p^k} the residues mod p are field indices, so an integer
+    # pair whose degrees survive the reduction has Res mod p; random pairs over
+    # F_8, F_9 and F_25 meet the Euclidean twin
     rng = random.Random(3)
-    for p in (3, 5, 7):
-        for _ in range(60):
-            f = rand_intpoly(rng, max_deg=4)
-            g = rand_intpoly(rng, max_deg=4)
+    F8 = build_subfield(2, 3)
+    fields = {3: (build_subfield(3, 1), EXT_FIELDS[0]), 5: (build_subfield(5, 1), EXT_FIELDS[1]),
+              7: (build_subfield(7, 1),), 2: (F8,)}
+    for p, Fs in fields.items():
+        pairs = [(rand_intpoly(rng, max_deg=4), rand_intpoly(rng, max_deg=4)) for _ in range(60)]
+        pairs += [gap_chain(rng, IntPoly, lambda: rng.randint(-5, 5), lambda: rng.choice((1, -1, 2, -3, 5)), 3)
+                  for _ in range(30)]
+        checked = 0
+        for f, g in pairs:
             fm, gm = to_modp(f, p), to_modp(g, p)
-            if len(fm) - 1 != f.degree or len(gm) - 1 != g.degree:
+            if len(fm) - 1 != f.degree or len(gm) - 1 != g.degree or f.degree < 1 or g.degree < 1:
                 continue  # degree drop changes the relation
-            if f.degree < 1 or g.degree < 1:
-                continue
-            assert mp_resultant(fm, gm, build_subfield(p, 1)) == resultant_sylvester_z(f, g) % p
+            for F in Fs:
+                assert mp_resultant(fm, gm, F) == euclid_resultant(fm, gm, F) == resultant_sylvester_z(f, g) % p
+                assert mp_resultant(gm, fm, F) == euclid_resultant(gm, fm, F) == resultant_sylvester_z(g, f) % p
+            checked += 1
+        assert checked >= 20, p
+    for F in (F8,) + EXT_FIELDS[:2]:
+        for _ in range(120):
+            a, b = rand_fq_poly(rng, F), rand_fq_poly(rng, F)
+            if a and b:
+                assert mp_resultant(a, b, F) == euclid_resultant(a, b, F), (F.order, a, b)
 
 
 # --------------------------------------------------------------- primality

@@ -793,6 +793,26 @@ def test_search_refuses_unusable_output_paths_before_sweep(tmp_path, capsys, mon
     assert not os.path.exists(out)
 
 
+def test_empty_output_paths_are_refused_before_any_work(tmp_path, capsys, monkeypatch):
+    def sweep(task):
+        raise AssertionError("swept before the output paths were checked")
+
+    def run_suite(name):
+        raise AssertionError("ran a suite before the --json path was checked")
+
+    monkeypatch.setattr(search, "_sweep_one_q", sweep)
+    monkeypatch.setattr(cli, "run_suite", run_suite)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValueError, match="empty"):
+        search_exceptional(5, 13, out="")
+    for argv in (("--out", ""), ("--out", "", "--csv", "x.csv"), ("--out", "c.jsonl", "--csv", "")):
+        err = _assert_usage_error(capsys, "search", "--r", "5", "--q-max", "13", *argv)
+        assert "output path is empty" in err
+    err = _assert_usage_error(capsys, "verify", "--suite", "sec5r32", "--json", "")
+    assert "output path is empty" in err
+    assert os.listdir(tmp_path) == []
+
+
 def test_search_refuses_one_file_for_catalog_and_csv(tmp_path, capsys, monkeypatch):
     def sweep(task):
         raise AssertionError("swept although --csv names the catalog")
