@@ -130,7 +130,7 @@ def _cmd_verify(args) -> int:
     if args.json is not None:
         with open(args.json, "w", encoding="utf-8") as fh:
             for rep in reports:
-                fh.write(json.dumps(rep.to_dict()) + "\n")
+                fh.write(json.dumps(rep._asdict()) + "\n")
     ok = all_ok(reports)
     print(f"\n{sum(r.ok for r in reports)}/{len(reports)} checks ok")
     return 0 if ok else 1

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 __all__ = [
@@ -475,23 +475,23 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(namedtuple("Factorization", "unit factors")):
     """A claimed factorization: unit * prod(base^mult).
 
     Bases are integers or IntPoly; multiplicities are positive.  The product
     must reconstruct the original value exactly, which is testable.
     """
 
-    unit: int
-    factors: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.unit not in (1, -1):
             raise ValueError("unit must be +1 or -1")
         for _, mult in self.factors:
             if mult < 1:
                 raise ValueError("multiplicities must be positive")
+        return self
 
     def value(self):
         acc = self.unit

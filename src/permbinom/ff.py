@@ -40,8 +40,7 @@ import itertools
 import os
 import sys
 from array import array
-from collections import OrderedDict
-from dataclasses import dataclass
+from collections import OrderedDict, namedtuple
 from functools import lru_cache
 
 from .exactalg import is_probable_prime, mp_divmod, mp_irreducible, mp_powmod
@@ -64,26 +63,32 @@ DEFAULT_CAP = 10**7
 
 
 def enumeration_cap() -> int:
-    """Upper bound on the order of any constructed field (q^2 <= cap)."""
-    return int(os.environ.get("PERMBINOM_CAP", DEFAULT_CAP))
+    """Upper bound on the order of any constructed field (q^2 <= cap):
+    PERMBINOM_CAP if set, which must be a positive integer, else DEFAULT_CAP."""
+    text = os.environ.get("PERMBINOM_CAP")
+    if text is None:
+        return DEFAULT_CAP
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise ValueError(f"PERMBINOM_CAP must be a positive integer, got {text!r}")
+    return int(text)
 
 
 class CapExceededError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PrimePower:
+class PrimePower(namedtuple("PrimePower", "p m")):
     """q = p^m with p verified prime at construction."""
 
-    p: int
-    m: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.m < 1:
             raise ValueError(f"extension degree must be >= 1, got {self.m}")
         if not is_probable_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
+        return self
 
     @classmethod
     def from_q(cls, q: int) -> "PrimePower":
@@ -158,13 +163,16 @@ class _Field:
     def parse(self, text: str) -> int:
         """Accepts the bracket form, g^k exponent notation, or a bare integer."""
         text = text.strip()
-        if text.startswith("g^"):
-            return self.exp(int(text[2:]))
         if text == "g":
             return self.gen_idx
         if text.startswith("["):
             return self._parse_bracket(text)
-        return int(text) % self.char
+        power = text.startswith("g^")
+        try:
+            n = int(text[2:] if power else text)
+        except ValueError:
+            raise ValueError(f"bad element syntax: {text}") from None
+        return self.exp(n) if power else n % self.char
 
 
 class PrimeField(_Field):

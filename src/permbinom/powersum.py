@@ -30,7 +30,7 @@ tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -89,16 +89,13 @@ def binom_intmod(n: int, k: int, p: int) -> int:
 
 # ------------------------------------------------------ (c, d) index pairs
 
-@dataclass(frozen=True)
-class CDPair:
+class CDPair(namedtuple("CDPair", "c d t")):
     """Quotient/remainder data selecting the surviving bracket terms:
     (alpha+1)r - t*alpha = c(q+1) - d with 0 <= d < q+1, so c is the ceiling
     of the left side divided by q+1.  For t = 2, alpha is odd and d even.
     """
 
-    c: int
-    d: int
-    t: int
+    __slots__ = ()
 
 
 def cd_pair(alpha: int, r: int, q: int, t: int = 2) -> CDPair:
@@ -118,13 +115,10 @@ def cd_pair(alpha: int, r: int, q: int, t: int = 2) -> CDPair:
 
 # --------------------------------------------------------- exponent index
 
-@dataclass(frozen=True)
-class PowerSumIndex:
+class PowerSumIndex(namedtuple("PowerSumIndex", "s alpha beta")):
     """s = alpha + beta*q with 0 <= alpha, beta <= q-1 and 1 <= s <= q^2-2."""
 
-    s: int
-    alpha: int
-    beta: int
+    __slots__ = ()
 
     @classmethod
     def from_s(cls, s: int, q: int) -> "PowerSumIndex":

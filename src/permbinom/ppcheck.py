@@ -28,8 +28,7 @@ too: (r, z) = (1, 1/3) is family (iii) and (r, z) = (3, 3) is family (iv).
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import cycle
 
 from .exactalg import is_probable_prime, mp_gcd
@@ -103,48 +102,31 @@ class BinomialParams:
         return f"BinomialParams(q={self.q}, r={self.r}, t={self.t}, a={self.a.text})"
 
 
-@dataclass(frozen=True)
-class Collision:
+class Collision(namedtuple("Collision", "x1 x2 value")):
     """Two distinct points with the same image; re-checked on construction."""
 
-    x1: FieldElement
-    x2: FieldElement
-    value: FieldElement
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.x1 == self.x2:
             raise ValueError("collision needs distinct points")
+        return self
 
 
-@dataclass(frozen=True)
-class NonzeroPowerSum:
-    s: int
-    alpha: int
+NonzeroPowerSum = namedtuple("NonzeroPowerSum", "s alpha")
+RootCountExcess = namedtuple("RootCountExcess", "count")
+PPVerdict = namedtuple("PPVerdict", "is_pp method witness note", defaults=(None, ""))
 
 
-@dataclass(frozen=True)
-class RootCountExcess:
-    count: int
-
-
-@dataclass(frozen=True)
-class PPVerdict:
-    is_pp: bool
-    method: str
-    witness: object = None
-    note: str = ""
-
-
-@dataclass(frozen=True)
-class FamilyTag:
+class FamilyTag(namedtuple("FamilyTag", "tag fired")):
     """Classification against the known infinite families.
 
     tag is one of family_i..family_iv, thm42, sporadic, not_pp; fired lists
     every predicate that holds (families can overlap in their -1 branches).
     """
 
-    tag: str
-    fired: tuple
+    __slots__ = ()
 
 
 def is_pp_brute(params: BinomialParams) -> PPVerdict:

@@ -11,7 +11,7 @@ such.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .exactalg import (
@@ -167,18 +167,15 @@ def sec5_r32_check() -> list[CheckReport]:
     return reports
 
 
-@dataclass(frozen=True)
-class Sec6Instance:
+class Sec6Instance(namedtuple("Sec6Instance", "p l k q")):
     """One instance of the prime-power-index identity: r = k*p^l + 3 with the
     sum index alpha = p^l, over a field of order q = p^m large enough that the
     quotient c equals 1."""
 
-    p: int
-    l: int
-    k: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.l < 1 or not 1 <= self.k < self.p or self.k % self.p == 0:
             raise ValueError("need l >= 1 and 1 <= k < p")
         if self.r % 2 == 0:
@@ -189,6 +186,7 @@ class Sec6Instance:
             raise ValueError("q below the quotient-1 threshold")
         if cd_pair(self.p**self.l, self.r, self.q).c != 1:
             raise ValueError("instance does not sit in the c = 1 regime")
+        return self
 
     @property
     def r(self) -> int:

@@ -2,45 +2,34 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 PASS = "pass"
 FAIL = "fail"
 PROBABLE = "probable-pass"
 
 
-@dataclass
-class CheckReport:
+class CheckReport(namedtuple("CheckReport", "check_id status expected computed notes",
+                             defaults=("", "", ""))):
     """Outcome of one exact comparison between a computed and an expected value.
 
     Failures always carry both sides so a mismatch can be diagnosed from the
     report alone.
     """
 
-    check_id: str
-    status: str
-    expected: str = ""
-    computed: str = ""
-    notes: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.status not in (PASS, FAIL, PROBABLE):
             raise ValueError(f"bad status {self.status!r}")
         if self.status == FAIL and (not self.expected or not self.computed):
             raise ValueError("fail reports must carry expected and computed values")
+        return self
 
     @property
     def ok(self) -> bool:
         return self.status in (PASS, PROBABLE)
-
-    def to_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "status": self.status,
-            "expected": self.expected,
-            "computed": self.computed,
-            "notes": self.notes,
-        }
 
 
 def check(check_id: str, expected, computed, notes: str = "") -> CheckReport:

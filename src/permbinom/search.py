@@ -14,13 +14,10 @@ from __future__ import annotations
 
 import json
 import math
-import multiprocessing
 import os
 import random
-from collections import Counter
-from dataclasses import dataclass, fields
+from collections import Counter, namedtuple
 from itertools import groupby
-from typing import get_type_hints
 
 from . import __version__, ppcheck
 from .ff import CapExceededError, PrimePower, build_tower, enumeration_cap, enumerate_elements
@@ -54,36 +51,19 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class SearchRecord:
+# each catalog record key with its JSON type, in catalog key order, which
+# fixes the catalog bytes
+RECORD_TYPES = {
+    "p": int, "m": int, "q": int, "r": int, "t": int, "a": str, "a_index": int, "z": str,
+    "is_pp": bool, "family": str, "method": str, "version": str, "modulus": list,
+}
+
+
+class SearchRecord(namedtuple("SearchRecord", RECORD_TYPES)):
     """One persisted hit; the canonical element text plus the generator
     exponent makes records replayable without re-running the sweep."""
 
-    p: int
-    m: int
-    q: int
-    r: int
-    t: int
-    a: str
-    a_index: int
-    z: str
-    is_pp: bool
-    family: str
-    method: str
-    version: str
-    modulus: list
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in RECORD_KEYS}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SearchRecord":
-        return cls(**{k: d[k] for k in RECORD_KEYS})
-
-
-# catalog key order, which fixes the catalog bytes: the field order above
-RECORD_KEYS = tuple(f.name for f in fields(SearchRecord))
-RECORD_TYPES = get_type_hints(SearchRecord)
+    __slots__ = ()
 
 
 def _record_key(d: dict) -> tuple:
@@ -99,6 +79,8 @@ def _pmap(fn, tasks: list, jobs: int) -> list:
     workers = min(jobs, len(tasks))
     if workers <= 1:
         return [fn(task) for task in tasks]
+    import multiprocessing  # here, not at the top: it loads socket, pickle and selectors
+
     with multiprocessing.get_context("fork").Pool(processes=workers) as pool:
         return list(pool.imap(fn, tasks))
 
@@ -164,7 +146,7 @@ def _sweep_one_q(task) -> list[dict]:
                     a=a.text, a_index=a_index, z=params.z.text,
                     is_pp=True, family=tag.tag, method="powersum",
                     version=__version__, modulus=desc["modulus"],
-                ).to_dict()
+                )._asdict()
             )
     return records
 
@@ -223,7 +205,8 @@ def read_catalog(path: str) -> tuple[dict, list[SearchRecord], list[dict]]:
             elif line.startswith("#DONE "):
                 done.append(_entry(line.split(" ", 1)[1], {"q": int, "r": int}, where))
             elif not line.startswith("#"):
-                records.append(SearchRecord.from_dict(_entry(line, RECORD_TYPES, where)))
+                d = _entry(line, RECORD_TYPES, where)
+                records.append(SearchRecord(**{k: d[k] for k in RECORD_TYPES}))
     return header, records, done
 
 
@@ -232,10 +215,10 @@ def catalog_to_csv(path_in: str, path_out: str):
 
     _, records, _ = read_catalog(path_in)
     with open(path_out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=RECORD_KEYS)
+        writer = csv.DictWriter(fh, fieldnames=SearchRecord._fields)
         writer.writeheader()
         for rec in records:
-            d = rec.to_dict()
+            d = rec._asdict()
             d["modulus"] = json.dumps(d["modulus"])
             writer.writerow(d)
 
@@ -272,7 +255,7 @@ def search_exceptional(
         if old_header.get("params") != params or old_header.get("cap") != cap:
             raise ValueError("cannot resume: existing catalog was produced with different flags")
         done_pairs = {(d["q"], d["r"]) for d in done}
-        records = [rec.to_dict() for rec in old if (rec.q, rec.r) in done_pairs]
+        records = [rec._asdict() for rec in old if (rec.q, rec.r) in done_pairs]
         # the sweep never repeats a record; a damaged catalog can
         seen = set()
         for d in records:
@@ -349,10 +332,10 @@ def _replay_catalog(path: str):
             except ValueError as exc:
                 problem = str(exc)
             if problem:
-                raise ValueError(f"{path}: {problem} on record {json.dumps(rec.to_dict())}")
+                raise ValueError(f"{path}: {problem} on record {json.dumps(rec._asdict())}")
         for rec, params in (picks[-1] for picks in samples.values()):
             if ppcheck.is_pp_brute(params).is_pp != rec.is_pp:
-                raise ValueError(f"{path}: brute sample mismatch on record {json.dumps(rec.to_dict())}")
+                raise ValueError(f"{path}: brute sample mismatch on record {json.dumps(rec._asdict())}")
 
 
 def _replay_problem(rec: SearchRecord, verdicts: dict, samples: dict) -> str | None:

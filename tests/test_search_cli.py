@@ -111,7 +111,7 @@ def test_search_resume(tmp_path):
     header, records, done = read_catalog(out)
     kept_done = done[:-1]
     dropped_q = done[-1]["q"]
-    kept_records = [r.to_dict() for r in records if r.q != dropped_q]
+    kept_records = [r._asdict() for r in records if r.q != dropped_q]
     with open(out, "w") as fh:
         fh.write("#PERMBINOM-CATALOG " + json.dumps(header) + "\n")
         for d in kept_done:
@@ -569,6 +569,20 @@ def test_cap_env_override(tmp_path, monkeypatch):
     assert run_cli("field-info", "--p", "11", "--m", "1") == 2  # 121 > 50
 
 
+@pytest.mark.parametrize("cap", ["abc", "1e7", "0", "-5", ""])
+def test_cli_refuses_a_cap_that_is_not_a_positive_integer(cap, monkeypatch, capsys):
+    monkeypatch.setenv("PERMBINOM_CAP", cap)
+    err = _assert_usage_error(capsys, "field-info", "--p", "3")
+    assert err.strip() == f"error: PERMBINOM_CAP must be a positive integer, got {cap!r}"
+
+
+@pytest.mark.parametrize("text, bad", [("g^x", "g^x"), ("zz", "zz"), ("[1,2", "[1,2"),
+                                       ("[1, g^x]", "g^x")])  # a bracket names its bad digit
+def test_cli_bad_element_text_exits_2(text, bad, capsys):
+    err = _assert_usage_error(capsys, "is-pp", "--p", "3", "--r", "5", "--t", "2", "--a", text)
+    assert err.strip() == f"error: bad element syntax: {bad}"
+
+
 def test_cli_huge_m_exits_2_at_once(capsys):
     # the cap is decided without forming q^2 = 3^200000000
     start = time.perf_counter()
@@ -668,7 +682,7 @@ def test_cli_resume_bad_record_value_exit_2(tmp_path, capsys):
     def padded(d):  # [c0 + p, c1] is the element [c0, c1]
         c0, c1 = json.loads(d["a"])
         return f"[{c0 + d['p']},{c1}]"
-    for edit, problem in ((first_prime_q(a=lambda d: "abc"), "invalid literal"),
+    for edit, problem in ((first_prime_q(a=lambda d: "abc"), "bad element syntax: abc"),
                           (first_prime_q(p=lambda d: 4), "4 is not prime"),
                           (first_prime_q(a=padded), "non-canonical a text")):
         assert run_cli(*argv) == 0
