@@ -48,6 +48,7 @@ from .exactalg import is_probable_prime, mp_divmod, mp_irreducible, mp_powmod
 __all__ = [
     "DEFAULT_CAP",
     "enumeration_cap",
+    "check_cap",
     "CapExceededError",
     "PrimePower",
     "PrimeField",
@@ -534,7 +535,7 @@ def _table_bytes(fields) -> int:
                for t in (f._exp, f._log))
 
 
-def _check_cap(name: str, p: int, e: int):
+def check_cap(name: str, p: int, e: int):
     """CapExceededError unless p^e <= cap, deciding an e past cap's bit length without p^e."""
     cap = enumeration_cap()
     if p > 1 and (e > cap.bit_length() or p**e > cap):  # PrimePower rejects p < 2
@@ -547,7 +548,7 @@ def build_tower(p: int, m: int) -> tuple[FieldCtx | PrimeField, FieldCtx]:
     Raises if p is not prime or q^2 exceeds the enumeration cap (default
     10^7, override with the PERMBINOM_CAP environment variable).
     """
-    _check_cap("q^2", p, 2 * m)
+    check_cap("q^2", p, 2 * m)
     key = (p, m)
     if key in _towers:
         _towers.move_to_end(key)
@@ -563,7 +564,7 @@ def build_tower(p: int, m: int) -> tuple[FieldCtx | PrimeField, FieldCtx]:
 def build_subfield(p: int, m: int) -> FieldCtx | PrimeField:
     """F_q alone (cheap: only needs q <= cap, not q^2), memoised: p and m are
     checked once, the cap on every call.  A PrimeField when m = 1."""
-    _check_cap("q", p, m)
+    check_cap("q", p, m)
     return _subfield(p, m)
 
 

@@ -29,11 +29,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
-from itertools import cycle
+from itertools import cycle, zip_longest
 
-from .exactalg import is_probable_prime, mp_gcd
-from .ff import FieldCtx, FieldElement, PrimeField, build_subfield, compute_z, enumeration_cap
-from .powersum import PowerSumIndex, surviving_alphas, t1_bracket, t2_bracket, t2_rows
+from .exactalg import is_probable_prime, mp_divmod, mp_eval, mp_gcd
+from .ff import (FieldCtx, FieldElement, PrimePower, PrimeField, build_subfield, check_cap, compute_z,
+                 enumeration_cap)
+from .powersum import PowerSumIndex, surviving_alphas, t1_bracket, t2_rows
 
 __all__ = [
     "BinomialParams",
@@ -190,6 +191,8 @@ def t2_z_first_failure(sub: FieldCtx | PrimeField, q: int, r: int, y_idx: int,
 
     y_idx is z^2 as an F_q index; z_sub_idx is z itself when z lies in F_q,
     None when it does not, and then a bracket vanishes iff E(y) = O(y) = 0.
+    The rows are read at q, not at sub.order, so F_p serves as sub whenever
+    y and z lie in F_p.
     For odd r, y = 1 (z = +-1) is closed form: E(1) = O(1) = (-1)^alpha, so
     z = 1 fails at alpha = 1 and z = -1 where d = q-1, at the first odd alpha
     with (alpha+1)(r-2) = 0 mod q+1.
@@ -198,7 +201,8 @@ def t2_z_first_failure(sub: FieldCtx | PrimeField, q: int, r: int, y_idx: int,
         g = math.gcd(r - 2, q + 1)
         return 1 if z_sub_idx == 1 else (None if g == 1 else (q + 1) // g - 1)
     for alpha in surviving_alphas(q, 2):
-        _, e_val, o_val = t2_bracket(alpha, r, sub, y_idx)
+        _, evens, odds = t2_rows(alpha, r, q, sub.char)
+        e_val, o_val = mp_eval(evens, y_idx, sub), mp_eval(odds, y_idx, sub)
         if z_sub_idx is None:
             if e_val or o_val:
                 return alpha
@@ -310,31 +314,50 @@ def t2_passing_z(p: int, m: int, r: int, include_norm_one: bool = False) -> tupl
     of the quadratic B_1/(z + 1), or of B_1 itself in the d = q-1 branch,
     which has no odd row.  y = z^2 outside the squares must be a root of the
     line gcd(E_1, O_1).  Every other z fails at alpha = 1.
+
+    The rows are residues mod p, so every candidate lies in F_p or F_{p^2},
+    and the sweep decides over F_p alone.  A quadratic with no root in F_p
+    has two Frobenius-conjugate roots, in F_q iff m is even, which share
+    their verdict: both pass alpha iff it divides B_alpha over F_p.  F_p* lies
+    in the squares of F_q for even m, so ext y are the non-residues mod p of
+    an odd m.  F_q itself is built only to name a conjugate pair that passes.
     """
-    sub = build_subfield(p, m)
-    q = sub.order
+    check_cap("q", p, m)
+    if m < 1:
+        PrimePower(p, m)  # raises: the extension degree
+    fp = build_subfield(p, 1)
+    q = p**m
     if q % 2 == 0:
         raise ValueError("t = 2 sweep requires odd q")
     if math.gcd(r, q - 1) != 1:
         return [], {}
     _, evens, odds = t2_rows(1, r, q, p)
     known, cofactor = _b1_cofactor(evens, odds, p)
-    subs = [z for z in sorted({*known, *_small_roots(cofactor, sub)})
-            if z > 1 and (include_norm_one or z != p - 1)]
-    # y != 0 is a nonsquare iff y^((q-1)/2) != 1 (Euler's criterion)
-    exts = [y for y in _small_roots(mp_gcd(evens, odds, sub), sub) if y and sub.pow(y, (q - 1) // 2) != 1]
+    roots = _small_roots(cofactor, fp)
+    subs = [z for z in sorted({*known, *roots}) if z > 1 and (include_norm_one or z != p - 1)]
+    pair = m % 2 == 0 and cofactor[2] != 0 and not roots  # irreducible over F_p, split in F_q
+    # y != 0 is a non-residue iff y^((p-1)/2) != 1 (Euler's criterion)
+    exts = [y for y in _small_roots(mp_gcd(evens, odds, fp), fp)
+            if m % 2 and y and fp.pow(y, (p - 1) // 2) != 1]
     decided = q - 2 - (not include_norm_one) + (q - 1) // 2  # F_q* but 1 (and -1), nonsquares
-    first = Counter({1: decided - len(subs) - len(exts)})
+    first = Counter({1: decided - len(subs) - len(exts) - 2 * pair})
     hits = []
-    tests = [(("sub", z), sub.mul(z, z), z) for z in subs] + [(("ext", y), y, None) for y in exts]
+    tests = [(("sub", z), fp.mul(z, z), z) for z in subs] + [(("ext", y), y, None) for y in exts]
     for desc, y, z in tests:
-        alpha = t2_z_first_failure(sub, q, r, y, z)
+        alpha = t2_z_first_failure(fp, q, r, y, z)
         if alpha == 1:  # pragma: no cover - a root of the alpha = 1 bracket
             raise AssertionError(f"candidate {desc} fails alpha = 1 at q = {q}, r = {r}")
         if alpha is None:
             hits.append(desc)
         else:
             first[alpha] += 1
+    if pair:  # no ext candidate for even m, so these hits still precede any
+        alpha = next((al for al in surviving_alphas(q, 2)
+                      if mp_divmod(_interleave(*t2_rows(al, r, q, p)[1:]), cofactor, fp)[1]), None)
+        if alpha is None:
+            hits += [("sub", z) for z in _small_roots(cofactor, build_subfield(p, m))]
+        else:
+            first[alpha] += 2
     return hits, {alpha: c for alpha, c in sorted(first.items()) if c}
 
 
@@ -353,6 +376,11 @@ def _b1_cofactor(evens, odds, p: int) -> tuple[tuple, list[int]]:
     if (e0 - o0 + e1 - o1) % p:  # pragma: no cover - rows (s, -(s+1)) give E_1(1) = O_1(1) = -1
         raise AssertionError(f"z = -1 is no root of B_1 = {[e0, o0, e1, o1]} mod {p}")
     return (p - 1,), [(o0 - e1 + o1) % p, (e1 - o1) % p, o1]
+
+
+def _interleave(evens, odds) -> list[int]:
+    """B(z) = E(z^2) + z*O(z^2) as one coefficient list; O may be empty."""
+    return [c for pair in zip_longest(evens, odds, fillvalue=0) for c in pair]
 
 
 def _sqrt(a: int, sub: FieldCtx | PrimeField) -> int:

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from permbinom import exactalg, powersum, ppcheck
+from permbinom import exactalg, ff, powersum, ppcheck
 from permbinom.exactalg import mp_gcd, mp_mul, mp_sub
 from permbinom.ff import PrimePower, build_subfield, build_tower, compute_z, enumerate_elements
 from permbinom.ppcheck import (
@@ -551,6 +551,63 @@ def test_desk_sweep_first_failure_matches_twin():
     assert out["first_failure"] == dict(sorted(first.items()))
     assert thm21_desk_sweep(5, q_cap_sq=10**4, jobs=2) == out  # histograms cross the pool
     assert out["first_failure"][1] > sum(out["first_failure"].values()) // 2
+
+
+@pytest.mark.parametrize("q", [243, 343, 625, 729])
+def test_sweep_matches_per_z_twin_past_125(q):
+    # the twin works in F_q, the sweep in F_p: odd m (243, 343) leaves the
+    # roots of an irreducible cofactor outside F_q, even m (625, 729) puts
+    # both conjugates in it, here failing together at alpha = 3
+    p, m = PrimePower.from_q(q)
+    swept = 0
+    for r in (5, 7, 9, 23, 43):
+        for include in (False, True):
+            hits, first = _per_z_sweep(p, m, r, include)
+            got_hits, got_first = t2_passing_z(p, m, r, include)
+            assert got_hits == hits, (q, r, include)
+            assert got_first == first and list(got_first) == sorted(first), (q, r, include)
+            swept += bool(first)
+    assert swept >= 8
+
+
+DESK_SWEEP_PINS = {  # r: (q_swept, first_failure) at q^2 <= 2*10^6, all confirmed
+    5: (174, {1: 163972, 3: 169, 5: 4}),
+    7: (191, {1: 186162, 3: 173, 5: 3}),
+    9: (113, {1: 112756, 3: 96, 5: 1}),
+}
+
+
+@pytest.mark.parametrize("r", sorted(DESK_SWEEP_PINS))
+def test_desk_sweep_pinned(r):
+    out = thm21_desk_sweep(r, 2 * 10**6)
+    assert (out["q_swept"], out["first_failure"]) == DESK_SWEEP_PINS[r]
+    assert out["confirmed"] and not out["failures"]
+
+
+def test_conjugate_pair_hits_are_named_in_fq():
+    # q = 81, r = 23: B_1/(z + 1) is irreducible over F_3 and both of its
+    # roots in F_81 pass every alpha
+    assert t2_passing_z(3, 4, 23) == ([("sub", 16), ("sub", 22)], {1: 116})
+    assert all(not build_subfield(3, 4).in_subfield(z) for _, z in t2_passing_z(3, 4, 23)[0])
+
+
+def test_desk_sweep_builds_no_extension_field(monkeypatch):
+    # bracket rows are residues mod p, so every q = p^m is decided in F_p;
+    # F_q would be built only to name a passing conjugate pair, and the
+    # pairs these sweeps meet (q = 25, 49, 81, 289, 529, 625, 729, 961 and
+    # 1369) all fail
+    built = []
+    subfield, init = ppcheck.build_subfield, ff.FieldCtx.__init__
+
+    def recorded_init(self, *args):
+        init(self, *args)
+        built.append((self.char, self.abs_degree))
+
+    monkeypatch.setattr(ppcheck, "build_subfield", lambda p, m: built.append((p, m)) or subfield(p, m))
+    monkeypatch.setattr(ff.FieldCtx, "__init__", recorded_init)
+    for r in (5, 7, 9):
+        thm21_desk_sweep(r, 2 * 10**6)
+    assert built and all(m == 1 for _, m in built), sorted(set(built))
 
 
 def _norm_one_bracket_loop(sub, q, r, z):
