@@ -1,4 +1,4 @@
-"""Exact polynomial algebra over Z, Q and finite fields, plus probable-prime
+"""Exact polynomial algebra over Z and finite fields, plus probable-prime
 checks.
 
 Dense representation throughout: a polynomial is its coefficient sequence,
@@ -6,37 +6,36 @@ lowest degree first, with no trailing zeros (the zero polynomial is the
 empty sequence).  One set of mp_* functions (arithmetic, long division,
 Horner evaluation, gcd, irreducibility, resultant) runs over a ring F
 passed last: a finite-field context, whose polynomials are plain lists of
-field indices, or one of the exact wrappers IntPoly / RatPoly / BiPolyRZ.
-Each wrapper class is its own coefficient ring (add, sub, mul, neg, and div,
-the exact quotient of two coefficients), so the wrappers' arithmetic is the
-mp_* functions over Python ints, fractions.Fraction or, for BiPolyRZ (a
-polynomial in z over Q[r]), RatPoly coefficients; no floating point.
-IntPoly.div is divmod, raising ValueError on a nonzero remainder.
+field indices, or one of the exact wrappers IntPoly / BiPolyRZ.  Each
+wrapper class is its own coefficient ring (add, sub, mul, neg, and div, the
+exact quotient of two coefficients), so the wrappers' arithmetic is the
+mp_* functions over Python ints or, for BiPolyRZ (a polynomial in z over
+Z[r]), IntPoly coefficients; Z is the one exact ring, with no fractions and
+no floating point.  IntPoly.div is divmod, raising ValueError on a nonzero
+remainder, so every quotient is checked.  A value at a rational r = x/den
+is homogenised over one denominator (BiPolyRZ.eval_r).
 
 One resultant algorithm, mp_resultant's subresultant PRS, serves Z (over
-IntPoly) and finite fields.  The resultants over Z and Q clear denominators
-once and run it on integers, in two variables (z over Q[r]) at integer values
-of r followed by Newton interpolation, every quotient an IntPoly.div.  The
-Sylvester-determinant, Euclidean and Fraction twins that cross-check them live
-in tests/.
+IntPoly) and finite fields; in two variables it runs at integer values of r,
+followed by Newton interpolation, every quotient an IntPoly.div.  The
+Sylvester-determinant, Euclidean and rational twins that cross-check them
+live in tests/.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 import random
 from collections import namedtuple
-from fractions import Fraction
 
 __all__ = [
     "IntPoly",
-    "RatPoly",
     "BiPolyRZ",
     "Factorization",
     "resultant_univar",
     "resultant_bivar_z",
     "to_modp",
+    "render_coeffs",
     "mp_sub",
     "mp_mul",
     "mp_divmod",
@@ -66,7 +65,6 @@ class _BasePoly:
     each subclass's div, the exact quotient of two coefficients."""
 
     __slots__ = ("coeffs",)
-    _coerce = staticmethod(lambda c: c)
     add, sub, mul, neg = operator.add, operator.sub, operator.mul, operator.neg
     pow = operator.pow
 
@@ -100,8 +98,8 @@ class _BasePoly:
     def __eq__(self, other):
         if isinstance(other, _BasePoly):
             return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == type(self).const(self._coerce(other))
+        if isinstance(other, int):
+            return self == type(self).const(other)
         return NotImplemented
 
     def __hash__(self):
@@ -129,7 +127,7 @@ class _BasePoly:
     def __pow__(self, e):
         if e < 0:
             raise ValueError("negative polynomial power")
-        out = type(self).const(self._coerce(1))
+        out = type(self).const(1)
         for _ in range(e):
             out = out * self
         return out
@@ -137,8 +135,8 @@ class _BasePoly:
     def _wrap(self, other):
         if isinstance(other, type(self)):
             return other
-        if isinstance(other, (int, Fraction)):
-            return type(self).const(self._coerce(other))
+        if isinstance(other, int):
+            return type(self).const(other)
         raise TypeError(f"cannot mix {type(other).__name__} with {type(self).__name__}")
 
     def divmod(self, other):
@@ -156,19 +154,7 @@ class _BasePoly:
         return mp_eval(self.coeffs, x, type(self))
 
     def render(self, var="r"):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            elif k == 1:
-                parts.append(f"{c}*{var}")
-            else:
-                parts.append(f"{c}*{var}^{k}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return render_coeffs(self.coeffs, var)
 
     def __repr__(self):
         return f"{type(self).__name__}({self.render()})"
@@ -181,10 +167,6 @@ class IntPoly(_BasePoly):
 
     @staticmethod
     def _coerce(c):
-        if isinstance(c, Fraction):
-            if c.denominator != 1:
-                raise ValueError(f"non-integer coefficient {c}")
-            return c.numerator
         if not isinstance(c, int):
             raise TypeError(f"integer coefficient expected, got {type(c).__name__}")
         return c
@@ -197,26 +179,15 @@ class IntPoly(_BasePoly):
             raise ValueError(f"{a} is not divisible by {b}")
         return quo
 
-    def to_rat(self) -> "RatPoly":
-        return RatPoly(Fraction(c) for c in self.coeffs)
-
-
-class RatPoly(_BasePoly):
-    """Polynomial with exact rational coefficients in lowest terms."""
-
-    __slots__ = ()
-    _coerce = staticmethod(Fraction)
-    div = staticmethod(lambda a, b: Fraction(a) / b)  # never float division
-
 
 class BiPolyRZ(_BasePoly):
-    """Polynomial in z whose coefficients are exact rational polynomials in r."""
+    """Polynomial in z whose coefficients are integer polynomials in r."""
 
     __slots__ = ()
 
     @staticmethod
     def _coerce(c):
-        return c if isinstance(c, RatPoly) else RatPoly.const(c)
+        return c if isinstance(c, IntPoly) else IntPoly.const(c)
 
     @staticmethod
     def div(a, b):
@@ -226,9 +197,12 @@ class BiPolyRZ(_BasePoly):
     def r_degree(self):
         return max((c.degree for c in self.coeffs), default=-1)
 
-    def eval_r(self, x) -> RatPoly:
-        """Substitute a rational value for r; the result is a polynomial in z."""
-        return RatPoly([c.eval(Fraction(x)) for c in self.coeffs])
+    def eval_r(self, x: int, den: int = 1) -> IntPoly:
+        """den^d * self(x/den, z) with d = r_degree: the polynomial in z at the
+        rational r = x/den over the one denominator den^d, homogenised as
+        sum_k c_k x^k den^(d-k) so that it stays in Z[z]."""
+        d = self.r_degree
+        return IntPoly(sum(c * x**k * den ** (d - k) for k, c in enumerate(cs.coeffs)) for cs in self.coeffs)
 
     def render(self) -> str:
         if self.is_zero():
@@ -244,44 +218,30 @@ class BiPolyRZ(_BasePoly):
 
 # -------------------------------------------------------------- resultants
 
-def resultant_univar(f, g):
-    """Exact resultant of two univariate polynomials over Z or Q: mp_resultant
-    over IntPoly on both cleared of denominators, then the scale taken off.
+def resultant_univar(f: IntPoly, g: IntPoly) -> int:
+    """Exact resultant of two polynomials over Z: mp_resultant over IntPoly."""
+    return mp_resultant(f.coeffs, g.coeffs, IntPoly)
 
-    Two IntPoly inputs give an int; otherwise the result is a Fraction.
+
+def resultant_bivar_z(F: BiPolyRZ, G: BiPolyRZ) -> IntPoly:
+    """Resultant with respect to z of two polynomials in Z[r][z], in Z[r].
+
+    mp_resultant at bound + 1 integer r (skipping points where either leading
+    z-coefficient vanishes, which would drop the degree), then interpolated.
     """
-    (df, (fz,)), (dg, (gz,)) = _clear([f.coeffs]), _clear([g.coeffs])
-    res, scale = mp_resultant(fz, gz, IntPoly), df**g.degree * dg**f.degree
-    return res if isinstance(f, IntPoly) and isinstance(g, IntPoly) else Fraction(res, scale)
-
-
-def resultant_bivar_z(F: BiPolyRZ, G: BiPolyRZ) -> RatPoly:
-    """Resultant with respect to z of two polynomials in (r, z), exact over Q[r].
-
-    mp_resultant of D_F F and D_G G, in Z[r][z] by the lcms of their denominators,
-    at bound + 1 integer r (skipping points where either leading z-coefficient
-    vanishes, which would drop the degree), interpolated, over D_F^deg G D_G^deg F.
-    """
-    (df, fz), (dg, gz) = _clear([c.coeffs for c in F.coeffs]), _clear([c.coeffs for c in G.coeffs])
+    if not F or not G:
+        raise ValueError("resultant of the zero polynomial")
     if F.degree == 0 and G.degree == 0:
         raise ValueError("both arguments have z-degree 0")
     bound = F.r_degree * G.degree + G.r_degree * F.degree
     xs, ys, x = [], [], 0
     while len(xs) <= bound:
-        fx, gx = ([mp_eval(cs, x, IntPoly) for cs in P] for P in (fz, gz))
+        fx, gx = ([c.eval(x) for c in P.coeffs] for P in (F, G))
         if fx[-1] and gx[-1]:
             xs.append(x)
             ys.append(mp_resultant(fx, gx, IntPoly))
         x = (x <= 0) - x  # 0, 1, -1, 2, -2, ...
-    return _newton(xs, ys).to_rat() * Fraction(1, df**G.degree * dg**F.degree)
-
-
-def _clear(rows):
-    """(D, rows * D in ints), D the lcm of the denominators of a nonzero polynomial."""
-    if not rows or not rows[-1]:
-        raise ValueError("resultant of the zero polynomial")
-    d = math.lcm(*(c.denominator for row in rows for c in row))
-    return d, [[c.numerator * IntPoly.div(d, c.denominator) for c in row] for row in rows]
+    return _newton(xs, ys)
 
 
 def _newton(xs: list[int], ys: list[int]) -> IntPoly:
@@ -300,15 +260,23 @@ def _newton(xs: list[int], ys: list[int]) -> IntPoly:
 
 # ----------------------------------------- polynomials over a finite field
 
-def to_modp(f, p: int) -> list[int]:
-    """Reduce an IntPoly, a RatPoly or a list of ints or Fractions to its
-    residue list mod p; ValueError if a denominator is not invertible."""
-    out = []
-    for c in map(Fraction, f.coeffs if isinstance(f, _BasePoly) else f):
-        if c.denominator % p == 0:
-            raise ValueError(f"denominator of {c} not invertible mod {p}")
-        out.append(c.numerator * pow(c.denominator, -1, p) % p)
-    return _trim(out)
+def to_modp(f, p: int, den: int = 1) -> list[int]:
+    """The residue list mod p of an IntPoly or a list of ints, over the
+    denominator den; ValueError if den is not invertible mod p."""
+    if den % p == 0:
+        raise ValueError(f"denominator {den} not invertible mod {p}")
+    inv = pow(den, -1, p)
+    return _trim([c * inv % p for c in (f.coeffs if isinstance(f, _BasePoly) else f)])
+
+
+def render_coeffs(coeffs, var: str = "r") -> str:
+    """c0 + c1*var + c2*var^2 + ..., zero terms left out, each coefficient
+    by its str."""
+    parts = []
+    for k, c in enumerate(coeffs):
+        if c:
+            parts.append(str(c) if k == 0 else f"{c}*{var}" if k == 1 else f"{c}*{var}^{k}")
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
 # The mp_* functions take coefficient sequences, constant term first, over

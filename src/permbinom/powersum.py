@@ -34,7 +34,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactalg import BiPolyRZ, RatPoly, mp_eval
+from .exactalg import BiPolyRZ, IntPoly, mp_eval
 from .ff import FieldCtx, FieldElement, PrimeField, compute_z
 from .report import PASS, FAIL, CheckReport
 
@@ -345,28 +345,22 @@ def power_sum_on_class_row(ctx2: FieldCtx, r: int, s: int, row: list[int]) -> Fi
 
 # ----------------------------------------------------------- theta brackets
 
-def _binom_affine_poly(c0: Fraction, c1: Fraction, k: int) -> RatPoly:
-    """binom(c0 + c1*r, k) expanded as a polynomial in r over Q."""
-    acc = RatPoly.const(1)
-    for j in range(k):
-        acc = acc * RatPoly((c0 - j, c1))
-    return acc * RatPoly.const(Fraction(1, math.factorial(k)))
-
-
 def theta_symbolic(alpha: int) -> BiPolyRZ:
-    """The bracket sum with its index data left symbolic in r (the c = 1
-    regime), exact over Q: a polynomial in z over Q[r] of z-degree
-    2*alpha+1 and r-degree alpha.  Entries are i + 1/2 + alpha -
-    (alpha+1)r/2 for z^(2i) and i + 1 + alpha - (alpha+1)r/2 for z^(2i+1)."""
+    """2^alpha alpha! times the bracket sum with its index data left symbolic
+    in r (the c = 1 regime): a polynomial in z over Z[r] of z-degree
+    2*alpha+1 and r-degree alpha.  The bracket's entries are n/2 - (alpha+1)r/2
+    with n = 2i + 2alpha + 1 for z^(2i) and n = 2i + 2alpha + 2 for z^(2i+1),
+    and 2^alpha alpha! binom(n/2 - (alpha+1)r/2, alpha) is the integer product
+    of (n - 2j) - (alpha+1)r over j < alpha."""
     if alpha < 1 or alpha % 2 == 0:
         raise ValueError("alpha must be odd and >= 1")
-    half = Fraction(1, 2)
-    slope = -Fraction(alpha + 1, 2)
     coeffs = []
-    for i in range(alpha + 1):
-        sgn = math.comb(alpha, i) * (-1) ** i
-        coeffs.append(_binom_affine_poly(Fraction(i) + half + alpha, slope, alpha) * sgn)
-        coeffs.append(_binom_affine_poly(Fraction(i + 1) + alpha, slope, alpha) * sgn)
+    for k in range(2 * alpha + 2):
+        i, n = k // 2, k + 2 * alpha + 1
+        acc = IntPoly.const((-1) ** i * math.comb(alpha, i))
+        for j in range(alpha):
+            acc = acc * IntPoly((n - 2 * j, -(alpha + 1)))
+        coeffs.append(acc)
     return BiPolyRZ(coeffs)
 
 

@@ -11,13 +11,13 @@ such.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from fractions import Fraction
 
 from .exactalg import (
     Factorization,
     IntPoly,
-    RatPoly,
     BiPolyRZ,
     mp_divmod,
     mp_eval,
@@ -25,6 +25,7 @@ from .exactalg import (
     mp_irreducible,
     mp_resultant,
     primality_and_factor_check,
+    render_coeffs,
     resultant_bivar_z,
     resultant_univar,
     to_modp,
@@ -54,21 +55,31 @@ __all__ = [
 ]
 
 
-def _expand_factored(prefactor, factors) -> RatPoly:
+def _expand_factored(prefactor: int, factors) -> IntPoly:
     """prefactor times the product of factors, each a (poly, mult) pair or a
     bare poly of multiplicity 1."""
-    acc = RatPoly.const(prefactor)
+    acc = IntPoly.const(prefactor)
     for item in factors:
         poly, mult = item if isinstance(item, tuple) else (item, 1)
-        acc = acc * poly.to_rat() ** mult
+        acc = acc * poly**mult
     return acc
 
 
-def _zcheck(check_id: str, expected, computed, notes: str = "") -> CheckReport:
-    """Equality check on polynomials in z, rendered with the right variable."""
-    ok = expected == computed
-    return CheckReport(check_id, PASS if ok else FAIL,
-                       expected.render("z"), computed.render("z"), notes)
+def _times(frac: Fraction, k: int) -> int:
+    """frac * k, which must be an integer: IntPoly.div checks the quotient."""
+    return IntPoly.div(frac.numerator * k, frac.denominator)
+
+
+def _at(P: BiPolyRZ, x: int, den: int) -> tuple[IntPoly, int]:
+    """P at r = x/den as (N, D): N in Z[z] over the one denominator D."""
+    return P.eval_r(x, den), den**P.r_degree
+
+
+def _zcheck(check_id: str, expected: IntPoly, computed: IntPoly, den: int) -> CheckReport:
+    """Equality check on polynomials in z over the denominator den, each
+    coefficient rendered as Fraction(c, den)."""
+    shown = (render_coeffs([Fraction(c, den) for c in f.coeffs], "z") for f in (expected, computed))
+    return CheckReport(check_id, PASS if expected == computed else FAIL, *shown)
 
 
 def _prime_reports(prefix: str, fact: Factorization) -> list[CheckReport]:
@@ -87,10 +98,11 @@ def sec5_check() -> list[CheckReport]:
     bad = verify_checksums()
     reports.append(check("sec5.registry-checksums", [], bad))
 
-    one_plus_z = BiPolyRZ([RatPoly.const(1), RatPoly.const(1)])
+    one_plus_z = BiPolyRZ((1, 1))
     for alpha, target in ((1, REG.A1), (3, REG.A3), (5, REG.A5)):
-        th = theta_symbolic(alpha)
-        expected = one_plus_z * target * REG.theta_prefactors[alpha]
+        th = theta_symbolic(alpha)  # 2^alpha alpha! theta
+        scaled = one_plus_z * _times(REG.theta_prefactors[alpha], 2**alpha * math.factorial(alpha))
+        expected = scaled * target
         note = ""
         if alpha == 5:
             note = ("reference text labels this expansion with index 3; "
@@ -104,20 +116,19 @@ def sec5_check() -> list[CheckReport]:
                 note,
             )
         )
-        cof = th.divexact(one_plus_z)
-        reports.append(
-            check(f"sec5.theta.{alpha}.cofactor", target,
-                  cof * (1 / REG.theta_prefactors[alpha]))
-        )
+        reports.append(check(f"sec5.theta.{alpha}.cofactor", target, th.divexact(scaled)))
 
+    # R13, R15 and R35 are the resultants of A1, A3/3 and A5/5, and
+    # Res_z(c F, d G) = c^(deg_z G) d^(deg_z F) Res_z(F, G)
+    A1, A3, A5 = REG.A1, REG.A3, REG.A5
     pairs = (
-        ("sec5.R13", REG.A1, REG.A3 * Fraction(1, 3), REG.R13),
-        ("sec5.R15", REG.A1, REG.A5 * Fraction(1, 5), REG.R15),
-        ("sec5.R35", REG.A3 * Fraction(1, 3), REG.A5 * Fraction(1, 5), REG.R35),
+        ("sec5.R13", A1, A3, 3**A1.degree, REG.R13),
+        ("sec5.R15", A1, A5, 5**A1.degree, REG.R15),
+        ("sec5.R35", A3, A5, 3**A5.degree * 5**A3.degree, REG.R35),
     )
-    for cid, F, G, (pref, factors) in pairs:
+    for cid, F, G, scale, (pref, factors) in pairs:
         computed = resultant_bivar_z(F, G)
-        expected = _expand_factored(pref, factors)
+        expected = _expand_factored(_times(pref, scale), factors)
         reports.append(
             CheckReport(cid, PASS if computed == expected else FAIL,
                         f"{pref} * {' * '.join(f'({p.render()})^{m}' for p, m in factors)}",
@@ -155,16 +166,16 @@ def sec5_check() -> list[CheckReport]:
 
 def sec5_r32_check() -> list[CheckReport]:
     """Exact specializations of the bracket cofactors at r = 3/2."""
-    reports = []
-    A1v = REG.A1.eval_r(Fraction(3, 2))
-    reports.append(_zcheck("sec5r32.A1", (IntPoly((0, 1)) * IntPoly((-1, 3)) * -1).to_rat(), A1v))
-    A3v = REG.A3.eval_r(Fraction(3, 2))
-    reports.append(_zcheck("sec5r32.A3", (REG.A3_at_3_2 * -3).to_rat(), A3v))
-    A5v = REG.A5.eval_r(Fraction(3, 2))
-    reports.append(_zcheck("sec5r32.A5", (IntPoly((0, 1)) * REG.A5_at_3_2 * -5).to_rat(), A5v))
-    reports.append(check("sec5r32.A3-at-third", REG.A3_at_3_2_value, A3v.eval(Fraction(1, 3))))
-    reports.append(check("sec5r32.A5-at-third", REG.A5_at_3_2_value, A5v.eval(Fraction(1, 3))))
-    return reports
+    z = IntPoly((0, 1))
+    (A1v, D1), (A3v, D3), (A5v, D5) = (_at(P, 3, 2) for P in (REG.A1, REG.A3, REG.A5))
+    third = Fraction(1, 3)
+    return [
+        _zcheck("sec5r32.A1", z * IntPoly((-1, 3)) * -D1, A1v, D1),
+        _zcheck("sec5r32.A3", REG.A3_at_3_2 * (-3 * D3), A3v, D3),
+        _zcheck("sec5r32.A5", z * REG.A5_at_3_2 * (-5 * D5), A5v, D5),
+        check("sec5r32.A3-at-third", REG.A3_at_3_2_value, A3v.eval(third) / D3),
+        check("sec5r32.A5-at-third", REG.A5_at_3_2_value, A5v.eval(third) / D5),
+    ]
 
 
 class Sec6Instance(namedtuple("Sec6Instance", "p l k q")):
@@ -275,16 +286,12 @@ def sec7_p3_check() -> list[CheckReport]:
     reports = []
     p = 3
     fp = build_subfield(p, 1)
-    third_A3 = REG.A3 * Fraction(1, 3)
     pref, factors = REG.R13
     for r0 in sorted(REG.f3_resultant_table):
         expected = REG.f3_resultant_table[r0]
-        val = pref
-        for poly, mult in factors:
-            val *= Fraction(poly.eval(r0)) ** mult
-        route1 = val.numerator % p if val.denominator == 1 else None
+        route1 = _times(pref, math.prod(poly.eval(r0) ** mult for poly, mult in factors)) % p
         f3 = to_modp(REG.A1.eval_r(r0), p)
-        g_full = third_A3.eval_r(r0)
+        g_full = REG.A3.eval_r(r0).divexact(IntPoly.const(3))  # A3/3 at r0, in Z[z]
         g3 = to_modp(g_full, p)
         route2 = pow(f3[-1], g_full.degree - (len(g3) - 1), p) * mp_resultant(f3, g3, fp) % p
         ok = route1 == route2 == expected
@@ -295,10 +302,10 @@ def sec7_p3_check() -> list[CheckReport]:
 
     a14 = to_modp(REG.A1.eval_r(4), p)
     a14_ok = a14 == to_modp(REG.A1_at_4, p)  # the divisor must be the transcribed A1(4, z)
-    a34 = to_modp(third_A3.eval_r(4), p)
+    a34 = to_modp(REG.A3.eval_r(4).divexact(IntPoly.const(3)), p)
     a34_claim = to_modp(_expand_factored(1, REG.A3_at_4_factors), p)
     reports.append(check("sec7p3.factor.a3", a34_claim, a34))
-    a54 = to_modp((REG.A5 * Fraction(1, 5)).eval_r(4), p)
+    a54 = to_modp(REG.A5.eval_r(4).divexact(IntPoly.const(5)), p)
     reports.append(
         CheckReport(
             "sec7p3.factor.a5",
@@ -337,15 +344,11 @@ def sec7_p181_check() -> list[CheckReport]:
     reports = []
     p = 181
     fp = build_subfield(p, 1)
-    A1v = REG.A1.eval_r(Fraction(7, 4))
-    reports.append(
-        _zcheck("sec7p181.A1", RatPoly((Fraction(-1, 2), 1, Fraction(-5, 2))), A1v)
-    )
-    A3v = REG.A3.eval_r(Fraction(7, 4))
+    (A1v, D1), (A3v, D3), (A5v, D5) = (_at(P, 7, 4) for P in (REG.A1, REG.A3, REG.A5))
+    reports.append(_zcheck("sec7p181.A1", IntPoly((-1, 2, -5)) * (D1 // 2), A1v, D1))
     claim = IntPoly((0, 1)) * IntPoly((1, -2, 5)) * IntPoly((-1, -1, -1, 7)) * -3
-    reports.append(_zcheck("sec7p181.A3", claim.to_rat(), A3v))
-    A5v = REG.A5.eval_r(Fraction(7, 4))
-    reports.append(_zcheck("sec7p181.A5", REG.B5.to_rat() * Fraction(-5, 32), A5v))
+    reports.append(_zcheck("sec7p181.A3", claim * D3, A3v, D3))
+    reports.append(_zcheck("sec7p181.A5", REG.B5 * (-5 * (D5 // 32)), A5v, D5))
 
     quad = IntPoly((-1, 2, -5))
     res = resultant_univar(quad, REG.B5)
@@ -355,10 +358,10 @@ def sec7_p181_check() -> list[CheckReport]:
               primality_and_factor_check(res, REG.res_quad_B5))
     )
 
-    named = (("A1", A1v, REG.p181_A1), ("A3", A3v, REG.p181_A3), ("A5", A5v, REG.p181_A5))
+    named = (("A1", A1v, D1, REG.p181_A1), ("A3", A3v, D3, REG.p181_A3), ("A5", A5v, D5, REG.p181_A5))
     mods = {}
-    for name, poly, (scal, fs) in named:
-        got = to_modp(poly, p)
+    for name, poly, den, (scal, fs) in named:
+        got = to_modp(poly, p, den)
         mods[name] = got
         reports.append(check(f"sec7p181.factor.{name}", to_modp(_expand_factored(scal, fs), p), got))
     for f in REG.p181_nonlinear:

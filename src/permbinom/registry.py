@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 from fractions import Fraction
 
-from .exactalg import BiPolyRZ, Factorization, IntPoly, RatPoly
+from .exactalg import BiPolyRZ, Factorization, IntPoly
 
 __all__ = ["REG", "verify_checksums"]
 
@@ -27,14 +27,14 @@ def _digest(text: str) -> str:
 
 
 def _parse_bipoly(text: str) -> BiPolyRZ:
-    rows: dict[int, RatPoly] = {}
+    rows: dict[int, IntPoly] = {}
     for line in text.strip().splitlines():
         line = line.strip()
         if not line:
             continue
         head, _, rest = line.partition(":")
         k = int(head.strip().removeprefix("z^"))
-        rows[k] = RatPoly(Fraction(c) for c in rest.split())
+        rows[k] = _parse_intpoly(rest)
     top = max(rows)
     return BiPolyRZ([rows.get(k, 0) for k in range(top + 1)])
 

@@ -235,7 +235,8 @@ def search_exceptional(
     """Sweep every admissible odd prime power q <= q_max for permutation
     binomials with the given r (t = 2 only), recording every hit.
 
-    Admissible means q odd, gcd(r, q-1) = 1, q^2 within the enumeration cap.
+    Admissible means q odd, gcd(r, q-1) = 1, q^2 within the enumeration cap;
+    a q_max whose square is past the cap is refused with ValueError.
     The summary counts sporadic hits below the nonexistence threshold and
     confirms the absence of norm-not-one hits at or above it.
     """
@@ -247,6 +248,9 @@ def search_exceptional(
     qs = _admissible_qs(r, q_max, cap)
     if not qs:  # r is odd, so only q_max < 3 or a cap below 9 gets here
         raise ValueError(f"no odd q in 3..{q_max} to sweep within the cap {cap}")
+    if q_max * q_max > cap:  # a sweep clipped at isqrt(cap) would confirm the bound past it unswept
+        raise ValueError(f"q_max = {q_max} puts q^2 past the enumeration cap {cap}; "
+                         f"q_max may be at most {math.isqrt(cap)}")
     params = {"r": r, "t": 2, "q_min": 3, "q_max": q_max, "include_norm_one": include_norm_one}
     done_pairs: set[tuple[int, int]] = set()
     records: list[dict] = []

@@ -1,17 +1,18 @@
 """The Euclidean and Fraction twins of exactalg's resultants.
 
 exactalg.mp_resultant is the subresultant PRS over Z or a finite field, and
-resultant_univar and resultant_bivar_z clear denominators and run it and
-Newton interpolation on integers.  The twin is independent of that kernel:
-euclid_resultant, the Euclidean remainder sequence over any field (RatPoly
-as Q, or a finite-field context), and on rational numbers throughout that
-resultant, in two variables at integer values of r, interpolated by Newton's
-divided differences in Fraction arithmetic.
+resultant_univar and resultant_bivar_z run it and Newton interpolation on
+integers.  The twin is independent of that kernel: euclid_resultant, the
+Euclidean remainder sequence over any field (rational_twin.RatPoly as Q, or
+a finite-field context), and on rational numbers throughout that resultant,
+in two variables at integer values of r, interpolated by Newton's divided
+differences in Fraction arithmetic.  Integer or rational inputs alike.
 """
 
 from fractions import Fraction
 
-from permbinom.exactalg import BiPolyRZ, IntPoly, RatPoly, mp_divmod
+from permbinom.exactalg import IntPoly, mp_divmod
+from rational_twin import RatPoly, to_rq
 
 
 def euclid_resultant(a, b, F):
@@ -42,9 +43,10 @@ def resultant_univar_twin(f, g):
     return res
 
 
-def resultant_bivar_z_twin(F: BiPolyRZ, G: BiPolyRZ) -> RatPoly:
+def resultant_bivar_z_twin(F, G) -> RatPoly:
     """Res_z(F, G) over Q[r] from bound + 1 rational evaluations, skipping
     points where either leading z-coefficient vanishes."""
+    F, G = to_rq(F), to_rq(G)
     if F.degree <= 0 and G.degree <= 0:
         raise ValueError("both arguments have z-degree 0")
     if F.degree <= 0:

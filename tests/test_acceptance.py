@@ -6,13 +6,12 @@ stated wall-clock budget.  Run with:  pytest tests/test_acceptance.py -v -s
 
 import math
 import time
-from fractions import Fraction
 from pathlib import Path
 
 from permbinom.exactalg import (
     BiPolyRZ,
     Factorization,
-    RatPoly,
+    IntPoly,
     primality_and_factor_check,
     resultant_bivar_z,
     resultant_univar,
@@ -47,25 +46,32 @@ class _Budget:
 
 def test_01_symbolic_regeneration():
     with _Budget("1 symbolic regeneration", 5):
-        one_plus_z = BiPolyRZ([RatPoly.const(1), RatPoly.const(1)])
+        one_plus_z = BiPolyRZ([1, 1])
         for alpha, target in ((1, REG.A1), (3, REG.A3), (5, REG.A5)):
-            th = theta_symbolic(alpha)
-            assert th == one_plus_z * target * REG.theta_prefactors[alpha]
+            th = theta_symbolic(alpha)  # 2^alpha alpha! theta
+            pref = REG.theta_prefactors[alpha]
+            scale = pref.numerator * 2**alpha * math.factorial(alpha)
+            assert th * pref.denominator == one_plus_z * target * scale
         # spot coefficient called out by the contract
-        assert REG.A5.coeffs[10] == RatPoly((-591360, 1011008, -686880, 231840, -38880, 2592))
+        assert REG.A5.coeffs[10] == IntPoly((-591360, 1011008, -686880, 231840, -38880, 2592))
 
 
 def test_02_resultants_exact():
     with _Budget("2 resultants", 60):
-        def expand(pref, factors):
-            acc = RatPoly.const(pref)
+        def expand(scale, pref, factors):
+            # scale * pref * prod(factors), with scale * pref an integer
+            k = pref * scale
+            assert k.denominator == 1
+            acc = IntPoly.const(k.numerator)
             for poly, mult in factors:
-                acc = acc * poly.to_rat() ** mult
+                acc = acc * poly**mult
             return acc
 
-        assert resultant_bivar_z(REG.A1, REG.A3 * Fraction(1, 3)) == expand(*REG.R13)
-        assert resultant_bivar_z(REG.A1, REG.A5 * Fraction(1, 5)) == expand(*REG.R15)
-        assert resultant_bivar_z(REG.A3 * Fraction(1, 3), REG.A5 * Fraction(1, 5)) == expand(*REG.R35)
+        # R13, R15 and R35 are the resultants of A1, A3/3 and A5/5; the
+        # integer A3 and A5 scale them by 3^(deg_z G) 5^(deg_z F)
+        assert resultant_bivar_z(REG.A1, REG.A3) == expand(3**2, *REG.R13)
+        assert resultant_bivar_z(REG.A1, REG.A5) == expand(5**2, *REG.R15)
+        assert resultant_bivar_z(REG.A3, REG.A5) == expand(3**10 * 5**6, *REG.R35)
         assert REG.h35.degree == 28 and len(REG.h35.coeffs) == 29
 
         r1 = resultant_univar(REG.h13, REG.h15)

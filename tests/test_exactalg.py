@@ -12,7 +12,6 @@ from permbinom.exactalg import (
     BiPolyRZ,
     Factorization,
     IntPoly,
-    RatPoly,
     _mr_witness,
     _newton,
     is_probable_prime,
@@ -30,6 +29,8 @@ from permbinom.exactalg import (
 )
 from permbinom.ff import build_subfield
 from permbinom.registry import REG
+from rational_twin import BiPolyRQ, RatPoly, to_rq
+from rational_twin import resultant_bivar_z as resultant_bivar_z_rational
 from resultant_twin import euclid_resultant, resultant_bivar_z_twin, resultant_univar_twin
 
 EXT_FIELDS = tuple(build_subfield(p, m) for p, m in ((3, 2), (5, 2), (3, 3)))  # F_9, F_25, F_27
@@ -57,7 +58,7 @@ def _fq_eval(f, x, F):
     return acc
 
 
-# --------------------------- independent cross-check routes (Z, Q and Q[r])
+# --------------------------- independent cross-check routes (Z, Q and Z[r])
 
 def sylvester(f: list, g: list, zero) -> list[list]:
     """Sylvester matrix: coefficient lists given lowest degree first."""
@@ -107,12 +108,12 @@ def rational_gcd(f: RatPoly, g: RatPoly) -> RatPoly:
     return monic(f) if not f.is_zero() else f
 
 
-def resultant_bivar_z_sylvester(F: BiPolyRZ, G: BiPolyRZ) -> RatPoly:
-    """Direct route: Bareiss elimination over the polynomial ring Q[r]."""
+def resultant_bivar_z_sylvester(F: BiPolyRZ, G: BiPolyRZ) -> IntPoly:
+    """Direct route: Bareiss elimination over the polynomial ring Z[r]."""
     if F.degree <= 0 or G.degree <= 0:
         return resultant_bivar_z(F, G)
-    rows = sylvester(list(F.coeffs), list(G.coeffs), RatPoly.zero())
-    return bareiss_det(rows, RatPoly.const(1), RatPoly.divexact)
+    rows = sylvester(list(F.coeffs), list(G.coeffs), IntPoly.zero())
+    return bareiss_det(rows, IntPoly.const(1), IntPoly.divexact)
 
 
 # ----------------------------------------------------------- polynomial core
@@ -149,7 +150,8 @@ def _no_float(poly):
 
 
 def test_shared_long_division_seeded():
-    # one long division serves Z, Q and Q[r]: exact quotients, never a float
+    # one long division serves Z, Z[r] and the twins' Q and Q[r]: exact
+    # quotients, never a float
     rng = random.Random(31)
 
     def ints(deg):
@@ -159,9 +161,12 @@ def test_shared_long_division_seeded():
         return RatPoly([Fraction(c, rng.randint(1, 5)) for c in ints(deg)])
 
     def bipoly(deg):
-        return BiPolyRZ([rats(rng.randint(0, 2)) for _ in range(deg)] + [rats(1)])
+        return BiPolyRQ([rats(rng.randint(0, 2)) for _ in range(deg)] + [rats(1)])
 
-    for make in (lambda deg: IntPoly(ints(deg)), rats, bipoly):
+    def bipoly_zr(deg):
+        return BiPolyRZ([IntPoly(ints(rng.randint(0, 2))) for _ in range(deg)] + [IntPoly(ints(0))])
+
+    for make in (lambda deg: IntPoly(ints(deg)), rats, bipoly, bipoly_zr):
         for _ in range(30):
             a, b = make(rng.randint(0, 4)), make(rng.randint(1, 3))
             q = (a * b).divexact(b)
@@ -228,27 +233,32 @@ def test_newton_refuses_a_non_integral_interpolant():
 
 
 def test_reduce_mod_denominator_error():
+    # (1/3) and (2/9, 1) over their denominators; (1/2, -1, 3, 0) over 2
     with pytest.raises(ValueError):
-        to_modp(RatPoly([Fraction(1, 3)]), 3)
+        to_modp(IntPoly([1]), 3, 3)
     with pytest.raises(ValueError):
-        to_modp([Fraction(2, 9), 1], 3)
-    assert to_modp([Fraction(1, 2), -1, 3, 0], 3) == to_modp(RatPoly([Fraction(-1), 2]), 3) == [2, 2]
+        to_modp([2, 9], 3, 9)
+    assert to_modp([1, -2, 6, 0], 3, 2) == to_modp(IntPoly([-1, 2]), 3) == [2, 2]
 
 
 def test_bipoly_roundtrip():
-    A = BiPolyRZ([RatPoly([1, 2]), RatPoly([0, 0, 1])])
-    B = BiPolyRZ([RatPoly([5])])
-    assert (A * B).coeffs[0] == RatPoly([5, 10])
-    assert A.eval_r(2) == RatPoly([5, 4])
+    A = BiPolyRZ([IntPoly([1, 2]), IntPoly([0, 0, 1])])
+    B = BiPolyRZ([IntPoly([5])])
+    assert (A * B).coeffs[0] == IntPoly([5, 10])
+    assert A.eval_r(2) == IntPoly([5, 4])
     assert A.degree == 1 and A.r_degree == 2
+    # at r = 2/3 over the one denominator 3^2: 9 (1 + 4/3) + 9 (4/9) z
+    assert A.eval_r(2, 3) == IntPoly([21, 4]) == to_rq(A).eval_r(Fraction(2, 3)) * 9
 
 
 def test_bipoly_divexact():
-    one_plus_z = BiPolyRZ([RatPoly.const(1), RatPoly.const(1)])
-    A = one_plus_z * BiPolyRZ([RatPoly([1, 1]), RatPoly([3])])
-    assert A.divexact(one_plus_z) == BiPolyRZ([RatPoly([1, 1]), RatPoly([3])])
+    one_plus_z = BiPolyRZ([IntPoly.const(1), IntPoly.const(1)])
+    A = one_plus_z * BiPolyRZ([IntPoly([1, 1]), IntPoly([3])])
+    assert A.divexact(one_plus_z) == BiPolyRZ([IntPoly([1, 1]), IntPoly([3])])
     with pytest.raises(ValueError):
-        BiPolyRZ([RatPoly([1])]).divexact(one_plus_z)
+        BiPolyRZ([IntPoly([1])]).divexact(one_plus_z)
+    with pytest.raises(ValueError):  # 3 does not divide 1 + r
+        A.divexact(one_plus_z * 3)
 
 
 # --------------------------------------------------------------- resultants
@@ -266,9 +276,9 @@ def test_resultant_zero_error():
 def test_resultant_zero_polynomial_contract_is_shared():
     # both resultants refuse the zero polynomial with the same message,
     # whatever the other argument's z-degree
-    zero, one_plus_z, r = BiPolyRZ([]), BiPolyRZ([RatPoly([1]), RatPoly([1])]), BiPolyRZ([RatPoly([0, 1])])
+    zero, one_plus_z, r = BiPolyRZ([]), BiPolyRZ([IntPoly([1]), IntPoly([1])]), BiPolyRZ([IntPoly([0, 1])])
     calls = [partial(resultant_univar, IntPoly.zero(), IntPoly([1, 1])),
-             partial(resultant_univar, RatPoly([Fraction(1, 2)]), RatPoly.zero())]
+             partial(resultant_univar, IntPoly([2]), IntPoly.zero())]
     calls += [partial(resultant_bivar_z, *pair) for other in (one_plus_z, r) for pair in ((zero, other), (other, zero))]
     for call in calls:
         with pytest.raises(ValueError, match="^resultant of the zero polynomial$"):
@@ -285,13 +295,14 @@ def test_resultant_cross_methods_and_antisymmetry():
         r = resultant_univar(f, g)
         assert type(r) is int and r == resultant_sylvester_z(f, g)
         assert r == (-1) ** (f.degree * g.degree) * resultant_univar(g, f)
-        # over Q: Res(f/k, g/l) = Res(f, g) / (k^deg g * l^deg f)
+        # Res(k f, l g) = k^deg g * l^deg f * Res(f, g), and over Q (the
+        # rational twin) Res(f/k, g/l) = Res(f, g) / (k^deg g * l^deg f)
         k, l = rng.randint(1, 9), rng.randint(1, 9)
+        assert resultant_univar(f * k, g * l) == k**g.degree * l**f.degree * resultant_sylvester_z(f, g)
+        assert resultant_univar(f * k, g) == k**g.degree * r
         fk = RatPoly([Fraction(c, k) for c in f.coeffs])
         gl = RatPoly([Fraction(c, l) for c in g.coeffs])
-        want = Fraction(resultant_sylvester_z(f, g), k**g.degree * l**f.degree)
-        assert resultant_univar(fk, gl) == want and type(resultant_univar(fk, g)) is Fraction
-        assert resultant_univar(fk, g) == Fraction(r, k**g.degree)
+        assert resultant_univar_twin(fk, gl) == Fraction(r, k**g.degree * l**f.degree)
 
 
 def gap_chain(rng, P, coef, lead, steps):
@@ -319,17 +330,18 @@ def test_resultant_sequence_ending_in_a_degree_gap():
             got = resultant_univar(f, g)
             assert type(got) is int and got == resultant_sylvester_z(f, g) == resultant_univar_twin(f, g) != 0
             fk, gl = RatPoly([Fraction(c, k) for c in f.coeffs]), RatPoly([Fraction(c, l) for c in g.coeffs])
-            assert resultant_univar(fk, gl) == resultant_univar_twin(fk, gl) == Fraction(got, k**g.degree * l**f.degree)
+            assert resultant_univar(f * k, g * l) == k**g.degree * l**f.degree * got
+            assert resultant_univar_twin(fk, gl) == Fraction(got, k**g.degree * l**f.degree)
 
 
 def test_bivar_resultant_sequence_ending_in_a_degree_gap():
     # at every integer r the specialised pair's remainder sequence ends in a
-    # constant after a divisor of z-degree >= 2; some coefficients have
-    # denominators, and the leading ones (1 + r^2 and 2 - r + r^2 among
-    # them, so the resultant depends on r) never vanish
+    # constant after a divisor of z-degree >= 2; the leading coefficients
+    # (1 + r^2 and 2 - r + r^2 among them, so the resultant depends on r)
+    # never vanish
     rng = random.Random(37)
-    coef = lambda: RatPoly([Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) for _ in range(rng.randint(0, 2))])
-    lead = lambda: rng.choice((RatPoly([1]), RatPoly([-2]), RatPoly([Fraction(3, 2)]), RatPoly([1, 0, 1]), RatPoly([2, -1, 1])))
+    coef = lambda: IntPoly([rng.randint(-3, 3) for _ in range(rng.randint(0, 2))])
+    lead = lambda: rng.choice((IntPoly([1]), IntPoly([-2]), IntPoly([3]), IntPoly([1, 0, 1]), IntPoly([2, -1, 1])))
     for _ in range(8):
         a, b = gap_chain(rng, BiPolyRZ, coef, lead, 1)
         for F, G in ((a, b), (b, a)):
@@ -344,7 +356,7 @@ def test_resultant_vanishes_iff_common_factor():
         g = rand_intpoly(rng, max_deg=5)
         if f.degree < 1 or g.degree < 1:
             continue
-        common = rational_gcd(f.to_rat(), g.to_rat())
+        common = rational_gcd(RatPoly(f.coeffs), RatPoly(g.coeffs))
         assert (resultant_univar(f, g) == 0) == (common.degree > 0)
         # force a common factor and confirm the resultant dies
         h = rand_intpoly(rng, max_deg=2)
@@ -355,40 +367,48 @@ def test_resultant_vanishes_iff_common_factor():
 def test_resultant_rational_scaling():
     f = RatPoly([Fraction(-1, 2), Fraction(1, 2)])  # (z-1)/2
     g = RatPoly([1, 1])
-    assert resultant_univar(f, g) == Fraction(1)  # (1/2)^1 * 2
+    assert resultant_univar_twin(f, g) == Fraction(1)  # (1/2)^1 * 2
+    # over Z: Res(z - 1, z + 1) = 2 = 2^(deg g) Res((z - 1)/2, z + 1)
+    assert resultant_univar(IntPoly([-1, 1]), IntPoly([1, 1])) == 2**g.degree * 1
 
 
 def test_bivar_resultant_small_and_direct_agree():
     # F = z - r, G = z + r: Res_z = 2r
-    F = BiPolyRZ([RatPoly([0, -1]), RatPoly([1])])
-    G = BiPolyRZ([RatPoly([0, 1]), RatPoly([1])])
-    assert resultant_bivar_z(F, G) == RatPoly([0, 2])
+    F = BiPolyRZ([IntPoly([0, -1]), IntPoly([1])])
+    G = BiPolyRZ([IntPoly([0, 1]), IntPoly([1])])
+    assert resultant_bivar_z(F, G) == IntPoly([0, 2])
     rng = random.Random(5)
     for _ in range(25):
-        F = BiPolyRZ([RatPoly([rng.randint(-4, 4) for _ in range(3)]) for _ in range(rng.randint(2, 4))])
-        G = BiPolyRZ([RatPoly([rng.randint(-4, 4) for _ in range(3)]) for _ in range(rng.randint(2, 4))])
+        F = BiPolyRZ([IntPoly([rng.randint(-4, 4) for _ in range(3)]) for _ in range(rng.randint(2, 4))])
+        G = BiPolyRZ([IntPoly([rng.randint(-4, 4) for _ in range(3)]) for _ in range(rng.randint(2, 4))])
         if F.degree < 1 or G.degree < 1:
             continue
         assert resultant_bivar_z(F, G) == resultant_bivar_z_sylvester(F, G)
 
 
 def test_bivar_resultant_degenerate():
-    const = BiPolyRZ([RatPoly([1, 1])])
+    const = BiPolyRZ([IntPoly([1, 1])])
     with pytest.raises(ValueError):
         resultant_bivar_z(const, const)
     # a z-degree 0 argument gives its constant to the other's z-degree
-    G = BiPolyRZ([RatPoly([1, 2]), RatPoly([0, 0, 3]), RatPoly([Fraction(1, 3), 1])])
-    assert resultant_bivar_z(const, G) == RatPoly([1, 1]) ** 2
-    assert resultant_bivar_z(G, BiPolyRZ([RatPoly([Fraction(-1, 2), 0, 1])])) == RatPoly([Fraction(-1, 2), 0, 1]) ** 2
+    G = BiPolyRZ([IntPoly([1, 2]), IntPoly([0, 0, 3]), IntPoly([1, 3])])
+    assert resultant_bivar_z(const, G) == IntPoly([1, 1]) ** 2
+    assert resultant_bivar_z(G, BiPolyRZ([IntPoly([-1, 0, 2])])) == IntPoly([-1, 0, 2]) ** 2
 
 
 def test_sec5_resultants_match_fraction_twin():
     # R13, R15, R35 and the two integer eliminants, integer route against
-    # the Fraction route it replaced
-    A1, A3, A5 = REG.A1, REG.A3 * Fraction(1, 3), REG.A5 * Fraction(1, 5)
-    for F, G in ((A1, A3), (A1, A5), (A3, A5)):
+    # the rational route it replaced: the integer A3 and A5 are 3 and 5
+    # times the cofactors of R13, R15 and R35, and Res_z(c F, d G) =
+    # c^(deg_z G) d^(deg_z F) Res_z(F, G)
+    A1, A3, A5 = REG.A1, REG.A3, REG.A5
+    third, fifth = to_rq(A3) * Fraction(1, 3), to_rq(A5) * Fraction(1, 5)
+    cases = ((A1, A3, A1, third, 3**A1.degree), (A1, A5, A1, fifth, 5**A1.degree),
+             (A3, A5, third, fifth, 3**A5.degree * 5**A3.degree))
+    for F, G, Fq, Gq, scale in cases:
         got = resultant_bivar_z(F, G)
-        assert type(got) is RatPoly and got == resultant_bivar_z_twin(F, G)
+        assert type(got) is IntPoly and got == resultant_bivar_z_twin(Fq, Gq) * scale
+        assert got == resultant_bivar_z_rational(Fq, Gq) * scale
     for g in (REG.h15, REG.h35):
         got = resultant_univar(REG.h13, g)
         assert type(got) is int and got == resultant_univar_twin(REG.h13, g)
@@ -397,31 +417,48 @@ def test_sec5_resultants_match_fraction_twin():
 def test_bivar_resultant_skips_vanishing_leading_coefficients():
     # F's leading z-coefficient vanishes at r = 0, +-1 and 2, the first four
     # evaluation points, and G's at r = +-1
-    F = BiPolyRZ([RatPoly([1, 2]), RatPoly([0, -1, 1]), RatPoly([0, -1, 0, 1]) * RatPoly([-2, 1])])
-    G = BiPolyRZ([RatPoly([3, 0, -1]), RatPoly([2]), RatPoly([1, 1]), RatPoly([-1, 0, 1])])
+    F = BiPolyRZ([IntPoly([1, 2]), IntPoly([0, -1, 1]), IntPoly([0, -1, 0, 1]) * IntPoly([-2, 1])])
+    G = BiPolyRZ([IntPoly([3, 0, -1]), IntPoly([2]), IntPoly([1, 1]), IntPoly([-1, 0, 1])])
     for a, b in ((F, G), (G, F), (F, F + G)):
         assert resultant_bivar_z(a, b) == resultant_bivar_z_sylvester(a, b) == resultant_bivar_z_twin(a, b)
     assert resultant_bivar_z(F, G) != 0
 
 
+def _cleared(P, den):
+    """den * P in Z[r][z] (or Z[z]), for a rational twin P whose
+    denominators all divide den."""
+    if isinstance(P, RatPoly):
+        scaled = [c * den for c in P.coeffs]
+        assert all(c.denominator == 1 for c in scaled)
+        return IntPoly(int(c) for c in scaled)
+    return BiPolyRZ(_cleared(c, den) for c in P.coeffs)
+
+
 def test_bivar_resultant_coprime_denominators_match_twin():
-    # D_F = 2^2 * 7 and D_G = 3^2 * 5, coprime, with z-degrees 2 and 3, so
-    # swapped scale exponents or a missed denominator show
-    F = BiPolyRZ([RatPoly([Fraction(1, 4), 1]), RatPoly([0, Fraction(3, 7)]), RatPoly([Fraction(-1, 2), 0, 1])])
-    G = BiPolyRZ([RatPoly([2, Fraction(1, 9)]), RatPoly([Fraction(5, 3)]), RatPoly([0, 1]),
+    # D_F = 2^2 * 7 and D_G = 3^2 * 5, coprime, with z-degrees 2 and 3:
+    # Res_z(D_F F, D_G G) over Z[r] is D_F^deg G D_G^deg F times the twins'
+    # Res_z(F, G) over Q[r], so swapped scale exponents or a missed
+    # denominator show
+    F = BiPolyRQ([RatPoly([Fraction(1, 4), 1]), RatPoly([0, Fraction(3, 7)]), RatPoly([Fraction(-1, 2), 0, 1])])
+    G = BiPolyRQ([RatPoly([2, Fraction(1, 9)]), RatPoly([Fraction(5, 3)]), RatPoly([0, 1]),
                   RatPoly([Fraction(-2, 5), Fraction(1, 3)])])
-    for a, b in ((F, G), (G, F), (F, F * G + G)):
-        got = resultant_bivar_z(a, b)
-        assert type(got) is RatPoly and got == resultant_bivar_z_twin(a, b) == resultant_bivar_z_sylvester(a, b)
-    assert any(c.denominator != 1 for c in resultant_bivar_z(F, G).coeffs)
+    for a, da, b, db in ((F, 28, G, 45), (G, 45, F, 28), (F, 28, F * G + G, 28 * 45)):
+        got = resultant_bivar_z(_cleared(a, da), _cleared(b, db))
+        want = resultant_bivar_z_twin(a, b)
+        assert type(got) is IntPoly and got == want * (da**b.degree * db**a.degree)
+        assert want == resultant_bivar_z_rational(a, b)
+    assert any(c.denominator != 1 for c in resultant_bivar_z_twin(F, G).coeffs)
     rng = random.Random(11)
     for _ in range(20):
-        F, G = (BiPolyRZ([RatPoly([Fraction(rng.randint(-4, 4), d) for _ in range(rng.randint(1, 3))])
-                          for _ in range(rng.randint(2, 4))]) for d in (rng.randint(1, 6), rng.randint(1, 6)))
+        d1, d2 = rng.randint(1, 6), rng.randint(1, 6)
+        F, G = (BiPolyRQ([RatPoly([Fraction(rng.randint(-4, 4), d) for _ in range(rng.randint(1, 3))])
+                          for _ in range(rng.randint(2, 4))]) for d in (d1, d2))
         if F.degree >= 1 and G.degree >= 1:
-            assert resultant_bivar_z(F, G) == resultant_bivar_z_twin(F, G)
+            got = resultant_bivar_z(_cleared(F, d1), _cleared(G, d2))
+            assert got == resultant_bivar_z_twin(F, G) * (d1**G.degree * d2**F.degree)
     f, g = RatPoly([Fraction(1, 4), Fraction(3, 7), 1]), RatPoly([Fraction(2, 9), 0, Fraction(5, 3), 1])
-    assert resultant_univar(f, g) == resultant_univar_twin(f, g) and type(resultant_univar(f, g)) is Fraction
+    got = resultant_univar(_cleared(f, 28), _cleared(g, 45))
+    assert got == resultant_univar_twin(f, g) * (28**g.degree * 45**f.degree)
 
 
 # ------------------------------------------------------- finite fields

@@ -73,3 +73,33 @@ def test_no_unused_imports():
     for path in sorted(Path(permbinom.__path__[0]).glob("*.py")):
         found += _unused_imports(path)
     assert found == []
+
+
+def _rational_names(path: Path, allowed_functions=()) -> list[str]:
+    """Each use of the name Fraction or RatPoly in one module, as a name, an
+    attribute or an import, outside the bodies of allowed_functions; the
+    import that those functions need is allowed with them."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    skipped = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in allowed_functions:
+            skipped.update(map(id, ast.walk(node)))
+        elif allowed_functions and isinstance(node, ast.ImportFrom) and node.module == "fractions":
+            skipped.update(map(id, ast.walk(node)))
+    found = []
+    for node in ast.walk(tree):
+        names = (getattr(node, "id", None), getattr(node, "attr", None))
+        if isinstance(node, ast.alias):
+            names = (node.name, node.asname)
+        if id(node) not in skipped and {"Fraction", "RatPoly"} & set(names):
+            found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_exact_algebra_names_no_rational_ring():
+    # Z is the one exact ring of the algebra: exactalg and powersum name
+    # neither Fraction nor RatPoly, except where identity_value builds the
+    # rational value that a report prints
+    src = Path(permbinom.__path__[0])
+    assert _rational_names(src / "exactalg.py") == []
+    assert _rational_names(src / "powersum.py", ("_identity_sum", "identity_value")) == []

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from permbinom import powersum
-from permbinom.exactalg import BiPolyRZ, RatPoly, mp_eval, to_modp
+from permbinom.exactalg import BiPolyRZ, IntPoly, mp_eval, to_modp
 from permbinom.ff import build_tower, build_subfield, enumerate_elements
 from permbinom.powersum import (
     CDPair,
@@ -24,6 +24,7 @@ from permbinom.powersum import (
     theta_symbolic,
     verify_identities,
 )
+import rational_twin
 
 
 # ---------------------------------------------------------------- binomials
@@ -302,18 +303,28 @@ def test_closed_preconditions():
 # ---------------------------------------------------------------- brackets
 
 def test_theta_symbolic_alpha1_by_hand():
+    # 2 * theta(1): theta(1) = (3/2 - r) + (2 - r) z + (-5/2 + r) z^2 + (-3 + r) z^3
     th = theta_symbolic(1)
     expected = BiPolyRZ([
-        RatPoly((Fraction(3, 2), -1)),
-        RatPoly((2, -1)),
-        RatPoly((Fraction(-5, 2), 1)),
-        RatPoly((-3, 1)),
+        IntPoly((3, -2)),
+        IntPoly((4, -2)),
+        IntPoly((-5, 2)),
+        IntPoly((-6, 2)),
     ])
     assert th == expected
 
 
+def test_theta_symbolic_is_the_scaled_rational_bracket():
+    # the integer bracket is 2^alpha alpha! times the half-integer binomial
+    # bracket it replaced, coefficient for coefficient
+    for alpha in range(1, 10, 2):
+        th = theta_symbolic(alpha)
+        assert type(th) is BiPolyRZ and all(type(c) is IntPoly for c in th.coeffs)
+        assert th == rational_twin.theta_symbolic(alpha) * (2**alpha * math.factorial(alpha)), alpha
+
+
 def test_theta_symbolic_invariants():
-    one_plus_z = BiPolyRZ([RatPoly.const(1), RatPoly.const(1)])
+    one_plus_z = BiPolyRZ([1, 1])
     for alpha in (1, 3, 5):
         th = theta_symbolic(alpha)
         assert th.degree == 2 * alpha + 1
@@ -331,7 +342,7 @@ def test_theta_symbolic_invariants():
 
 def test_theta_symbolic_vanishes_at_3_3():
     for alpha in range(1, 16, 2):
-        assert theta_symbolic(alpha).eval_r(3).eval(Fraction(3)) == 0
+        assert theta_symbolic(alpha).eval_r(3).eval(3) == 0
 
 
 def test_theta_numeric_181():
@@ -343,7 +354,7 @@ def test_theta_numeric_matches_symbolic_reduction():
     # at r = 3 the symbolic bracket and the residue bracket agree mod p
     for p, alpha in ((5, 1), (5, 3), (7, 3), (11, 5)):
         th = theta_symbolic(alpha).eval_r(3)
-        coeffs_sym = to_modp(th, p)
+        coeffs_sym = to_modp(th, p, 2**alpha * math.factorial(alpha))
         # the symbolic entries at r = 3 are i - 1 - alpha/2 and i - (alpha+1)/2
         period = p
         while period <= alpha:

@@ -19,6 +19,7 @@ from permbinom.refcheck import (
 )
 from permbinom.registry import REG, verify_checksums
 from permbinom.report import all_ok
+from rational_twin import to_rq
 
 
 def failures(reports):
@@ -39,11 +40,19 @@ def test_registry_shapes():
 
 
 def test_a1_specializations():
-    from permbinom.exactalg import RatPoly
-
     # r = 3 collapses the degree-1 bracket cofactor to z - 3
-    assert REG.A1.eval_r(3) == RatPoly((-3, 1))
-    assert REG.A1.eval_r(Fraction(3, 2)) == RatPoly((0, 1, -3))  # -z(3z - 1)
+    assert REG.A1.eval_r(3) == IntPoly((-3, 1))
+    assert REG.A1.eval_r(3, 2) == IntPoly((0, 1, -3)) * 2  # 2 * -z(3z - 1), over 2^1
+
+
+def test_homogenised_specializations_match_rational_twin():
+    # den^d A(x/den, z), d the r-degree, against the twin's A(r) at the
+    # rational r itself, for A1, A3 and A5 at r = 3/2 and 7/4
+    for x, den in ((3, 2), (7, 4)):
+        for A in (REG.A1, REG.A3, REG.A5):
+            got = A.eval_r(x, den)
+            assert type(got) is IntPoly
+            assert got == to_rq(A).eval_r(Fraction(x, den)) * den**A.r_degree, (x, den, A.r_degree)
 
 
 def test_sec5():

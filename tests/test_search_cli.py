@@ -48,6 +48,20 @@ def test_search_empty_range(tmp_path, monkeypatch, capsys):
     assert not os.path.exists(out)
 
 
+def test_search_refuses_q_max_past_the_cap(tmp_path, monkeypatch, capsys):
+    # a q_max with q_max^2 past the cap used to be clipped to isqrt(cap) in
+    # silence, the summary still saying bound_confirmed over the whole range
+    out = str(tmp_path / "past.jsonl")
+    monkeypatch.delenv("PERMBINOM_CAP", raising=False)
+    err = _assert_usage_error(capsys, "search", "--r", "59", "--q-max", "3400", "--out", out)
+    assert "cap 10000000" in err and "3162" in err
+    monkeypatch.setenv("PERMBINOM_CAP", "2000")  # isqrt(2000) = 44
+    with pytest.raises(ValueError, match="cap 2000"):
+        search_exceptional(5, 45, out=out)
+    assert not os.path.exists(out)
+    assert search_exceptional(5, 44)["q_max"] == 44
+
+
 def test_search_brute_disagreement_raises(monkeypatch):
     # a z-level hit the brute walk rejects must not be catalogued as not_pp
     monkeypatch.setattr(ppcheck, "is_pp_brute", lambda params: PPVerdict(False, "brute"))
