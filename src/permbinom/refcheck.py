@@ -65,16 +65,6 @@ def _expand_factored(prefactor: int, factors) -> IntPoly:
     return acc
 
 
-def _times(frac: Fraction, k: int) -> int:
-    """frac * k, which must be an integer: IntPoly.div checks the quotient."""
-    return IntPoly.div(frac.numerator * k, frac.denominator)
-
-
-def _at(P: BiPolyRZ, x: int, den: int) -> tuple[IntPoly, int]:
-    """P at r = x/den as (N, D): N in Z[z] over the one denominator D."""
-    return P.eval_r(x, den), den**P.r_degree
-
-
 def _zcheck(check_id: str, expected: IntPoly, computed: IntPoly, den: int) -> CheckReport:
     """Equality check on polynomials in z over the denominator den, each
     coefficient rendered as Fraction(c, den)."""
@@ -101,8 +91,11 @@ def sec5_check() -> list[CheckReport]:
     one_plus_z = BiPolyRZ((1, 1))
     for alpha, target in ((1, REG.A1), (3, REG.A3), (5, REG.A5)):
         th = theta_symbolic(alpha)  # 2^alpha alpha! theta
-        scaled = one_plus_z * _times(REG.theta_prefactors[alpha], 2**alpha * math.factorial(alpha))
-        expected = scaled * target
+        pref = REG.theta_prefactors[alpha]
+        # th == 2^alpha alpha! pref (1+z) A, cleared of pref's denominator
+        scale = pref.numerator * 2**alpha * math.factorial(alpha)
+        expected = one_plus_z * target * scale
+        th_ok = th * pref.denominator == expected
         note = ""
         if alpha == 5:
             note = ("reference text labels this expansion with index 3; "
@@ -110,13 +103,18 @@ def sec5_check() -> list[CheckReport]:
         reports.append(
             CheckReport(
                 f"sec5.theta.{alpha}",
-                PASS if th == expected else FAIL,
-                f"prefactor {REG.theta_prefactors[alpha]} * (1+z) * A{alpha}",
-                "match" if th == expected else th.render(),
+                PASS if th_ok else FAIL,
+                f"prefactor {pref} * (1+z) * A{alpha}",
+                "match" if th_ok else th.render(),
                 note,
             )
         )
-        reports.append(check(f"sec5.theta.{alpha}.cofactor", target, th.divexact(scaled)))
+        cof = th.divexact(one_plus_z)  # 2^alpha alpha! pref A
+        cof_ok = cof * pref.denominator == target * scale
+        reports.append(
+            CheckReport(f"sec5.theta.{alpha}.cofactor", PASS if cof_ok else FAIL, str(target),
+                        str(target) if cof_ok else f"{pref.denominator}/{scale} * {cof}")
+        )
 
     # R13, R15 and R35 are the resultants of A1, A3/3 and A5/5, and
     # Res_z(c F, d G) = c^(deg_z G) d^(deg_z F) Res_z(F, G)
@@ -128,11 +126,11 @@ def sec5_check() -> list[CheckReport]:
     )
     for cid, F, G, scale, (pref, factors) in pairs:
         computed = resultant_bivar_z(F, G)
-        expected = _expand_factored(_times(pref, scale), factors)
+        ok = computed * pref.denominator == _expand_factored(pref.numerator * scale, factors)
         reports.append(
-            CheckReport(cid, PASS if computed == expected else FAIL,
+            CheckReport(cid, PASS if ok else FAIL,
                         f"{pref} * {' * '.join(f'({p.render()})^{m}' for p, m in factors)}",
-                        "match" if computed == expected else computed.render())
+                        "match" if ok else computed.render())
         )
 
     r1 = resultant_univar(REG.h13, REG.h15)
@@ -167,7 +165,8 @@ def sec5_check() -> list[CheckReport]:
 def sec5_r32_check() -> list[CheckReport]:
     """Exact specializations of the bracket cofactors at r = 3/2."""
     z = IntPoly((0, 1))
-    (A1v, D1), (A3v, D3), (A5v, D5) = (_at(P, 3, 2) for P in (REG.A1, REG.A3, REG.A5))
+    A1v, A3v, A5v = (P.eval_r(3, 2) for P in (REG.A1, REG.A3, REG.A5))
+    D1, D3, D5 = (2**P.r_degree for P in (REG.A1, REG.A3, REG.A5))
     third = Fraction(1, 3)
     return [
         _zcheck("sec5r32.A1", z * IntPoly((-1, 3)) * -D1, A1v, D1),
@@ -289,7 +288,9 @@ def sec7_p3_check() -> list[CheckReport]:
     pref, factors = REG.R13
     for r0 in sorted(REG.f3_resultant_table):
         expected = REG.f3_resultant_table[r0]
-        route1 = _times(pref, math.prod(poly.eval(r0) ** mult for poly, mult in factors)) % p
+        val, rem = divmod(pref.numerator * math.prod(poly.eval(r0) ** mult for poly, mult in factors),
+                          pref.denominator)
+        route1 = None if rem else val % p
         f3 = to_modp(REG.A1.eval_r(r0), p)
         g_full = REG.A3.eval_r(r0).divexact(IntPoly.const(3))  # A3/3 at r0, in Z[z]
         g3 = to_modp(g_full, p)
@@ -344,7 +345,8 @@ def sec7_p181_check() -> list[CheckReport]:
     reports = []
     p = 181
     fp = build_subfield(p, 1)
-    (A1v, D1), (A3v, D3), (A5v, D5) = (_at(P, 7, 4) for P in (REG.A1, REG.A3, REG.A5))
+    A1v, A3v, A5v = (P.eval_r(7, 4) for P in (REG.A1, REG.A3, REG.A5))
+    D1, D3, D5 = (4**P.r_degree for P in (REG.A1, REG.A3, REG.A5))
     reports.append(_zcheck("sec7p181.A1", IntPoly((-1, 2, -5)) * (D1 // 2), A1v, D1))
     claim = IntPoly((0, 1)) * IntPoly((1, -2, 5)) * IntPoly((-1, -1, -1, 7)) * -3
     reports.append(_zcheck("sec7p181.A3", claim * D3, A3v, D3))

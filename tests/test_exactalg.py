@@ -443,9 +443,11 @@ def test_bivar_resultant_coprime_denominators_match_twin():
     G = BiPolyRQ([RatPoly([2, Fraction(1, 9)]), RatPoly([Fraction(5, 3)]), RatPoly([0, 1]),
                   RatPoly([Fraction(-2, 5), Fraction(1, 3)])])
     for a, da, b, db in ((F, 28, G, 45), (G, 45, F, 28), (F, 28, F * G + G, 28 * 45)):
-        got = resultant_bivar_z(_cleared(a, da), _cleared(b, db))
+        A, B = _cleared(a, da), _cleared(b, db)
+        got = resultant_bivar_z(A, B)
         want = resultant_bivar_z_twin(a, b)
         assert type(got) is IntPoly and got == want * (da**b.degree * db**a.degree)
+        assert got == resultant_bivar_z_sylvester(A, B)
         assert want == resultant_bivar_z_rational(a, b)
     assert any(c.denominator != 1 for c in resultant_bivar_z_twin(F, G).coeffs)
     rng = random.Random(11)

@@ -131,6 +131,17 @@ def test_sec7_p3_compares_the_transcribed_a1_cofactor(monkeypatch):
     assert [r.check_id for r in failures(sec7_p3_check())] == ["sec7p3.divides.a3", "sec7p3.divides.a5"]
 
 
+def test_non_integral_prefactor_scale_reports_fail(monkeypatch):
+    # a prefactor whose denominator the integer scale does not clear is a
+    # failing row, not an exception that stops the suite
+    monkeypatch.setattr(REG, "theta_prefactors", {**REG.theta_prefactors, 3: Fraction(1, 47)})
+    monkeypatch.setattr(REG, "R13", (Fraction(-512, 7), REG.R13[1]))
+    assert [r.check_id for r in failures(sec5_check())] == ["sec5.theta.3", "sec5.theta.3.cofactor", "sec5.R13"]
+    bad = failures(sec7_p3_check())
+    assert bad and all(r.check_id.startswith("sec7p3.table.") for r in bad)
+    assert "specialized=None" in bad[0].computed
+
+
 def test_resultant_sign_finding():
     # the displayed magnitude of the big eliminant resultant is exact, and
     # the resultant itself is negative
