@@ -15,7 +15,7 @@ verdict needs only F_q arithmetic; when z is outside F_q the bracket
 vanishes iff E and O both do.  The sweep exploits this to decide every a of
 a field at once, and never scans the z values: the alpha = 1 bracket is a
 nonzero polynomial of degree <= 3 in z, so the only z that can pass are its
-roots in F_q and the nonsquare common roots y of E_1 and O_1 (degree <= 1).
+roots in F_q; no z outside F_q passes it (t2_passing_z gives the proof).
 Off the d = q-1 branch z = -1 is always a root, and the quotient, like the
 d = q-1 bracket, is a quadratic solved by Tonelli-Shanks.  Those few are then
 tested bracket by bracket, but the norm-one z = -1 (the paper's case (i))
@@ -32,8 +32,7 @@ from collections import Counter, namedtuple
 from itertools import cycle, zip_longest
 
 from .exactalg import is_probable_prime, mp_divmod, mp_eval, mp_gcd
-from .ff import (FieldCtx, FieldElement, PrimePower, PrimeField, build_subfield, check_cap, compute_z,
-                 enumeration_cap)
+from .ff import FieldCtx, FieldElement, PrimePower, PrimeField, build_subfield, check_cap, compute_z
 from .powersum import PowerSumIndex, surviving_alphas, t1_bracket, t2_rows
 
 __all__ = [
@@ -148,10 +147,8 @@ def is_pp_brute(params: BinomialParams) -> PPVerdict:
     test and raises AssertionError.
     """
     ctx2 = params.ctx2
-    Q = ctx2.order
-    if Q > enumeration_cap():
-        raise ValueError("field too large for brute-force enumeration")
-    n = Q - 1
+    check_cap("q^2", params.p, ctx2.abs_degree)  # read now: a cached tower may predate a lower cap
+    n = ctx2.order - 1
     q = params.q
     r, t = params.r, params.t
     row = ctx2.class_logs(params.a.idx, t * (q - 1), q + 1)  # log(a + g^(te*k)), -1 for 0
@@ -301,26 +298,29 @@ def t2_passing_z(p: int, m: int, r: int, include_norm_one: bool = False) -> tupl
 
     The verdict for a is a pure function of z(a), and z ranges exactly over
     the elements with z^2 in F_q*: the q-1 elements of F_q* plus the two
-    square roots of each nonsquare.  Hits are descriptors, sub ones by
-    ascending z, then ext ones by ascending y:
-      ('sub', z_idx): z in F_q*, as an F_q index
-      ('ext', y_idx): the pair of square roots of the nonsquare y.
+    square roots of each nonsquare.  Hits are ('sub', z_idx) descriptors,
+    z in F_q* as an F_q index, by ascending z; no z outside F_q ever passes.
     first_failure maps alpha, ascending, to its count of z decided.
     a has norm one iff z = +-1; z = 1 never passes (extra roots), z = -1 is
     included only when include_norm_one is set.
 
     Only roots of the alpha = 1 bracket are tested, every one in closed form.
-    z in F_q must be a root of B_1(z) = E_1(z^2) + z*O_1(z^2): z = -1 or a root
-    of the quadratic B_1/(z + 1), or of B_1 itself in the d = q-1 branch,
-    which has no odd row.  y = z^2 outside the squares must be a root of the
-    line gcd(E_1, O_1).  Every other z fails at alpha = 1.
+    z in F_q must be a root of B_1(z) = E_1(z^2) + z*O_1(z^2).  Off the
+    d = q-1 branch the rows are (s, -(s+1)) and (s', -(s'+1)), s' = s + 1/2
+    mod p, so B_1(-1) = E_1(1) - O_1(1) = 0 and B_1 = (z + 1)*Q; on it O_1 = 0
+    and B_1(-1) = E_1(1) = -1, so Q = B_1.  Either way deg Q <= 2.
+    A z outside F_q passes alpha = 1 iff y = z^2, a nonsquare, is a common
+    root of E_1 and O_1.  Off the branch there is none: E_1 - O_1 =
+    (s - s')(1 - y) vanishes only at y = 1, where E_1 = -1.  On it, E_1's
+    only root is y = -1, and the branch needs r = 2 mod (q+1)/2, which for
+    odd r makes (q+1)/2 odd, so q = 1 mod 4 and -1 is a square.  Every such
+    z fails at alpha = 1.
 
     The rows are residues mod p, so every candidate lies in F_p or F_{p^2},
     and the sweep decides over F_p alone.  A quadratic with no root in F_p
     has two Frobenius-conjugate roots, in F_q iff m is even, which share
-    their verdict: both pass alpha iff it divides B_alpha over F_p.  F_p* lies
-    in the squares of F_q for even m, so ext y are the non-residues mod p of
-    an odd m.  F_q itself is built only to name a conjugate pair that passes.
+    their verdict: both pass alpha iff it divides B_alpha over F_p.  F_q
+    itself is built only to name a conjugate pair that passes.
     """
     check_cap("q", p, m)
     if m < 1:
@@ -331,27 +331,25 @@ def t2_passing_z(p: int, m: int, r: int, include_norm_one: bool = False) -> tupl
         raise ValueError("t = 2 sweep requires odd q")
     if math.gcd(r, q - 1) != 1:
         return [], {}
-    _, evens, odds = t2_rows(1, r, q, p)
-    known, cofactor = _b1_cofactor(evens, odds, p)
+    b1 = _interleave(*t2_rows(1, r, q, p)[1:])
+    quo, rem = mp_divmod(b1, [1, 1], fp)  # rem = B_1(-1): 0, or -1 on the d = q-1 branch
+    cofactor = mp_gcd(b1 if rem else quo, (), fp)  # monic
     roots = _small_roots(cofactor, fp)
-    subs = [z for z in sorted({*known, *roots}) if z > 1 and (include_norm_one or z != p - 1)]
-    pair = m % 2 == 0 and cofactor[2] != 0 and not roots  # irreducible over F_p, split in F_q
-    # y != 0 is a non-residue iff y^((p-1)/2) != 1 (Euler's criterion)
-    exts = [y for y in _small_roots(mp_gcd(evens, odds, fp), fp)
-            if m % 2 and y and fp.pow(y, (p - 1) // 2) != 1]
+    subs = [z for z in sorted(set(roots) if rem else {*roots, p - 1})
+            if z > 1 and (include_norm_one or z != p - 1)]
+    pair = m % 2 == 0 and len(cofactor) == 3 and not roots  # irreducible over F_p, split in F_q
     decided = q - 2 - (not include_norm_one) + (q - 1) // 2  # F_q* but 1 (and -1), nonsquares
-    first = Counter({1: decided - len(subs) - len(exts) - 2 * pair})
+    first = Counter({1: decided - len(subs) - 2 * pair})
     hits = []
-    tests = [(("sub", z), fp.mul(z, z), z) for z in subs] + [(("ext", y), y, None) for y in exts]
-    for desc, y, z in tests:
-        alpha = t2_z_first_failure(fp, q, r, y, z)
+    for z in subs:
+        alpha = t2_z_first_failure(fp, q, r, fp.mul(z, z), z)
         if alpha == 1:  # pragma: no cover - a root of the alpha = 1 bracket
-            raise AssertionError(f"candidate {desc} fails alpha = 1 at q = {q}, r = {r}")
+            raise AssertionError(f"candidate z = {z} fails alpha = 1 at q = {q}, r = {r}")
         if alpha is None:
-            hits.append(desc)
+            hits.append(("sub", z))
         else:
             first[alpha] += 1
-    if pair:  # no ext candidate for even m, so these hits still precede any
+    if pair:
         alpha = next((al for al in surviving_alphas(q, 2)
                       if mp_divmod(_interleave(*t2_rows(al, r, q, p)[1:]), cofactor, fp)[1]), None)
         if alpha is None:
@@ -364,19 +362,6 @@ def t2_passing_z(p: int, m: int, r: int, include_norm_one: bool = False) -> tupl
 # Polynomials over F_q are lists of F_q indices, constant term first; a
 # bracket row's residues mod p are F_q indices too, as F_p is the indices
 # below p.  Every root the sweep needs is found in closed form from them.
-
-def _b1_cofactor(evens, odds, p: int) -> tuple[tuple, list[int]]:
-    """(known, Q) with B_1(z) = E_1(z^2) + z*O_1(z^2) = Q * prod(z - u for u
-    in known): known = (-1,) and Q = B_1 / (z + 1), or on the d = q-1 branch,
-    which has no odd row, known = () and Q = B_1 = E_1(z^2)."""
-    e0, e1 = evens
-    if not odds:
-        return (), [e0, 0, e1]
-    o0, o1 = odds
-    if (e0 - o0 + e1 - o1) % p:  # pragma: no cover - rows (s, -(s+1)) give E_1(1) = O_1(1) = -1
-        raise AssertionError(f"z = -1 is no root of B_1 = {[e0, o0, e1, o1]} mod {p}")
-    return (p - 1,), [(o0 - e1 + o1) % p, (e1 - o1) % p, o1]
-
 
 def _interleave(evens, odds) -> list[int]:
     """B(z) = E(z^2) + z*O(z^2) as one coefficient list; O may be empty."""

@@ -20,7 +20,7 @@ from collections import Counter, namedtuple
 from itertools import groupby
 
 from . import __version__, ppcheck
-from .ff import CapExceededError, PrimePower, build_tower, enumeration_cap, enumerate_elements
+from .ff import PrimePower, build_tower, check_cap, enumeration_cap, enumerate_elements
 from .powersum import (
     PowerSumIndex,
     power_sum_brute,
@@ -387,10 +387,8 @@ def cross_validate(
         raise ValueError("no field orders to cross-validate")
     if samples is not None and samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    cap = enumeration_cap()
-    big = next((q for q in q_list if q * q > cap), None)
-    if big is not None:  # before PrimePower.from_q trial-divides it
-        raise CapExceededError(f"q^2 = {big}^2 exceeds the enumeration cap {cap}")
+    for q in q_list:  # before PrimePower.from_q trial-divides it
+        check_cap("q^2", q, 2)
     reports = []
     for q in q_list:
         pp = PrimePower.from_q(q)

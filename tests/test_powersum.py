@@ -385,6 +385,18 @@ def test_identities_sweep():
         assert rep.ok
 
 
+def test_identities_report_a_nonzero_value_as_fail(monkeypatch):
+    value = powersum.identity_value
+
+    def wrong_at_3(alpha, which):
+        return Fraction(1, 7) if (alpha, which) == (3, "id311") else value(alpha, which)
+    monkeypatch.setattr(powersum, "identity_value", wrong_at_3)
+    passed, failed = verify_identities(5)
+    assert passed.ok and passed.check_id == "identities.id310.max5"
+    assert (failed.check_id, failed.status, failed.computed) == (
+        "identities.id311.max5", "fail", "nonzero at [(3, Fraction(1, 7))]")
+
+
 def test_identity_sum_matches_rational_reference():
     # the integer kernel against Fraction arithmetic, at x and offsets where
     # the sum does not vanish, so a kernel that returns 0 cannot pass

@@ -78,6 +78,14 @@ def test_brute_family_i_q5():
             assert is_pp_brute(BinomialParams(a, 3, 2)).is_pp
 
 
+def test_brute_reads_the_cap_on_every_call(monkeypatch):
+    # the tower is cached from a higher cap; the walk is refused all the same
+    fq, fq2 = build_tower(5, 1)
+    monkeypatch.setenv("PERMBINOM_CAP", "24")
+    with pytest.raises(ff.CapExceededError, match=r"q\^2 = 5\^2 exceeds the enumeration cap 24"):
+        is_pp_brute(BinomialParams(fq2.element(1), 3, 2))
+
+
 # ---------------------------------------------------------------- fast test
 
 def test_powersum_equals_brute_exhaustive_small():
@@ -440,21 +448,42 @@ def _interleave(evens, odds):
 
 def test_alpha1_bracket_is_z_plus_one_times_the_cofactor():
     # off the d = q-1 branch the rows (s, -(s+1)) put z = -1 among the roots
-    # of B_1, and B_1 = (z + 1)*Q; on it, Q is B_1 = E_1(z^2) undivided
+    # of B_1 = e0 + o0*z + e1*z^2 + o1*z^3, and B_1 = (z + 1)*Q with Q expanded
+    # by hand; on it B_1 = E_1(z^2) and B_1(-1) = E_1(1) = -1
     off = deficient = 0
     for p, m, q in odd_prime_powers(125):
         fp = build_subfield(p, 1)
         for r in range(1, 42, 2):
             _, evens, odds = powersum.t2_rows(1, r, q, p)
-            known, cofactor = ppcheck._b1_cofactor(evens, odds, p)
+            b1 = _interleave(evens, odds)
             if odds:
                 off += 1
-                assert known == (p - 1,), (q, r)
-                assert not mp_sub(mp_mul([1, 1], cofactor, fp), _interleave(evens, odds), fp), (q, r)
+                (e0, e1), (o0, o1) = evens, odds
+                cofactor = [(o0 - e1 + o1) % p, (e1 - o1) % p, o1]
+                assert not mp_sub(mp_mul([1, 1], cofactor, fp), b1, fp), (q, r)
             else:
                 deficient += 1
-                assert known == () and not mp_sub(cofactor, _interleave(evens, [0, 0]), fp), (q, r)
+                assert _horner(b1, p - 1, fp) == p - 1, (q, r)
     assert off > 500 and deficient
+
+
+def test_no_nonsquare_passes_alpha_one():
+    # a z outside F_q passes alpha = 1 iff y = z^2, a nonsquare, is a common
+    # root of E_1 and O_1; over a full period of odd r the rows have one only
+    # on the d = q-1 branch, where it is y = -1 and q = 1 mod 4 makes it a square
+    pairs = deficient = 0
+    for p, m, q in odd_prime_powers(1000):
+        fp = build_subfield(p, 1)
+        for r in range(1, 2 * (q + 1), 2):
+            if math.gcd(r, q - 1) != 1:
+                continue
+            pairs += 1
+            d, evens, odds = powersum.t2_rows(1, r, q, p)
+            common = mp_gcd(evens, odds, fp)
+            if len(common) > 1:
+                deficient += 1
+                assert common == [1, 1] and d == q - 1 and q % 4 == 1, (q, r, common)
+    assert pairs == 60891 and deficient
 
 
 def test_sweep_takes_no_polynomial_powers(monkeypatch):
@@ -477,8 +506,8 @@ def test_sweep_takes_no_polynomial_powers(monkeypatch):
 @pytest.mark.parametrize("r", [5, 7, 9])
 def test_sweep_candidates_match_cantor_zassenhaus_twin(r, monkeypatch):
     # every admissible prime q <= 3162 at or above the bound: the sweep tests
-    # exactly the twin's roots of B_1 above 1 and its nonsquare roots of
-    # gcd(E_1, O_1), and the closed-form root sets equal the twin's in full
+    # exactly the twin's roots of B_1 above 1, and the twin finds no
+    # nonsquare root of gcd(E_1, O_1)
     qs = [q for p, m, q in odd_prime_powers(3162)
           if m == 1 and math.gcd(r, q - 1) == 1 and q >= thm21_bound(r, p)]
     tested = []
@@ -489,15 +518,11 @@ def test_sweep_candidates_match_cantor_zassenhaus_twin(r, monkeypatch):
     for q in qs:
         sub = build_subfield(q, 1)
         _, evens, odds = powersum.t2_rows(1, r, q, q)
-        known, cofactor = ppcheck._b1_cofactor(evens, odds, q)
-        zs = fq_roots(_interleave(evens, odds), sub)
         ys = fq_roots(mp_gcd(evens, odds, sub), sub)
-        assert sorted({*known, *ppcheck._small_roots(cofactor, sub)}) == zs, q
-        assert ppcheck._small_roots(mp_gcd(evens, odds, sub), sub) == ys, q
+        assert not [y for y in ys if y and sub.pow(y, (q - 1) // 2) != 1], q
         tested.clear()
         t2_passing_z(q, 1, r, True)
-        want = [(sub.mul(z, z), z) for z in zs if z > 1]
-        want += [(y, None) for y in ys if y and sub.pow(y, (q - 1) // 2) != 1]
+        want = [(sub.mul(z, z), z) for z in fq_roots(_interleave(evens, odds), sub) if z > 1]
         assert tested == want, q
         candidates += len(want)
     assert len(qs) > 200 and candidates > len(qs)

@@ -85,10 +85,17 @@ def test_sec6_instance_validation():
 
 
 def test_sec6_suite_counts():
-    reports = sec6_suite(ps=(5,), ls=(1,), cap=10**6)
+    reports = sec6_suite(ps=(5,), ls=(1,), q_max=10**6)
     assert all_ok(reports), failures(reports)
     (cov,) = [r for r in reports if r.check_id == "sec6.coverage"]
     assert int(cov.computed) >= 2
+
+
+def test_sec6_suite_does_not_read_the_cap(monkeypatch, capsys):
+    # the instances are checked mod p and build no field
+    monkeypatch.setenv("PERMBINOM_CAP", "1000")
+    assert main(["verify", "--suite", "sec6"]) == 0
+    assert capsys.readouterr().out.endswith("\n371/371 checks ok\n")
 
 
 def test_sec7_p3():

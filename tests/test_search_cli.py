@@ -164,6 +164,26 @@ def test_cross_validate_randomized_deterministic():
     assert all_ok(r1)
 
 
+def test_cross_validate_reports_each_mismatch_as_fail(monkeypatch):
+    # one wrong closed form or fast verdict turns its mode's row to FAIL
+    closed, fast = search.power_sum_closed, search.is_pp_powersum
+
+    def off_by_one(r, t, a, s):
+        value = closed(r, t, a, s)
+        return value + value.ctx.one() if (r, a.idx) == (1, 1) else value
+    monkeypatch.setattr(search, "power_sum_closed", off_by_one)
+    monkeypatch.setattr(search, "is_pp_powersum",
+                        lambda params: PPVerdict(True, "powersum") if params.r == 1 else fast(params))
+    exhaustive = {rep.check_id: rep for rep in cross_validate([3], t_list=(2,))}
+    assert [rep.status for rep in exhaustive.values()] == ["fail", "fail"]
+    assert exhaustive["xval.q3.t2.oracle"].computed == "32 sums, 1 mismatches; first [(1, '[1,0]', 1)]"
+    assert exhaustive["xval.q3.t2.pp"].computed.startswith("32 parameter sets, 6 disagreements; first [(1, ")
+    monkeypatch.setattr(search, "power_sum_closed", lambda r, t, a, s: closed(r, t, a, s) + a.ctx.one())
+    (rep,) = cross_validate([3], t_list=(2,), samples=4, seed=7)
+    assert (rep.check_id, rep.status) == ("xval.q3.t2.random4", "fail")
+    assert rep.computed.startswith("4 sampled sums, 4 mismatches; first [(")
+
+
 def test_cross_validate_rejects_even_q_for_t2():
     reports = cross_validate([4], t_list=(2,), samples=10)
     assert len(reports) == 1 and not reports[0].ok and "rejected" in reports[0].notes
@@ -327,6 +347,13 @@ def test_cli_power_sum_closed_vs_brute(capsys):
     brute = json.loads(capsys.readouterr().out)
     assert closed["value"] == brute["value"]
     assert closed["s"] == 16
+
+
+def test_cli_is_pp_prints_the_note(capsys):
+    # gcd(r, q-1) > 1 is a not-PP verdict with a note, not an error
+    assert run_cli("is-pp", "--p", "5", "--r", "2", "--t", "2", "--a", "g^1") == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "is_pp": False, "method": "powersum", "note": "gcd(r, q-1) > 1"}
 
 
 def test_cli_is_pp_and_classify(capsys):
@@ -638,6 +665,37 @@ def _rewrite_records(path, edit):
     records = edit([json.loads(line) for line in lines if not line.startswith("#")])
     with open(path, "w") as fh:
         fh.write("\n".join(head + [json.dumps(d) for d in records]) + "\n")
+
+
+def test_cli_resume_with_other_flags_or_cap_exit_2(tmp_path, capsys, monkeypatch):
+    # the #DONE markers hold only for the flags and cap that wrote them
+    out = str(tmp_path / "cat.jsonl")
+    argv = ("search", "--r", "5", "--q-max", "20", "--out", out)
+    assert run_cli(*argv) == 0
+    capsys.readouterr()
+    written = Path(out).read_bytes()
+    err = _assert_usage_error(capsys, *argv, "--include-norm-one", "--resume")
+    assert "cannot resume" in err
+    monkeypatch.setenv("PERMBINOM_CAP", "1000")
+    err = _assert_usage_error(capsys, *argv, "--resume")
+    assert "cannot resume" in err
+    assert Path(out).read_bytes() == written
+
+
+def test_cli_resume_wrong_z_exit_2(tmp_path, capsys):
+    # a record's z text is swapped for another passing z of its q
+    out = str(tmp_path / "cat.jsonl")
+    argv = ("search", "--r", "5", "--q-max", "20", "--include-norm-one", "--out", out)
+    assert run_cli(*argv) == 0
+    capsys.readouterr()
+
+    def swap_z(records):
+        d = next(d for d in records if any(e["q"] == d["q"] and e["z"] != d["z"] for e in records))
+        d["z"] = next(e["z"] for e in records if e["q"] == d["q"] and e["z"] != d["z"])
+        return records
+    _rewrite_records(out, swap_z)
+    err = _assert_usage_error(capsys, *argv, "--resume")
+    assert err.startswith(f"error: {out}: z mismatch on record {{")
 
 
 def test_cli_resume_wrong_a_index_exit_2(tmp_path, capsys):
