@@ -400,9 +400,13 @@ def mp_resultant(a, b, F):
 # ----------------------------------------------------------- primality
 
 MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# psi_12: every n below it that passes the bases above is prime (Sorenson and
-# Webster 2015; OEIS A014233), so the seeded rounds only run from here up
-MR_BASES_DECIDE_BELOW = 318_665_857_834_031_151_167_461
+# psi_k: every n below it that passes the first k bases above is prime
+# (Sorenson and Webster 2015; OEIS A014233), so the seeded rounds only run
+# from psi_12 up
+MR_PSI = (2047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747, 3_474_749_660_383,
+          341_550_071_728_321, 341_550_071_728_321, 3_825_123_056_546_413_051,
+          3_825_123_056_546_413_051, 3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461)
+MR_BASES_DECIDE_BELOW = MR_PSI[-1]
 MR_EXTRA_ROUNDS = 20
 
 
@@ -418,9 +422,10 @@ def _mr_witness(a: int, d: int, s: int, n: int) -> bool:
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin with the fixed small-prime bases, which decide every n
-    below MR_BASES_DECIDE_BELOW, plus, from there up, 20 rounds whose bases
-    come from a generator seeded deterministically from n."""
+    """Miller-Rabin with the fixed small-prime bases, the first k of which
+    decide every n below psi_k (so base 2 alone every n < 2047), plus, from
+    MR_BASES_DECIDE_BELOW up, 20 rounds whose bases come from a generator
+    seeded deterministically from n."""
     if n < 2:
         return False
     for q in MR_BASES:
@@ -430,11 +435,11 @@ def is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in MR_BASES:
+    for a, psi in zip(MR_BASES, MR_PSI):
         if _mr_witness(a, d, s, n):
             return False
-    if n < MR_BASES_DECIDE_BELOW:
-        return True
+        if n < psi:
+            return True
     rng = random.Random(n)
     for _ in range(MR_EXTRA_ROUNDS):
         a = rng.randrange(2, n - 1)

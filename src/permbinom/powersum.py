@@ -383,14 +383,18 @@ def _identity_sum(alpha: int, u: int, v: int, n1: int, n2: int) -> Fraction:
     """sum_i binom(alpha,i) (-1)^i (binom(i + n1/2, alpha) x^(2i) + binom(i + n2/2,
     alpha) x^(2i+1)) at x = u/v.  As binom(n/2, alpha) = prod_{j<alpha}(n - 2j)
     / (2^alpha alpha!), it is one integer sum over 2^alpha alpha! v^(2alpha+1),
-    each product a window f[i:i + alpha] that slides one factor in and one out."""
+    each product a window f[i:i + alpha] that slides one factor in and one out,
+    and w = (-1)^i binom(alpha,i) u^(2i) v^(2(alpha-i)) steps to the next i by
+    one exact multiply-divide."""
     fe, fo = (range(n - 2 * alpha + 2, n + 2 * alpha + 3, 2) for n in (n1, n2))
     pe, po = (math.prod(c or 1 for c in f[:alpha]) for f in (fe, fo))  # zeros left out: // stays exact
-    total = 0
+    ze, zo = (f.index(0) if 0 in f else -1 for f in (fe, fo))  # window i holds 0 iff 0 <= z - i < alpha
+    w, u2, v2, total = v ** (2 * alpha), u * u, v * v, 0
     for i in range(alpha + 1):
-        e, o = (0 if 0 in f[i:i + alpha] else p for f, p in ((fe, pe), (fo, po)))
-        total += (-1) ** i * math.comb(alpha, i) * u ** (2 * i) * v ** (2 * (alpha - i)) * (e * v + o * u)
-        pe, po = (p * (f[i + alpha] or 1) // (f[i] or 1) for f, p in ((fe, pe), (fo, po)))
+        total += w * ((0 if 0 <= ze - i < alpha else pe) * v + (0 if 0 <= zo - i < alpha else po) * u)
+        w = -w * (alpha - i) * u2 // ((i + 1) * v2)
+        pe = pe * (fe[i + alpha] or 1) // (fe[i] or 1)
+        po = po * (fo[i + alpha] or 1) // (fo[i] or 1)
     return Fraction(total, 2**alpha * math.factorial(alpha) * v ** (2 * alpha + 1))
 
 

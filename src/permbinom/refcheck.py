@@ -30,7 +30,7 @@ from .exactalg import (
     resultant_univar,
     to_modp,
 )
-from .ff import PrimePower, build_subfield
+from .ff import PrimeField, PrimePower
 from .powersum import (
     binom_intmod,
     cd_pair,
@@ -283,7 +283,7 @@ def sec7_p3_check() -> list[CheckReport]:
     and the coprimality that rules the case out."""
     reports = []
     p = 3
-    fp = build_subfield(p, 1)
+    fp = PrimeField(p)
     pref, factors = REG.R13
     for r0 in sorted(REG.f3_resultant_table):
         expected = REG.f3_resultant_table[r0]
@@ -343,7 +343,7 @@ def sec7_p181_check() -> list[CheckReport]:
     root, and the alpha = 7 bracket value."""
     reports = []
     p = 181
-    fp = build_subfield(p, 1)
+    fp = PrimeField(p)
     A1v, A3v, A5v = (P.eval_r(7, 4) for P in (REG.A1, REG.A3, REG.A5))
     D1, D3, D5 = (4**P.r_degree for P in (REG.A1, REG.A3, REG.A5))
     reports.append(_zcheck("sec7p181.A1", IntPoly((-1, 2, -5)) * (D1 // 2), A1v, D1))

@@ -1,4 +1,5 @@
 import itertools
+import math
 import operator
 import random
 from fractions import Fraction
@@ -6,9 +7,11 @@ from functools import partial
 
 import pytest
 
+from permbinom import exactalg
 from permbinom.exactalg import (
     MR_BASES,
     MR_BASES_DECIDE_BELOW,
+    MR_PSI,
     BiPolyRZ,
     Factorization,
     IntPoly,
@@ -591,6 +594,33 @@ def test_fixed_bases_decide_only_below_psi12():
         d, s = d // 2, s + 1
     assert all(n % a and not _mr_witness(a, d, s, n) for a in MR_BASES)
     assert not is_probable_prime(n)
+
+
+def test_probable_prime_matches_a_sieve_and_rejects_every_psi():
+    # each psi_k is composite and passes the first k bases, so a stop at
+    # n <= psi_k in place of n < psi_k would call it prime
+    n = 200_000
+    sieve = bytearray([0, 0]) + bytearray([1]) * (n - 2)
+    for i in range(2, math.isqrt(n) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, n, i)))
+    assert [k for k in range(n) if is_probable_prime(k) != sieve[k]] == []
+    assert len(set(MR_PSI)) == 9 and MR_PSI[-1] == MR_BASES_DECIDE_BELOW
+    for k, psi in enumerate(MR_PSI, 1):
+        s = ((psi - 1) & (1 - psi)).bit_length() - 1  # 2^s exactly divides psi - 1
+        assert not any(_mr_witness(a, (psi - 1) >> s, s, psi) for a in MR_BASES[:k]), k
+        assert not is_probable_prime(psi), k
+
+
+def test_probable_prime_runs_only_the_bases_it_needs(monkeypatch):
+    # a prime below psi_k costs k witnesses: 1009 one, 2053 (past psi_1) two,
+    # and psi_12 up all twelve plus the 20 seeded rounds
+    calls = []
+    monkeypatch.setattr(exactalg, "_mr_witness", lambda *args: calls.append(args) or _mr_witness(*args))
+    for p, cost in ((1009, 1), (2053, 2), (185871968716987252172951795997086716801, 32)):
+        calls.clear()
+        assert is_probable_prime(p)
+        assert len(calls) == cost, p
 
 
 def test_primality_and_factor_check():

@@ -441,6 +441,22 @@ def test_identity_sum_matches_product_twin():
     assert nonzero > 150
 
 
+def test_identity_sum_matches_product_twin_off_one():
+    # u and v both != 1, so a running power of either side that steps wrongly
+    # changes the sum; the identities' offsets shifted by 2k keep windows
+    # that hold 0 next to windows that do not
+    nonzero = 0
+    for alpha in range(1, 100, 2):
+        for u, v in ((2, 5), (-3, 2)):
+            for n1, n2 in ((alpha - 1, alpha), (-2 - alpha, -1 - alpha)):
+                for k in (-2, 1):
+                    args = alpha, u, v, n1 + 2 * k, n2 + 2 * k
+                    want = identity_sum_twin(*args)
+                    assert powersum._identity_sum(*args) == want, args
+                    nonzero += want != 0
+    assert nonzero == 400
+
+
 def test_power_sum_brute_counts_only_the_exponents_it_reaches():
     # a useful s reaches at most q + 1 exponents, so the counts stay far
     # below one entry per nonzero element of F_{101^2} (10200 of them)

@@ -98,6 +98,15 @@ def test_sec6_suite_does_not_read_the_cap(monkeypatch, capsys):
     assert capsys.readouterr().out.endswith("\n371/371 checks ok\n")
 
 
+@pytest.mark.parametrize("cap", ["100", "2"])
+def test_verify_all_does_not_read_the_cap(monkeypatch, capsys, cap):
+    # every suite checks fixed instances; sec7 works on PrimeField(3) and
+    # PrimeField(181), which hold no table, so no cap refuses q = 181
+    monkeypatch.setenv("PERMBINOM_CAP", cap)
+    assert main(["verify", "--suite", "all"]) == 0
+    assert capsys.readouterr().out.endswith("\n428/428 checks ok\n")
+
+
 def test_sec7_p3():
     reports = sec7_p3_check()
     assert all_ok(reports), failures(reports)
