@@ -3,7 +3,7 @@ and by brute force.
 
 For exponents s = alpha + beta*q the sum vanishes unless alpha + beta = q-1
 and alpha is in surviving_alphas(q, t) (for t = 2, alpha odd); the
-surviving sums collapse to short binomial brackets, t2_bracket in the
+surviving sums collapse to short binomial brackets, t2_rows in the
 derived value z = (-a)^(-q(q+1)/2) and t1_bracket in a^(-(q+1)).  Which
 bracket terms survive is controlled by the division-with-remainder pair
 (c, d) of (alpha+1)r - t*alpha by q+1.  Each of these rules is stated once
@@ -46,7 +46,6 @@ __all__ = [
     "surviving_alphas",
     "bracket_row",
     "t2_rows",
-    "t2_bracket",
     "t1_bracket",
     "power_sum_closed",
     "power_sum_t2_closed",
@@ -183,23 +182,13 @@ def bracket_coeffs_deficient(alpha: int, q: int, p: int):
 
 @lru_cache(maxsize=BRACKET_ROW_CACHE)
 def t2_rows(alpha: int, r: int, q: int, p: int) -> tuple:
-    """The z-independent part of t2_bracket, (d, evens, odds), memoised per
-    (alpha, r, q, p); the d = q-1 branch has the deficient row and no odds."""
+    """The t=2 bracket E(z^2) + z*O(z^2), up to a nonzero prefactor, as the
+    rows (d, evens, odds) of E and O, memoised per (alpha, r, q, p); the
+    d = q-1 branch has the deficient row and no odds."""
     d = cd_pair(alpha, r, q).d
     if d == q - 1:
         return d, bracket_coeffs_deficient(alpha, q, p), ()
     return (d, *bracket_coeffs(alpha, d // 2, (q + 1) // 2, p))
-
-
-def t2_bracket(alpha: int, r: int, sub: FieldCtx | PrimeField, y_idx: int) -> tuple[int, int, int]:
-    """The t=2 bracket at odd alpha as (d, E(y), O(y)), with y = z^2 an F_q
-    index; the bracket is E(y) + z*O(y) up to a nonzero prefactor.
-
-    In the d = q-1 branch the bracket is the even row alone (times z), so
-    O is 0 there.
-    """
-    d, evens, odds = t2_rows(alpha, r, sub.order, sub.char)
-    return d, mp_eval(evens, y_idx, sub), mp_eval(odds, y_idx, sub)
 
 
 def t1_bracket(alpha: int, r: int, sub: FieldCtx | PrimeField, h_idx: int) -> tuple[int, int]:
@@ -268,7 +257,8 @@ def power_sum_t2_closed(r: int, a: FieldElement, s) -> FieldElement:
     y = ctx2.mul(z.idx, z.idx)
     if not ctx2.in_subfield(y):  # pragma: no cover - z^2 is always in F_q
         raise AssertionError("z^2 outside the subfield")
-    d, e_val, o_val = t2_bracket(alpha, r, ctx2.base, y)
+    d, evens, odds = t2_rows(alpha, r, q, ctx2.char)
+    e_val, o_val = mp_eval(evens, y, ctx2.base), mp_eval(odds, y, ctx2.base)
     if d == q - 1:
         return _scaled(a, alpha + 1, ctx2.mul(z.idx, e_val), 1)
     dh = d // 2

@@ -11,25 +11,26 @@ O(q^2).
 For t = 2 everything a contributes to the verdict factors through
 z = (-a)^(-q(q+1)/2): the root condition is z != 1 and each bracket is
 E(z^2) + z*O(z^2) with E, O over F_q.  Since z^2 is always in F_q, a
-verdict needs only F_q arithmetic; when z is outside F_q the bracket
-vanishes iff E and O both do.  The sweep exploits this to decide every a of
-a field at once, and never scans the z values: the alpha = 1 bracket is a
-nonzero polynomial of degree <= 3 in z, so the only z that can pass are its
-roots in F_q; no z outside F_q passes it (t2_passing_z gives the proof).
-Off the d = q-1 branch z = -1 is always a root, and the quotient, like the
-d = q-1 bracket, is a quadratic solved by Tonelli-Shanks.  Those few are then
-tested bracket by bracket, but the norm-one z = -1 (the paper's case (i))
-needs none: sum_i (-1)^i C(alpha,i) C(i+s,alpha) = (-1)^alpha puts its
-first failing alpha in closed form.  The sweep returns the passing z and
-the first failing alpha of every other z.  The t = 2 families are z values
-too: (r, z) = (1, 1/3) is family (iii) and (r, z) = (3, 3) is family (iv).
+verdict needs only F_q arithmetic; a z outside F_q passes a bracket iff its
+minimal polynomial Z^2 - z^2 divides it.  The sweep exploits this to decide
+every a of a field at once, and never scans the z values: the alpha = 1
+bracket is a nonzero polynomial of degree <= 3 in z, so the only z that can
+pass are its roots in F_q; no z outside F_q passes it (t2_passing_z gives
+the proof).  Off the d = q-1 branch z = -1 is always a root, and the
+quotient, like the d = q-1 bracket, is a quadratic solved by Tonelli-Shanks.
+Those few are then tested bracket by bracket, but the norm-one z = -1 (the
+paper's case (i)) needs none: sum_i (-1)^i C(alpha,i) C(i+s,alpha) =
+(-1)^alpha puts its first failing alpha in closed form.  The sweep returns
+the passing z, as F_q indices, and the first failing alpha of every other
+z.  The t = 2 families are z values too: (r, z) = (1, 1/3) is family (iii)
+and (r, z) = (3, 3) is family (iv).
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
-from itertools import cycle, zip_longest
+from itertools import cycle
 
 from .exactalg import is_probable_prime, mp_divmod, mp_eval, mp_gcd
 from .ff import FieldCtx, FieldElement, PrimePower, PrimeField, build_subfield, check_cap, compute_z
@@ -182,30 +183,40 @@ def _root_excess(params: BinomialParams) -> int | None:
     return None
 
 
-def t2_z_first_failure(sub: FieldCtx | PrimeField, q: int, r: int, y_idx: int,
-                       z_sub_idx: int | None) -> int | None:
+def t2_z_first_failure(sub: FieldCtx | PrimeField, q: int, r: int, z: int) -> int | None:
     """First odd alpha whose closed-form sum is nonzero, or None if all vanish.
 
-    y_idx is z^2 as an F_q index; z_sub_idx is z itself when z lies in F_q,
-    None when it does not, and then a bracket vanishes iff E(y) = O(y) = 0.
-    The rows are read at q, not at sub.order, so F_p serves as sub whenever
-    y and z lie in F_p.
-    For odd r, y = 1 (z = +-1) is closed form: E(1) = O(1) = (-1)^alpha, so
-    z = 1 fails at alpha = 1 and z = -1 where d = q-1, at the first odd alpha
-    with (alpha+1)(r-2) = 0 mod q+1.
+    z is an index of sub, so it lies in F_q.  The rows are read at q, not at
+    sub.order, so F_p serves as sub whenever z lies in F_p.
+    For odd r, y = z^2 = 1 (z = +-1) is closed form: E(1) = O(1) = (-1)^alpha,
+    so z = 1 fails at alpha = 1 and z = -1 where d = q-1, at the first odd
+    alpha with (alpha+1)(r-2) = 0 mod q+1.
     """
-    if y_idx == 1:
+    y = sub.mul(z, z)
+    if y == 1:
         g = math.gcd(r - 2, q + 1)
-        return 1 if z_sub_idx == 1 else (None if g == 1 else (q + 1) // g - 1)
+        return 1 if z == 1 else (None if g == 1 else (q + 1) // g - 1)
     for alpha in surviving_alphas(q, 2):
         _, evens, odds = t2_rows(alpha, r, q, sub.char)
-        e_val, o_val = mp_eval(evens, y_idx, sub), mp_eval(odds, y_idx, sub)
-        if z_sub_idx is None:
-            if e_val or o_val:
-                return alpha
-        elif sub.add(e_val, sub.mul(z_sub_idx, o_val)):
+        if sub.add(mp_eval(evens, y, sub), sub.mul(z, mp_eval(odds, y, sub))):
             return alpha
     return None
+
+
+def _first_failure_mod(q: int, r: int, mu: list[int], sub: FieldCtx | PrimeField) -> int | None:
+    """The first odd alpha whose bracket B = E(z^2) + z*O(z^2), taken over
+    sub, leaves a nonzero remainder modulo mu, the monic minimal polynomial
+    of z over sub; None if every bracket vanishes at z.  This decides a z
+    outside sub, and each of its conjugates with it."""
+    return next((alpha for alpha in surviving_alphas(q, 2)
+                 if mp_divmod(_interleave(*t2_rows(alpha, r, q, sub.char)[1:]), mu, sub)[1]), None)
+
+
+def _interleave(evens, odds) -> list[int]:
+    """B(z) = E(z^2) + z*O(z^2) as one coefficient list; O may be empty."""
+    out = [0] * (2 * len(evens))
+    out[::2], out[1:2 * len(odds):2] = evens, odds
+    return out
 
 
 def is_pp_powersum(params: BinomialParams) -> PPVerdict:
@@ -228,8 +239,10 @@ def is_pp_powersum(params: BinomialParams) -> PPVerdict:
         return PPVerdict(False, "powersum", RootCountExcess(1 + excess))
     if t == 2:
         z = params.z.idx
-        z_sub = z if ctx2.in_subfield(z) else None
-        alpha = t2_z_first_failure(sub, q, r, ctx2.mul(z, z), z_sub)
+        if ctx2.in_subfield(z):
+            alpha = t2_z_first_failure(sub, q, r, z)
+        else:  # z^2 = y is in F_q, so z has minimal polynomial Z^2 - y over it
+            alpha = _first_failure_mod(q, r, [sub.neg(ctx2.mul(z, z)), 0, 1], sub)
     else:
         h = sub.inv(ctx2.pow(params.a.idx, q + 1))  # a^(-(q+1))
         alpha = next((al for al in surviving_alphas(q, 1) if t1_bracket(al, r, sub, h)[1]), None)
@@ -298,8 +311,8 @@ def t2_passing_z(p: int, m: int, r: int, include_norm_one: bool = False) -> tupl
 
     The verdict for a is a pure function of z(a), and z ranges exactly over
     the elements with z^2 in F_q*: the q-1 elements of F_q* plus the two
-    square roots of each nonsquare.  Hits are ('sub', z_idx) descriptors,
-    z in F_q* as an F_q index, by ascending z; no z outside F_q ever passes.
+    square roots of each nonsquare.  Hits are F_q indices, ascending; no z
+    outside F_q ever passes.
     first_failure maps alpha, ascending, to its count of z decided.
     a has norm one iff z = +-1; z = 1 never passes (extra roots), z = -1 is
     included only when include_norm_one is set.
@@ -319,7 +332,8 @@ def t2_passing_z(p: int, m: int, r: int, include_norm_one: bool = False) -> tupl
     The rows are residues mod p, so every candidate lies in F_p or F_{p^2},
     and the sweep decides over F_p alone.  A quadratic with no root in F_p
     has two Frobenius-conjugate roots, in F_q iff m is even, which share
-    their verdict: both pass alpha iff it divides B_alpha over F_p.  F_q
+    their verdict: both pass alpha iff it divides B_alpha over F_p, the
+    remainder test every z outside its field of evaluation takes.  F_q
     itself is built only to name a conjugate pair that passes.
     """
     check_cap("q", p, m)
@@ -342,18 +356,17 @@ def t2_passing_z(p: int, m: int, r: int, include_norm_one: bool = False) -> tupl
     first = Counter({1: decided - len(subs) - 2 * pair})
     hits = []
     for z in subs:
-        alpha = t2_z_first_failure(fp, q, r, fp.mul(z, z), z)
+        alpha = t2_z_first_failure(fp, q, r, z)
         if alpha == 1:  # pragma: no cover - a root of the alpha = 1 bracket
             raise AssertionError(f"candidate z = {z} fails alpha = 1 at q = {q}, r = {r}")
         if alpha is None:
-            hits.append(("sub", z))
+            hits.append(z)
         else:
             first[alpha] += 1
     if pair:
-        alpha = next((al for al in surviving_alphas(q, 2)
-                      if mp_divmod(_interleave(*t2_rows(al, r, q, p)[1:]), cofactor, fp)[1]), None)
-        if alpha is None:
-            hits += [("sub", z) for z in _small_roots(cofactor, build_subfield(p, m))]
+        alpha = _first_failure_mod(q, r, cofactor, fp)
+        if alpha is None:  # the roots lie outside F_p, so above every z in subs
+            hits += _small_roots(cofactor, build_subfield(p, m))
         else:
             first[alpha] += 2
     return hits, {alpha: c for alpha, c in sorted(first.items()) if c}
@@ -362,11 +375,6 @@ def t2_passing_z(p: int, m: int, r: int, include_norm_one: bool = False) -> tupl
 # Polynomials over F_q are lists of F_q indices, constant term first; a
 # bracket row's residues mod p are F_q indices too, as F_p is the indices
 # below p.  Every root the sweep needs is found in closed form from them.
-
-def _interleave(evens, odds) -> list[int]:
-    """B(z) = E(z^2) + z*O(z^2) as one coefficient list; O may be empty."""
-    return [c for pair in zip_longest(evens, odds, fillvalue=0) for c in pair]
-
 
 def _sqrt(a: int, sub: FieldCtx | PrimeField) -> int:
     """A square root of the square a in F_q, q odd, by Tonelli-Shanks with
@@ -399,20 +407,18 @@ def _small_roots(f, sub: FieldCtx | PrimeField) -> list[int]:
     return sorted({sub.sub(root, h), sub.neg(sub.add(root, h))})
 
 
-def expand_z_to_a(ctx2: FieldCtx, zdesc: tuple) -> list[tuple[int, FieldElement]]:
+def expand_z_to_a(ctx2: FieldCtx, z: int) -> list[tuple[int, FieldElement]]:
     """All a in F_{q^2}* whose derived value is z, as (dlog a, a), ascending;
-    ('ext', y) stands for both square roots of y.
+    ValueError unless z^2 is in F_q*, the image of a -> z.
 
     With h = (q+1)/2, P = 2(q-1) and n = q^2-1 = h*P, log z = -q*h*log(-a)
     mod n, so log(-a) = (log z / h) * (-q)^(-1) mod P, plus j*P for j < h,
-    and log a = log(-a) + n/2.
+    and log a = log(-a) + n/2; z^2 is in F_q* iff h divides log z.
     """
     q, n = ctx2.base.order, ctx2.order - 1
     h, P = (q + 1) // 2, 2 * (q - 1)
-    log_z = ctx2.dlog(zdesc[1])
-    z_logs = [log_z] if zdesc[0] == "sub" else [log_z // 2, log_z // 2 + n // 2]
-    if any(zl % h for zl in z_logs):  # pragma: no cover - z^2 in F_q* puts h | log z
-        raise AssertionError("z outside the image of a -> (-a)^(-q(q+1)/2)")
-    inv = pow(-q, -1, P)
-    logs = sorted((zl // h * inv % P + j * P + n // 2) % n for zl in z_logs for j in range(h))
-    return [(k, ctx2.element(ctx2.exp(k))) for k in logs]
+    log_z = ctx2.dlog(z)
+    if log_z % h:
+        raise ValueError(f"z = {ctx2.render(z)} has z^2 outside F_q*, so no a maps to it")
+    base = log_z // h * pow(-q, -1, P) % P + n // 2
+    return [(k, ctx2.element(ctx2.exp(k))) for k in sorted((base + j * P) % n for j in range(h))]

@@ -126,14 +126,13 @@ def _sweep_one_q(task) -> list[dict]:
     fq, fq2 = build_tower(p, m)
     desc = fq2.describe()
     records = []
-    for kind, v in hits:
+    for z in hits:
         tag = None
-        for a_index, a in expand_z_to_a(fq2, (kind, v)):
+        for a_index, a in expand_z_to_a(fq2, z):
             params = BinomialParams(a, r, 2)
             # the z-level verdict holds for a only if a lies in the hit's fibre
-            z = params.z.idx
-            if (z if kind == "sub" else fq2.mul(z, z)) != v:
-                raise AssertionError(f"a = {a.text} lies outside the z-fibre {(kind, v)}")
+            if params.z.idx != z:
+                raise AssertionError(f"a = {a.text} lies outside the z-fibre of {fq2.render(z)}")
             if tag is None:
                 # the tag, brute verdict included, depends on a only through
                 # the fibre: one brute walk, on its smallest-index a, tags it all

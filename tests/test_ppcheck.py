@@ -126,6 +126,32 @@ def test_powersum_verdict_matches_closed_forms():
     assert {(t, w) for t in (1, 2) for w in ("NoneType", "NonzeroPowerSum")} <= branches
 
 
+def test_powersum_divides_by_the_minimal_polynomial_of_z(monkeypatch):
+    # a z outside F_q is decided by remainders modulo Z^2 - z^2, which z
+    # must annihilate over F_{q^2}
+    moduli = []
+    first_failure_mod = ppcheck._first_failure_mod
+    monkeypatch.setattr(ppcheck, "_first_failure_mod",
+                        lambda q, r, mu, sub: moduli.append(mu) or first_failure_mod(q, r, mu, sub))
+    outside = 0
+    for p, m, r in ((3, 1, 5), (5, 1, 3), (7, 1, 5), (3, 2, 5)):
+        fq, fq2 = build_tower(p, m)
+        for a in enumerate_elements(fq2, "nonzero"):
+            ps = BinomialParams(a, r, 2)
+            moduli.clear()
+            verdict = is_pp_powersum(ps)
+            z = ps.z.idx
+            if not moduli:
+                assert fq2.in_subfield(z) or verdict.witness is not None
+                continue
+            (mu,) = moduli
+            assert not fq2.in_subfield(z) and len(mu) == 3 and mu[2] == 1
+            assert _horner(mu, z, fq2) == 0, (p, m, r, a.text, mu)
+            assert verdict.witness.alpha == 1
+            outside += 1
+    assert outside == 80
+
+
 def test_powersum_witnesses():
     # gcd failure is a verdict with a note, not an error
     v = is_pp_powersum(params(5, 1, 2, 2, 3))
@@ -221,22 +247,31 @@ def test_sporadic_exists_q5_r5():
     assert "sporadic" in tags
 
 
+def _z_image(fq2):
+    """Every z of F_{q^2} with z^2 in F_q*: F_q* and both roots of each nonsquare."""
+    return [z for z in range(1, fq2.order) if fq2.in_subfield(fq2.mul(z, z))]
+
+
 def test_family_tag_and_brute_verdict_are_fibre_invariant():
     # search tags a whole z-fibre from one brute walk on its smallest-index a;
-    # here every a of every fibre, non-PP ones included, is walked and tagged
+    # here every a of every fibre, non-PP ones included, is walked and tagged,
+    # and the two roots of a nonsquare share their tag and verdict
     for p, m, q in odd_prime_powers(13):
         fq, fq2 = build_tower(p, m)
-        descs = [("sub", z) for z in range(1, q)]
-        squares = {fq.mul(x, x) for x in range(1, q)}
-        descs += [("ext", y) for y in range(1, q) if y not in squares]
+        zs = _z_image(fq2)
         for r in range(1, 2 * (q + 1)):
             if math.gcd(r, q - 1) != 1:
                 continue
-            for desc in descs:
-                fibre = [BinomialParams(a, r, 2) for _, a in expand_z_to_a(fq2, desc)]
+            fibre_of = {}
+            for z in zs:
+                fibre = [BinomialParams(a, r, 2) for _, a in expand_z_to_a(fq2, z)]
                 tags = {classify_family(ps) for ps in fibre}
                 verdicts = {is_pp_brute(ps).is_pp for ps in fibre}
-                assert len(tags) == len(verdicts) == 1, (q, r, desc, tags)
+                assert len(tags) == len(verdicts) == 1, (q, r, z, tags)
+                fibre_of[z] = (tags, verdicts)
+            for z in zs:
+                if not fq2.in_subfield(z):
+                    assert fibre_of[z] == fibre_of[fq2.neg(z)], (q, r, z)
 
 
 def test_classify_t_above_2_norm_one_only():
@@ -356,25 +391,33 @@ def test_expand_preimage_count():
     for p, m in ((3, 1), (5, 1), (7, 1), (11, 1), (3, 2), (5, 2)):
         fq, fq2 = build_tower(p, m)
         q = fq.order
-        descs = [("sub", z) for z in range(1, q)]
-        descs += [("ext", y) for y in range(1, q) if fq.pow(y, (q - 1) // 2) != 1]
+        zs = _z_image(fq2)
+        nonsquares = [y for y in range(1, q) if fq.pow(y, (q - 1) // 2) != 1]
+        outside = [z for z in zs if not fq2.in_subfield(z)]
+        assert zs[:q - 1] == list(range(1, q)) and len(outside) == 2 * len(nonsquares)
+        assert sorted(fq2.mul(z, z) for z in outside) == sorted(2 * nonsquares)
         covered = []
-        for kind, idx in descs:
-            pre = expand_z_to_a(fq2, (kind, idx))
+        for z in zs:
+            pre = expand_z_to_a(fq2, z)
             assert [k for k, _ in pre] == sorted(k for k, _ in pre)
-            per_root = Counter()
+            assert len(pre) == (q + 1) // 2
             for k, a in pre:
                 assert fq2.dlog(a.idx) == k
-                z = compute_z(a)
-                if kind == "sub":
-                    assert z.idx == idx
-                else:
-                    assert (z * z).idx == idx and not fq2.in_subfield(z.idx)
-                per_root[z.idx] += 1
-            roots = 1 if kind == "sub" else 2
-            assert list(per_root.values()) == [(q + 1) // 2] * roots
+                assert compute_z(a).idx == z
             covered += [a.idx for _, a in pre]
         assert sorted(covered) == list(range(1, fq2.order))
+
+
+def test_expand_refuses_z_outside_the_image():
+    # a z whose square lies outside F_q (the generator of F_{q^2}), or z = 0,
+    # is the z of no a
+    for p, m in ((3, 1), (5, 1), (3, 2)):
+        fq, fq2 = build_tower(p, m)
+        image = set(_z_image(fq2))
+        assert not fq2.in_subfield(fq2.mul(fq2.gen_idx, fq2.gen_idx))
+        for z in [0, fq2.gen_idx] + [z for z in range(1, fq2.order) if z not in image][:5]:
+            with pytest.raises(ValueError):
+                expand_z_to_a(fq2, z)
 
 
 # ------------------------------------------------- alpha = 1 candidate roots
@@ -513,7 +556,7 @@ def test_sweep_candidates_match_cantor_zassenhaus_twin(r, monkeypatch):
     tested = []
     first_failure = ppcheck.t2_z_first_failure
     monkeypatch.setattr(ppcheck, "t2_z_first_failure",
-                        lambda sub, q, r, y, z: tested.append((y, z)) or first_failure(sub, q, r, y, z))
+                        lambda sub, q, r, z: tested.append((sub.mul(z, z), z)) or first_failure(sub, q, r, z))
     candidates = 0
     for q in qs:
         sub = build_subfield(q, 1)
@@ -538,13 +581,20 @@ def _per_z_sweep(p, m, r, include_norm_one):
     if math.gcd(r, q - 1) != 1:
         return hits, first
     minus_one = sub.neg(1)
-    tests = [(("sub", z), sub.mul(z, z), z) for z in range(2, q)
-             if include_norm_one or z != minus_one]
-    tests += [(("ext", y), y, None) for y in sorted(sub.exp(k) for k in range(1, q - 1, 2))]
-    for desc, y, z in tests:
-        alpha = t2_z_first_failure(sub, q, r, y, z)
+    for z in range(2, q):
+        if include_norm_one or z != minus_one:
+            alpha = t2_z_first_failure(sub, q, r, z)
+            if alpha is None:
+                hits.append(z)
+            else:
+                first[alpha] += 1
+    # both roots of a nonsquare y lie outside F_q: a bracket vanishes there
+    # iff E(y) = O(y) = 0
+    for y in sorted(sub.exp(k) for k in range(1, q - 1, 2)):
+        alpha = next((al for al in surviving_alphas(q, 2)
+                      if any(_horner(row, y, sub) for row in powersum.t2_rows(al, r, q, p)[1:])), None)
         if alpha is None:
-            hits.append(desc)
+            hits.append(("nonsquare", y))  # named by no F_q index, so no sweep matches it
         else:
             first[alpha] += 1
     return hits, first
@@ -612,8 +662,8 @@ def test_desk_sweep_pinned(r):
 def test_conjugate_pair_hits_are_named_in_fq():
     # q = 81, r = 23: B_1/(z + 1) is irreducible over F_3 and both of its
     # roots in F_81 pass every alpha
-    assert t2_passing_z(3, 4, 23) == ([("sub", 16), ("sub", 22)], {1: 116})
-    assert all(not build_subfield(3, 4).in_subfield(z) for _, z in t2_passing_z(3, 4, 23)[0])
+    assert t2_passing_z(3, 4, 23) == ([16, 22], {1: 116})
+    assert all(not build_subfield(3, 4).in_subfield(z) for z in t2_passing_z(3, 4, 23)[0])
 
 
 def test_desk_sweep_builds_no_extension_field(monkeypatch):
@@ -638,10 +688,20 @@ def test_desk_sweep_builds_no_extension_field(monkeypatch):
 def _norm_one_bracket_loop(sub, q, r, z):
     """The bracket loop at y = z^2 = 1, the twin of the closed-form verdict."""
     for alpha in surviving_alphas(q, 2):
-        _, e_val, o_val = powersum.t2_bracket(alpha, r, sub, 1)
-        if sub.add(e_val, sub.mul(z, o_val)):
+        _, evens, odds = powersum.t2_rows(alpha, r, q, sub.char)
+        if sub.add(_horner(evens, 1, sub), sub.mul(z, _horner(odds, 1, sub))):
             return alpha
     return None
+
+
+def test_norm_one_reads_no_bracket_row(monkeypatch):
+    # z = +-1 is decided in closed form, without a single bracket row
+    monkeypatch.setattr(ppcheck, "t2_rows", lambda *args: pytest.fail(f"bracket row {args}"))
+    for p, m, q in odd_prime_powers(81):
+        sub = build_subfield(p, m)
+        for r in (1, 5, 7):
+            assert t2_z_first_failure(sub, q, r, 1) == 1
+            assert t2_z_first_failure(sub, q, r, sub.neg(1)) in {None, *surviving_alphas(q, 2)}
 
 
 def test_norm_one_closed_form_matches_bracket_loop():
@@ -654,7 +714,7 @@ def test_norm_one_closed_form_matches_bracket_loop():
             pairs += 1
             for z in (1, sub.neg(1)):
                 alpha = _norm_one_bracket_loop(sub, q, r, z)
-                assert t2_z_first_failure(sub, q, r, 1, z) == alpha, (q, r, z)
+                assert t2_z_first_failure(sub, q, r, z) == alpha, (q, r, z)
                 passing[z == 1, alpha is None] += 1
     assert pairs == 742
     # z = 1 always fails; z = -1 both passes and fails at some alpha > 1

@@ -106,6 +106,27 @@ def test_catalog_bytes_pinned(tmp_path):
     assert digest == "0fd6b88f9c0b77b1708c1b4e43ab4509ba0239c9ecc3520dc596d2f6641ef505"
 
 
+def test_conjugate_pair_hits_reach_the_catalog(tmp_path):
+    # at q = 81, r = 23 both passing z are the roots of a quadratic
+    # irreducible over F_3: expanded, tagged, catalogued and replayed like
+    # any other hit, with the same bytes from the forked pool
+    out = tmp_path / "p1.jsonl"
+    summary = search_exceptional(23, 81, out=str(out))
+    assert (summary["q_swept"], summary["records"]) == (25, 192)
+    _, records, _ = read_catalog(str(out))
+    fibres = {}
+    for rec in records:
+        if rec.q == 81:
+            fibres.setdefault(rec.z, []).append(rec)
+    assert sorted(fibres) == ["[[1,1,2,0],[0,0,0,0]]", "[[1,2,1,0],[0,0,0,0]]"]
+    assert [len(fibre) for fibre in fibres.values()] == [41, 41]
+    assert {rec.family for rec in records} == {"sporadic"}
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "fa29145434ea0dc8e7bd366b9877845871854da97e3b7640cf778be6648f7ef1"
+    search_exceptional(23, 81, jobs=2, out=str(tmp_path / "p2.jsonl"))
+    assert (tmp_path / "p2.jsonl").read_bytes() == out.read_bytes()
+
+
 def test_search_determinism_and_jobs(tmp_path):
     p1 = str(tmp_path / "j1.jsonl")
     p2 = str(tmp_path / "j2.jsonl")
@@ -211,8 +232,8 @@ def test_search_fibre_check_is_live(monkeypatch):
     # leaves the hit's fibre and must not be catalogued on the z-level verdict
     expand = search.expand_z_to_a
 
-    def neighbours(ctx2, zdesc):
-        return [(k + 1, ctx2.element(ctx2.exp(k + 1))) for k, _ in expand(ctx2, zdesc)]
+    def neighbours(ctx2, z):
+        return [(k + 1, ctx2.element(ctx2.exp(k + 1))) for k, _ in expand(ctx2, z)]
     monkeypatch.setattr(search, "expand_z_to_a", neighbours)
     with pytest.raises(AssertionError, match="fibre"):
         search_exceptional(5, 20, include_norm_one=True)
@@ -240,9 +261,8 @@ def test_search_decides_each_fibre_once(tmp_path, monkeypatch):
 
 def _smallest_in_fibre(params):
     """Whether params.a is the smallest-index a of its z-fibre."""
-    ctx2, z = params.ctx2, params.z.idx
-    desc = ("sub", z) if ctx2.in_subfield(z) else ("ext", ctx2.mul(z, z))
-    return ctx2.dlog(params.a.idx) == ppcheck.expand_z_to_a(ctx2, desc)[0][0]
+    ctx2 = params.ctx2
+    return ctx2.dlog(params.a.idx) == ppcheck.expand_z_to_a(ctx2, params.z.idx)[0][0]
 
 
 def test_search_propagates_the_representative_tag(tmp_path, monkeypatch):
