@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import re
 import sys
 from array import array
 from collections import OrderedDict, namedtuple
@@ -413,8 +414,8 @@ class FieldCtx(_Field):
 
     def _parse_bracket(self, text: str) -> int:
         inner = text.strip()
-        if not (inner.startswith("[") and inner.endswith("]")):
-            raise ValueError(f"bad element syntax: {text}")
+        if not (inner.startswith("[") and inner.endswith("]")) or re.search(r"[\[,]\s*[\],]", inner):
+            raise ValueError(f"bad element syntax: {text}")  # an empty coefficient at any depth too
         inner = inner[1:-1]
         parts = []
         depth = 0
@@ -429,8 +430,7 @@ class FieldCtx(_Field):
                 cur = ""
             else:
                 cur += ch
-        if cur.strip():
-            parts.append(cur)
+        parts.append(cur)
         digs = [self.base.parse(p) for p in parts]
         if len(digs) > self.degree:
             raise ValueError(f"too many coefficients in {text}")

@@ -2,22 +2,22 @@
 and by brute force.
 
 For exponents s = alpha + beta*q the sum vanishes unless alpha + beta = q-1
-and alpha is in surviving_alphas(q, t) (for t = 2, alpha odd); the
-surviving sums collapse to short binomial brackets, t2_rows in the
-derived value z = (-a)^(-q(q+1)/2) and t1_bracket in a^(-(q+1)).  Which
-bracket terms survive is controlled by the division-with-remainder pair
-(c, d) of (alpha+1)r - t*alpha by q+1.  Each of these rules is stated once
-here; the permutation test and the search call it.
+and alpha is in surviving_alphas(q, t) (for t = 2, alpha odd); each
+surviving sum is, up to a nonzero prefactor, one bracket polynomial P(Z)
+evaluated at one point: z = (-a)^(-q(q+1)/2) for t = 2, h = a^(-(q+1)) for
+t = 1.  Which bracket terms survive is controlled by the
+division-with-remainder pair (c, d) of (alpha+1)r - t*alpha by q+1.  Each
+of these rules is stated once here; the permutation test and the search
+call it.
 
-Every bracket is built from one memoised row kernel, bracket_row(alpha,
-shift, p): the coefficients binom(alpha,i)(-1)^i binom(i+shift, alpha) mod p.
-The t = 2 even and odd halves, the d = q-1 branch and the t = 1 bracket
-differ only in shift.  t2_rows memoises the t = 2 rows with their d per
-(alpha, r, q), shared by the few candidate z a sweep tests per q, by the
-fast tests of a catalog replay and by the closed forms of one (r, q);
-bracket_row's own memo serves the t = 1 bracket, whose closed forms ask
-for the same row at every a of a field.  Rows are evaluated at a point of
-F_q by exactalg.mp_eval over the subfield.
+bracket(alpha, r, q, t, p) gives (d, P), memoised per key and shared by
+the few candidate z a sweep tests per q, by the fast tests of a catalog
+replay and by the closed forms of one (r, q).  Every P is built from one
+memoised row kernel, bracket_row(alpha, shift, p): the coefficients
+binom(alpha,i)(-1)^i binom(i+shift, alpha) mod p.  The t = 2 even and odd
+halves, the d = q-1 branch and the t = 1 bracket differ only in shift; for
+t = 2, P(Z) = E(Z^2) + Z*O(Z^2) interleaves the halves.  P is evaluated at
+a point of F_q by exactalg.mp_eval over the subfield.
 
 Binomial coefficients mod p have one kernel, binom_intmod: Lucas' product
 of base-p digits, exact for any integer upper entry, since binom(., k) mod p
@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactalg import BiPolyRZ, IntPoly, mp_eval
-from .ff import FieldCtx, FieldElement, PrimeField, compute_z
+from .ff import FieldCtx, FieldElement, compute_z
 from .report import PASS, FAIL, CheckReport
 
 __all__ = [
@@ -45,8 +45,7 @@ __all__ = [
     "cd_pair",
     "surviving_alphas",
     "bracket_row",
-    "t2_rows",
-    "t1_bracket",
+    "bracket",
     "power_sum_closed",
     "power_sum_t2_closed",
     "power_sum_t1_closed",
@@ -155,9 +154,8 @@ def bracket_row(alpha: int, shift: int, p: int) -> tuple:
     for i = 0..alpha.
 
     shift is an integer representative; any representative correct mod p^L
-    with p^L > alpha gives the same row.  Memoised for t1_bracket, which
-    asks for the same row at every a of a field; the t = 2 rows reach it
-    only through the memo of t2_rows.
+    with p^L > alpha gives the same row.  Memoised apart from bracket, as
+    one (alpha, shift) serves brackets of different r.
     """
     out = []
     sign = 1
@@ -180,28 +178,28 @@ def bracket_coeffs_deficient(alpha: int, q: int, p: int):
     return bracket_row(alpha, (q - 1) // 2, p)
 
 
+def _interleave(evens, odds) -> tuple:
+    """E(Z^2) + Z*O(Z^2) as one coefficient tuple; O may be empty."""
+    out = [0] * (2 * len(evens))
+    out[::2], out[1:2 * len(odds):2] = evens, odds
+    return tuple(out)
+
+
 @lru_cache(maxsize=BRACKET_ROW_CACHE)
-def t2_rows(alpha: int, r: int, q: int, p: int) -> tuple:
-    """The t=2 bracket E(z^2) + z*O(z^2), up to a nonzero prefactor, as the
-    rows (d, evens, odds) of E and O, memoised per (alpha, r, q, p); the
-    d = q-1 branch has the deficient row and no odds."""
-    d = cd_pair(alpha, r, q).d
-    if d == q - 1:
-        return d, bracket_coeffs_deficient(alpha, q, p), ()
-    return (d, *bracket_coeffs(alpha, d // 2, (q + 1) // 2, p))
+def bracket(alpha: int, r: int, q: int, t: int, p: int) -> tuple:
+    """(d, P): the useful sum at alpha is P(z) for t = 2, P(h) for t = 1,
+    up to a nonzero prefactor, with P a coefficient tuple over F_p.
 
-
-def t1_bracket(alpha: int, r: int, sub: FieldCtx | PrimeField, h_idx: int) -> tuple[int, int]:
-    """The t=1 bracket at alpha as (d, T(h)), with h = a^(-(q+1)) an F_q
-    index; the sum is T(h) up to a nonzero prefactor.
-
-    In the d = q branch the sum vanishes, so T is 0 there.
+    For t = 2, P(Z) = E(Z^2) + Z*O(Z^2), with no odd half on the d = q-1
+    branch; for t = 1, P is one row, and () where d = q and the sum
+    vanishes.
     """
-    q = sub.order
-    d = cd_pair(alpha, r, q, 1).d
-    if d == q:
-        return d, 0
-    return d, mp_eval(bracket_row(alpha, d, sub.char), h_idx, sub)
+    d = cd_pair(alpha, r, q, t).d
+    if t == 1:
+        return d, () if d == q else bracket_row(alpha, d, p)
+    if d == q - 1:
+        return d, _interleave(bracket_coeffs_deficient(alpha, q, p), ())
+    return d, _interleave(*bracket_coeffs(alpha, d // 2, (q + 1) // 2, p))
 
 
 # ------------------------------------------------------------ closed forms
@@ -246,23 +244,21 @@ def power_sum_t2_closed(r: int, a: FieldElement, s) -> FieldElement:
     """Sum of f(x)^s over F_{q^2} for f = x^r (a + x^(2(q-1))), in closed form.
 
     Requires q odd, gcd(r, q-1) = 1, a != 0.  Zero unless alpha is odd and
-    alpha + beta = q-1; otherwise the three-branch bracket formula in z.
+    alpha + beta = q-1; otherwise B(z) = E(z^2) + z*O(z^2) times
+    (-1)^(d/2) a^(alpha+1-q(1+d/2)).  On the d = q-1 branch O = 0 and, as
+    z = (-a)^(-q(q+1)/2), that is -z*E(z^2)*a^(alpha+1).
     """
     alpha = _closed_alpha(r, 2, a, s)
     ctx2 = a.ctx
     if alpha is None:
         return ctx2.zero()
-    q = ctx2.base.order
-    z = compute_z(a)
-    y = ctx2.mul(z.idx, z.idx)
-    if not ctx2.in_subfield(y):  # pragma: no cover - z^2 is always in F_q
-        raise AssertionError("z^2 outside the subfield")
-    d, evens, odds = t2_rows(alpha, r, q, ctx2.char)
-    e_val, o_val = mp_eval(evens, y, ctx2.base), mp_eval(odds, y, ctx2.base)
-    if d == q - 1:
-        return _scaled(a, alpha + 1, ctx2.mul(z.idx, e_val), 1)
-    dh = d // 2
-    return _scaled(a, alpha + 1 - q * (1 + dh), ctx2.add(e_val, ctx2.mul(z.idx, o_val)), dh)
+    sub = ctx2.base
+    q = sub.order
+    z = compute_z(a).idx
+    y = ctx2.mul(z, z)  # z^2 lies in F_q
+    d, P = bracket(alpha, r, q, 2, ctx2.char)
+    value = ctx2.add(mp_eval(P[::2], y, sub), ctx2.mul(z, mp_eval(P[1::2], y, sub)))
+    return _scaled(a, alpha + 1 - q * (1 + d // 2), value, d // 2)
 
 
 def power_sum_t1_closed(r: int, a: FieldElement, s) -> FieldElement:
@@ -278,10 +274,8 @@ def power_sum_t1_closed(r: int, a: FieldElement, s) -> FieldElement:
     sub = ctx2.base
     q = sub.order
     h = sub.inv(ctx2.pow(a.idx, q + 1))  # a^(-(q+1)), an element of F_q
-    d, t_val = t1_bracket(alpha, r, sub, h)
-    if d == q:
-        return ctx2.zero()
-    return _scaled(a, alpha + 1 - q * (1 + d), t_val, alpha + d + 1)
+    d, P = bracket(alpha, r, q, 1, sub.char)  # P = () where d = q: the sum is 0
+    return _scaled(a, alpha + 1 - q * (1 + d), mp_eval(P, h, sub), alpha + d + 1)
 
 
 def power_sum_brute(r: int, t: int, a: FieldElement, s: int) -> FieldElement:
@@ -357,11 +351,7 @@ def theta_symbolic(alpha: int) -> BiPolyRZ:
 def theta_modp_poly(alpha: int, dhalf: int, p: int) -> list[int]:
     """The bracket as a polynomial in z over F_p, for a residue representative
     dhalf of d/2 (taken mod p^L with p^L > alpha)."""
-    evens, odds = bracket_coeffs(alpha, dhalf, (_period(alpha, p) + 1) // 2, p)
-    out = [0] * (2 * alpha + 2)
-    for i in range(alpha + 1):
-        out[2 * i] = evens[i]
-        out[2 * i + 1] = odds[i]
+    out = list(_interleave(*bracket_coeffs(alpha, dhalf, (_period(alpha, p) + 1) // 2, p)))
     while out and not out[-1]:
         out.pop()
     return out

@@ -34,7 +34,7 @@ from itertools import cycle
 
 from .exactalg import is_probable_prime, mp_divmod, mp_eval, mp_gcd
 from .ff import FieldCtx, FieldElement, PrimePower, PrimeField, build_subfield, check_cap, compute_z
-from .powersum import PowerSumIndex, surviving_alphas, t1_bracket, t2_rows
+from .powersum import PowerSumIndex, bracket, surviving_alphas
 
 __all__ = [
     "BinomialParams",
@@ -186,21 +186,18 @@ def _root_excess(params: BinomialParams) -> int | None:
 def t2_z_first_failure(sub: FieldCtx | PrimeField, q: int, r: int, z: int) -> int | None:
     """First odd alpha whose closed-form sum is nonzero, or None if all vanish.
 
-    z is an index of sub, so it lies in F_q.  The rows are read at q, not at
-    sub.order, so F_p serves as sub whenever z lies in F_p.
-    For odd r, y = z^2 = 1 (z = +-1) is closed form: E(1) = O(1) = (-1)^alpha,
+    z is an index of sub, so it lies in F_q, and the alpha-th sum is
+    B_alpha(z) up to a nonzero prefactor.  The brackets are keyed by q, not
+    by sub.order, so F_p serves as sub whenever z lies in F_p.
+    For odd r, z^2 = 1 (z = +-1) is closed form: E(1) = O(1) = (-1)^alpha,
     so z = 1 fails at alpha = 1 and z = -1 where d = q-1, at the first odd
     alpha with (alpha+1)(r-2) = 0 mod q+1.
     """
-    y = sub.mul(z, z)
-    if y == 1:
+    if sub.mul(z, z) == 1:
         g = math.gcd(r - 2, q + 1)
         return 1 if z == 1 else (None if g == 1 else (q + 1) // g - 1)
-    for alpha in surviving_alphas(q, 2):
-        _, evens, odds = t2_rows(alpha, r, q, sub.char)
-        if sub.add(mp_eval(evens, y, sub), sub.mul(z, mp_eval(odds, y, sub))):
-            return alpha
-    return None
+    return next((alpha for alpha in surviving_alphas(q, 2)
+                 if mp_eval(bracket(alpha, r, q, 2, sub.char)[1], z, sub)), None)
 
 
 def _first_failure_mod(q: int, r: int, mu: list[int], sub: FieldCtx | PrimeField) -> int | None:
@@ -209,14 +206,7 @@ def _first_failure_mod(q: int, r: int, mu: list[int], sub: FieldCtx | PrimeField
     of z over sub; None if every bracket vanishes at z.  This decides a z
     outside sub, and each of its conjugates with it."""
     return next((alpha for alpha in surviving_alphas(q, 2)
-                 if mp_divmod(_interleave(*t2_rows(alpha, r, q, sub.char)[1:]), mu, sub)[1]), None)
-
-
-def _interleave(evens, odds) -> list[int]:
-    """B(z) = E(z^2) + z*O(z^2) as one coefficient list; O may be empty."""
-    out = [0] * (2 * len(evens))
-    out[::2], out[1:2 * len(odds):2] = evens, odds
-    return out
+                 if mp_divmod(bracket(alpha, r, q, 2, sub.char)[1], mu, sub)[1]), None)
 
 
 def is_pp_powersum(params: BinomialParams) -> PPVerdict:
@@ -245,7 +235,8 @@ def is_pp_powersum(params: BinomialParams) -> PPVerdict:
             alpha = _first_failure_mod(q, r, [sub.neg(ctx2.mul(z, z)), 0, 1], sub)
     else:
         h = sub.inv(ctx2.pow(params.a.idx, q + 1))  # a^(-(q+1))
-        alpha = next((al for al in surviving_alphas(q, 1) if t1_bracket(al, r, sub, h)[1]), None)
+        alpha = next((al for al in surviving_alphas(q, 1)
+                      if mp_eval(bracket(al, r, q, 1, sub.char)[1], h, sub)), None)
     if alpha is None:
         return PPVerdict(True, "powersum")
     return PPVerdict(False, "powersum", NonzeroPowerSum(PowerSumIndex.useful(alpha, q).s, alpha))
@@ -345,7 +336,7 @@ def t2_passing_z(p: int, m: int, r: int, include_norm_one: bool = False) -> tupl
         raise ValueError("t = 2 sweep requires odd q")
     if math.gcd(r, q - 1) != 1:
         return [], {}
-    b1 = _interleave(*t2_rows(1, r, q, p)[1:])
+    b1 = bracket(1, r, q, 2, p)[1]
     quo, rem = mp_divmod(b1, [1, 1], fp)  # rem = B_1(-1): 0, or -1 on the d = q-1 branch
     cofactor = mp_gcd(b1 if rem else quo, (), fp)  # monic
     roots = _small_roots(cofactor, fp)

@@ -4,7 +4,7 @@ Installing and removing the wrappers catches that in milliseconds."""
 
 import os
 
-from permbinom import ff, powersum, ppcheck
+from permbinom import ff, powersum, ppcheck, search
 from permbinom.ff import build_tower
 
 BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
@@ -23,6 +23,24 @@ def test_tracer_installs_over_the_package(monkeypatch):
     finally:
         t.uninstall()
     assert (ff.FieldCtx.__init__, powersum.bracket_coeffs, ppcheck.t2_z_first_failure) == originals
+
+
+def test_tracer_sees_the_bracket_layer(monkeypatch):
+    # the tracer times bracket_coeffs and bracket_coeffs_deficient by name,
+    # so a bracket built around them would read 0 bracket rows; the memo is
+    # cleared so the sweep builds its brackets under the tracer
+    monkeypatch.syspath_prepend(BENCH_DIR)
+    import tracer
+
+    powersum.bracket.cache_clear()
+    t = tracer.Tracer()
+    t.install()
+    try:
+        search.thm21_desk_sweep(5, 10**4)
+    finally:
+        t.uninstall()
+    assert t.hot["powersum.bracket_rows"][0] > 0
+    assert t.hot["ppcheck.z_test"][0] > 0
 
 
 def test_tracer_counts_closed_dispatch_once(monkeypatch):

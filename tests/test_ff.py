@@ -251,6 +251,22 @@ def test_element_text_roundtrip():
     assert fq2.parse("3") == 3
 
 
+def test_element_text_refuses_empty_coefficients():
+    # an empty coefficient, trailing or in an empty bracket, at any depth, is
+    # refused with the whole text; a short vector still pads with zeros
+    for (p, m), texts in (((5, 1), ["[1,2,]", "[]", "[ ]", "[1,,2]", "[,1]", "[1, ,2]"]),
+                          ((3, 2), ["[[1,2,],[0,1]]", "[[],[0,1]]", "[[1,2],[0,1],]", "[[1,,2],[0,1]]"])):
+        fq2 = build_tower(p, m)[1]
+        for text in texts:
+            with pytest.raises(ValueError) as err:
+                fq2.parse(text)
+            assert str(err.value) == f"bad element syntax: {text}"
+    fq2 = build_tower(5, 1)[1]
+    assert fq2.parse("[1]") == fq2.parse("[1,0]") == 1 and fq2.parse(" [ 1 , 2 ] ") == fq2.parse("[1,2]")
+    fq2 = build_tower(3, 2)[1]
+    assert fq2.parse("[[1],[0,1]]") == fq2.parse("[[1,0],[0,1]]")
+
+
 def test_ctx_mismatch():
     _, a2 = build_tower(3, 1)
     _, b2 = build_tower(5, 1)

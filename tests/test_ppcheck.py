@@ -21,7 +21,15 @@ from permbinom.ppcheck import (
     t2_z_first_failure,
     thm21_bound,
 )
-from permbinom.powersum import PowerSumIndex, power_sum_closed, surviving_alphas
+from permbinom.powersum import (
+    PowerSumIndex,
+    bracket_coeffs,
+    bracket_coeffs_deficient,
+    bracket_row,
+    cd_pair,
+    power_sum_closed,
+    surviving_alphas,
+)
 from permbinom.search import odd_prime_powers, thm21_desk_sweep
 from cz_twin import fq_roots
 
@@ -372,7 +380,7 @@ def test_z_sweep_matches_brute_across_shared_p():
     fields = ((3, 1), (3, 2), (5, 1), (5, 2), (7, 1))
     towers = {pm: build_tower(*pm)[1] for pm in fields}
     hits = Counter()
-    powersum.t2_rows.cache_clear()
+    powersum.bracket.cache_clear()
     for include in (False, True):
         for r in (5, 7):
             for (p, m), fq2 in towers.items():
@@ -489,6 +497,34 @@ def _interleave(evens, odds):
     return [c for pair in itertools.zip_longest(evens, odds, fillvalue=0) for c in pair]
 
 
+def test_bracket_poly_layout():
+    # bracket(alpha, r, q, t, p) against its rows at cd_pair's d: for t = 2
+    # the interleave of the even and odd halves, with no odd half on the
+    # d = q-1 branch; for t = 1 the row at shift d, and () where d = q
+    branches = Counter()
+    for q in range(2, 28):
+        try:
+            p = PrimePower.from_q(q).p
+        except ValueError:
+            continue
+        for t in (1, 2) if q % 2 else (1,):
+            for r in range(1, 2 * (q + 1), 2):
+                if math.gcd(r, q - 1) != 1:
+                    continue
+                for alpha in surviving_alphas(q, t):
+                    d = cd_pair(alpha, r, q, t).d
+                    edge = d == (q if t == 1 else q - 1)
+                    if t == 1:
+                        want = () if edge else bracket_row(alpha, d, p)
+                    elif edge:
+                        want = _interleave(bracket_coeffs_deficient(alpha, q, p), ())
+                    else:
+                        want = _interleave(*bracket_coeffs(alpha, d // 2, (q + 1) // 2, p))
+                    assert powersum.bracket(alpha, r, q, t, p) == (d, tuple(want)), (q, r, t, alpha)
+                    branches[t, edge] += 1
+    assert len(branches) == 4, branches
+
+
 def test_alpha1_bracket_is_z_plus_one_times_the_cofactor():
     # off the d = q-1 branch the rows (s, -(s+1)) put z = -1 among the roots
     # of B_1 = e0 + o0*z + e1*z^2 + o1*z^3, and B_1 = (z + 1)*Q with Q expanded
@@ -497,11 +533,10 @@ def test_alpha1_bracket_is_z_plus_one_times_the_cofactor():
     for p, m, q in odd_prime_powers(125):
         fp = build_subfield(p, 1)
         for r in range(1, 42, 2):
-            _, evens, odds = powersum.t2_rows(1, r, q, p)
-            b1 = _interleave(evens, odds)
-            if odds:
+            d, b1 = powersum.bracket(1, r, q, 2, p)
+            if d != q - 1:
                 off += 1
-                (e0, e1), (o0, o1) = evens, odds
+                e0, o0, e1, o1 = b1
                 cofactor = [(o0 - e1 + o1) % p, (e1 - o1) % p, o1]
                 assert not mp_sub(mp_mul([1, 1], cofactor, fp), b1, fp), (q, r)
             else:
@@ -521,8 +556,8 @@ def test_no_nonsquare_passes_alpha_one():
             if math.gcd(r, q - 1) != 1:
                 continue
             pairs += 1
-            d, evens, odds = powersum.t2_rows(1, r, q, p)
-            common = mp_gcd(evens, odds, fp)
+            d, b1 = powersum.bracket(1, r, q, 2, p)
+            common = mp_gcd(b1[::2], b1[1::2], fp)
             if len(common) > 1:
                 deficient += 1
                 assert common == [1, 1] and d == q - 1 and q % 4 == 1, (q, r, common)
@@ -560,12 +595,12 @@ def test_sweep_candidates_match_cantor_zassenhaus_twin(r, monkeypatch):
     candidates = 0
     for q in qs:
         sub = build_subfield(q, 1)
-        _, evens, odds = powersum.t2_rows(1, r, q, q)
-        ys = fq_roots(mp_gcd(evens, odds, sub), sub)
+        b1 = powersum.bracket(1, r, q, 2, q)[1]
+        ys = fq_roots(mp_gcd(b1[::2], b1[1::2], sub), sub)
         assert not [y for y in ys if y and sub.pow(y, (q - 1) // 2) != 1], q
         tested.clear()
         t2_passing_z(q, 1, r, True)
-        want = [(sub.mul(z, z), z) for z in fq_roots(_interleave(evens, odds), sub) if z > 1]
+        want = [(sub.mul(z, z), z) for z in fq_roots(b1, sub) if z > 1]
         assert tested == want, q
         candidates += len(want)
     assert len(qs) > 200 and candidates > len(qs)
@@ -589,10 +624,14 @@ def _per_z_sweep(p, m, r, include_norm_one):
             else:
                 first[alpha] += 1
     # both roots of a nonsquare y lie outside F_q: a bracket vanishes there
-    # iff E(y) = O(y) = 0
+    # iff E(y) = O(y) = 0, the even and odd halves of the bracket
     for y in sorted(sub.exp(k) for k in range(1, q - 1, 2)):
-        alpha = next((al for al in surviving_alphas(q, 2)
-                      if any(_horner(row, y, sub) for row in powersum.t2_rows(al, r, q, p)[1:])), None)
+        for alpha in surviving_alphas(q, 2):
+            b = powersum.bracket(alpha, r, q, 2, p)[1]
+            if _horner(b[::2], y, sub) or _horner(b[1::2], y, sub):
+                break
+        else:
+            alpha = None
         if alpha is None:
             hits.append(("nonsquare", y))  # named by no F_q index, so no sweep matches it
         else:
@@ -604,7 +643,7 @@ def test_sweep_matches_per_z_twin():
     deficient = 0
     for p, m, q in odd_prime_powers(125):
         for r in range(1, 42, 2):
-            if math.gcd(r, q - 1) == 1 and powersum.t2_rows(1, r, q, p)[0] == q - 1:
+            if math.gcd(r, q - 1) == 1 and powersum.bracket(1, r, q, 2, p)[0] == q - 1:
                 deficient += 1  # alpha = 1 has no odd row
             for include in (False, True):
                 hits, first = _per_z_sweep(p, m, r, include)
@@ -688,15 +727,15 @@ def test_desk_sweep_builds_no_extension_field(monkeypatch):
 def _norm_one_bracket_loop(sub, q, r, z):
     """The bracket loop at y = z^2 = 1, the twin of the closed-form verdict."""
     for alpha in surviving_alphas(q, 2):
-        _, evens, odds = powersum.t2_rows(alpha, r, q, sub.char)
-        if sub.add(_horner(evens, 1, sub), sub.mul(z, _horner(odds, 1, sub))):
+        b = powersum.bracket(alpha, r, q, 2, sub.char)[1]
+        if sub.add(_horner(b[::2], 1, sub), sub.mul(z, _horner(b[1::2], 1, sub))):
             return alpha
     return None
 
 
 def test_norm_one_reads_no_bracket_row(monkeypatch):
     # z = +-1 is decided in closed form, without a single bracket row
-    monkeypatch.setattr(ppcheck, "t2_rows", lambda *args: pytest.fail(f"bracket row {args}"))
+    monkeypatch.setattr(ppcheck, "bracket", lambda *args: pytest.fail(f"bracket {args}"))
     for p, m, q in odd_prime_powers(81):
         sub = build_subfield(p, m)
         for r in (1, 5, 7):
