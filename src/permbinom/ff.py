@@ -218,7 +218,7 @@ class PrimeField(_Field):
         return str(idx)
 
     def _parse_bracket(self, text: str) -> int:
-        raise ValueError(f"unexpected bracket for prime-field element: {text}")
+        raise ValueError(f"bad element syntax: {text}")
 
     def describe(self) -> dict:
         """Construction data: (p, m, modulus), with no modulus."""
@@ -416,26 +416,19 @@ class FieldCtx(_Field):
         inner = text.strip()
         if not (inner.startswith("[") and inner.endswith("]")) or re.search(r"[\[,]\s*[\],]", inner):
             raise ValueError(f"bad element syntax: {text}")  # an empty coefficient at any depth too
-        inner = inner[1:-1]
-        parts = []
-        depth = 0
-        cur = ""
-        for ch in inner:
-            if ch == "[":
-                depth += 1
-            elif ch == "]":
-                depth -= 1
-            if ch == "," and depth == 0:
-                parts.append(cur)
-                cur = ""
+        parts, depth = [""], 0
+        for ch in inner[1:-1]:
+            depth += (ch == "[") - (ch == "]")
+            if depth < 0:  # a "]" closes the outer bracket early
+                break
+            if ch == "," and not depth:
+                parts.append("")
             else:
-                cur += ch
-        parts.append(cur)
+                parts[-1] += ch
+        if depth or len(parts) > self.degree:  # unbalanced brackets, or too many coefficients
+            raise ValueError(f"bad element syntax: {text}")
         digs = [self.base.parse(p) for p in parts]
-        if len(digs) > self.degree:
-            raise ValueError(f"too many coefficients in {text}")
-        digs += [0] * (self.degree - len(digs))
-        return self._encode(digs)
+        return self._encode(digs + [0] * (self.degree - len(digs)))
 
     def describe(self) -> dict:
         """Construction data: (p, m, modulus coefficient vectors)."""

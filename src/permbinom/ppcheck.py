@@ -55,26 +55,22 @@ __all__ = [
 FAMILY_ORDER = ("family_i", "family_iii", "family_iv", "thm42", "family_ii")
 
 
-class BinomialParams:
-    """Parameters (q, r, t, a) of one binomial, with the derived z cached."""
+class BinomialParams(namedtuple("BinomialParams", "a r t")):
+    """Parameters (q, r, t, a) of one binomial; z is derived on each read."""
 
-    __slots__ = ("a", "r", "t", "_z")
+    __slots__ = ()
 
-    def __init__(self, a: FieldElement, r: int, t: int):
-        ctx2 = a.ctx
-        if ctx2.base is None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if self.a.ctx.base is None:
             raise ValueError("a must live in the quadratic extension")
-        q = ctx2.base.order
-        if r < 1:
-            raise ValueError(f"r={r} must be >= 1")
-        if not 1 <= t <= q:
-            raise ValueError(f"t={t} out of range 1..{q}")
-        if a.idx == 0:
+        if self.r < 1:
+            raise ValueError(f"r={self.r} must be >= 1")
+        if not 1 <= self.t <= self.q:
+            raise ValueError(f"t={self.t} out of range 1..{self.q}")
+        if self.a.idx == 0:
             raise ValueError("a must be nonzero")
-        self.a = a
-        self.r = r
-        self.t = t
-        self._z = None
+        return self
 
     @property
     def ctx2(self) -> FieldCtx:
@@ -95,9 +91,7 @@ class BinomialParams:
     @property
     def z(self) -> FieldElement:
         """The derived value for t = 2 (requires odd q)."""
-        if self._z is None:
-            self._z = compute_z(self.a)
-        return self._z
+        return compute_z(self.a)
 
     def __repr__(self):
         return f"BinomialParams(q={self.q}, r={self.r}, t={self.t}, a={self.a.text})"
@@ -262,10 +256,10 @@ def classify_family(params: BinomialParams) -> FamilyTag:
     Every predicate that holds is recorded; the tag is the first holder in a
     fixed precedence order, sporadic if the map permutes but nothing fired,
     not_pp if it does not permute.  For t > 2 only the norm-one family
-    applies; families (iii) and (iv) are read off the cached z, with r
-    taken mod q^2-1 since x^r depends only on that residue.  The
-    permutation verdict is the brute test's, so the field must lie within
-    the enumeration cap (ValueError above it).
+    applies; families (iii) and (iv) are read off z, with r taken mod
+    q^2-1 since x^r depends only on that residue.  The permutation verdict
+    is the brute test's, so the field must lie within the enumeration cap
+    (ValueError above it).
     """
     ctx2 = params.ctx2
     q, r, t, p = params.q, params.r, params.t, params.p

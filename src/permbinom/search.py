@@ -66,9 +66,9 @@ class SearchRecord(namedtuple("SearchRecord", RECORD_TYPES)):
     __slots__ = ()
 
 
-def _record_key(d: dict) -> tuple:
-    """Catalog order and uniqueness key of a record dict."""
-    return (d["q"], d["r"], d["t"], d["a_index"])
+def _record_key(rec: SearchRecord) -> tuple:
+    """Catalog order and uniqueness key of a record."""
+    return (rec.q, rec.r, rec.t, rec.a_index)
 
 
 def _pmap(fn, tasks: list, jobs: int) -> list:
@@ -117,7 +117,7 @@ def _admissible_qs(r: int, q_max: int, cap: int) -> list[tuple[int, int, int]]:
     ]
 
 
-def _sweep_one_q(task) -> list[dict]:
+def _sweep_one_q(task) -> list[SearchRecord]:
     """Worker: decide every a of one field through its z values; expand hits."""
     p, m, q, r, include_norm_one = task
     hits, _ = t2_passing_z(p, m, r, include_norm_one)
@@ -130,8 +130,9 @@ def _sweep_one_q(task) -> list[dict]:
         tag = None
         for a_index, a in expand_z_to_a(fq2, z):
             params = BinomialParams(a, r, 2)
+            z_a = params.z
             # the z-level verdict holds for a only if a lies in the hit's fibre
-            if params.z.idx != z:
+            if z_a.idx != z:
                 raise AssertionError(f"a = {a.text} lies outside the z-fibre of {fq2.render(z)}")
             if tag is None:
                 # the tag, brute verdict included, depends on a only through
@@ -142,10 +143,10 @@ def _sweep_one_q(task) -> list[dict]:
             records.append(
                 SearchRecord(
                     p=p, m=m, q=q, r=r, t=2,
-                    a=a.text, a_index=a_index, z=params.z.text,
+                    a=a.text, a_index=a_index, z=z_a.text,
                     is_pp=True, family=tag.tag, method="powersum",
                     version=__version__, modulus=desc["modulus"],
-                )._asdict()
+                )
             )
     return records
 
@@ -162,13 +163,13 @@ def check_output_path(path: str):
         raise FileNotFoundError(f"output directory {out_dir} does not exist")
 
 
-def _write_catalog(path: str, header: dict, records: list[dict], done: list[dict]):
+def _write_catalog(path: str, header: dict, records: list[SearchRecord], done: list[dict]):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("#PERMBINOM-CATALOG " + json.dumps(header) + "\n")
         for d in done:
             fh.write("#DONE " + json.dumps(d) + "\n")
         for rec in records:
-            fh.write(json.dumps(rec) + "\n")
+            fh.write(json.dumps(rec._asdict()) + "\n")
 
 
 def _entry(text: str, types: dict, where: str) -> dict:
@@ -214,12 +215,9 @@ def catalog_to_csv(path_in: str, path_out: str):
 
     _, records, _ = read_catalog(path_in)
     with open(path_out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SearchRecord._fields)
-        writer.writeheader()
-        for rec in records:
-            d = rec._asdict()
-            d["modulus"] = json.dumps(d["modulus"])
-            writer.writerow(d)
+        writer = csv.writer(fh)
+        writer.writerow(SearchRecord._fields)
+        writer.writerows([*rec[:-1], json.dumps(rec.modulus)] for rec in records)  # modulus is last
 
 
 def search_exceptional(
@@ -252,17 +250,17 @@ def search_exceptional(
                          f"q_max may be at most {math.isqrt(cap)}")
     params = {"r": r, "t": 2, "q_min": 3, "q_max": q_max, "include_norm_one": include_norm_one}
     done_pairs: set[tuple[int, int]] = set()
-    records: list[dict] = []
+    records: list[SearchRecord] = []
     if resume and out is not None and os.path.exists(out):
         old_header, old, done = read_catalog(out)
         if old_header.get("params") != params or old_header.get("cap") != cap:
             raise ValueError("cannot resume: existing catalog was produced with different flags")
         done_pairs = {(d["q"], d["r"]) for d in done}
-        records = [rec._asdict() for rec in old if (rec.q, rec.r) in done_pairs]
+        records = [rec for rec in old if (rec.q, rec.r) in done_pairs]
         # the sweep never repeats a record; a damaged catalog can
         seen = set()
-        for d in records:
-            key = _record_key(d)
+        for rec in records:
+            key = _record_key(rec)
             if key in seen:
                 raise ValueError(f"{out}: duplicate catalog record (q, r, t, a_index) = {key}")
             seen.add(key)
@@ -287,16 +285,16 @@ def search_exceptional(
         _replay_catalog(out)  # before the summary reads resumed records' p
 
     # a norm-one hit always satisfies the complete norm-one criterion, so the
-    # family_i tag is the authoritative norm marker
+    # family_i tag, which the replay re-derives, is the authoritative norm marker
     below = above = sporadic_below = 0
-    bounds = {p: thm21_bound(r, p) for p in {d["p"] for d in records}}  # one primality test per p
-    for d in records:
-        if d["q"] >= bounds[d["p"]]:
-            if d["family"] != "family_i":
+    bounds = {p: thm21_bound(r, p) for p in {rec.p for rec in records}}  # one primality test per p
+    for rec in records:
+        if rec.q >= bounds[rec.p]:
+            if rec.family != "family_i":
                 above += 1
         else:
             below += 1
-            if d["family"] == "sporadic":
+            if rec.family == "sporadic":
                 sporadic_below += 1
 
     summary = {
@@ -314,56 +312,57 @@ def search_exceptional(
 
 
 def _replay_catalog(path: str):
-    """Re-decide every record of a written catalog, resumed ones included: its
-    q and modulus must be those of the tower built from (p, m), its a text
-    must be the canonical text of its a_index, its z text must be z(a), and
-    each distinct (q, r, t, z) must get the record's verdict from the fast
-    test, which runs once per key since the t = 2 verdict depends on a only
-    through z.  Before the next q, the brute walk re-decides each key on its
-    second record in catalog order (its first if it has only one): evidence
-    from an a other than the sweep's, while no sample outlives the cache.
-    ValueError naming the catalog and the record on any mismatch, and on
-    any record value the tower, the parser or the parameters reject."""
+    """Re-decide every record of a written catalog, resumed ones included:
+    each must be a hit, its q and modulus those of the tower built from
+    (p, m), its a text the canonical text of its a_index and its z text
+    z(a).  Before the next q, each z-fibre (p, m, r, t, z) is decided once,
+    on its second record in catalog order (its first if it has only one):
+    evidence from an a other than the sweep's, while no sample outlives the
+    cache.  The fast test must pass it, since the t = 2 verdict depends on a
+    only through z, and classify_family, whose one brute walk is the sample,
+    must tag it as a permutation with the family every record of the fibre
+    carries.  ValueError naming the catalog and the record on any mismatch,
+    and on any record value the tower, the parser or the parameters reject."""
     _, records, _ = read_catalog(path)
     # newest q first, while the sweep's last towers and bracket rows are
     # still cached; the sort is stable, so each q keeps its catalog order
     for _, q_records in groupby(sorted(records, key=lambda rec: -rec.q), key=lambda rec: rec.q):
-        verdicts, samples = {}, {}  # key -> fast verdict, key -> its first two (record, params)
-        for rec in q_records:
-            try:
-                problem = _replay_problem(rec, verdicts, samples)
-            except ValueError as exc:
-                problem = str(exc)
-            if problem:
-                raise ValueError(f"{path}: {problem} on record {json.dumps(rec._asdict())}")
-        for rec, params in (picks[-1] for picks in samples.values()):
-            if ppcheck.is_pp_brute(params).is_pp != rec.is_pp:
-                raise ValueError(f"{path}: brute sample mismatch on record {json.dumps(rec._asdict())}")
+        fibres = {}  # (p, m, r, t, z) -> its [(record, params)] in catalog order
+        try:  # rec is the record under scrutiny throughout
+            for rec in q_records:
+                params = _replay_params(rec)
+                fibres.setdefault((rec.p, rec.m, rec.r, rec.t, rec.z), []).append((rec, params))
+            for fibre in fibres.values():
+                rec, params = fibre[len(fibre) > 1]
+                if not is_pp_powersum(params).is_pp:
+                    raise ValueError("round-trip verdict mismatch")
+                tag = classify_family(params).tag
+                if tag == "not_pp":
+                    raise ValueError("brute sample mismatch")
+                for rec, _ in fibre:
+                    if rec.family != tag:
+                        raise ValueError("family mismatch")
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc} on record {json.dumps(rec._asdict())}") from None
 
 
-def _replay_problem(rec: SearchRecord, verdicts: dict, samples: dict) -> str | None:
-    """What is wrong with one catalog record, None if nothing; records the
-    fast verdict of its key in verdicts and the record in samples."""
+def _replay_params(rec: SearchRecord) -> BinomialParams:
+    """The parameters of one catalog record; ValueError if it is not a hit
+    or the tower built from its (p, m) does not reproduce its values."""
+    if not rec.is_pp:  # the sweep writes only hits
+        raise ValueError("not a hit")
     _, fq2 = build_tower(rec.p, rec.m)
     idx = fq2.parse(rec.a)
     params = BinomialParams(fq2.element(idx), rec.r, rec.t)
     if rec.q != rec.p**rec.m or rec.modulus != fq2.describe()["modulus"]:
-        return "construction data mismatch"
+        raise ValueError("construction data mismatch")
     if fq2.render(idx) != rec.a:
-        return "non-canonical a text"
+        raise ValueError("non-canonical a text")
     if fq2.dlog(idx) != rec.a_index:
-        return "a-index mismatch"
+        raise ValueError("a-index mismatch")
     if params.z.text != rec.z:
-        return "z mismatch"
-    key = (rec.p, rec.m, rec.r, rec.t, rec.z)
-    if key not in verdicts:
-        verdicts[key] = is_pp_powersum(params).is_pp
-    if verdicts[key] != rec.is_pp:
-        return "round-trip verdict mismatch"
-    picks = samples.setdefault(key, [])
-    if len(picks) < 2:
-        picks.append((rec, params))
-    return None
+        raise ValueError("z mismatch")
+    return params
 
 
 # ------------------------------------------------------- cross-validation

@@ -12,8 +12,8 @@ import pytest
 
 import permbinom
 from permbinom.exactalg import Factorization
-from permbinom.ff import PrimePower, build_tower
-from permbinom.ppcheck import Collision, PPVerdict
+from permbinom.ff import PrimePower, build_tower, compute_z
+from permbinom.ppcheck import BinomialParams, Collision, PPVerdict
 from permbinom.report import FAIL, PASS, CheckReport
 
 SRC = Path(permbinom.__path__[0])
@@ -66,6 +66,11 @@ def _point(idx: int):
     return fq2.element(idx)
 
 
+def _in_fq(idx: int):  # an element of F_3, not of F_9
+    fq, _ = build_tower(3, 1)
+    return fq.element(idx)
+
+
 @pytest.mark.parametrize("build, match", [
     (lambda: CheckReport("c", "bogus"), "bad status 'bogus'"),
     (lambda: CheckReport("c", FAIL, "", "1"), "expected and computed"),
@@ -80,6 +85,15 @@ def _point(idx: int):
     (lambda: Factorization(1, ((3, 1), (5, 0))), "multiplicities must be positive"),
     (lambda: Factorization(unit=0, factors=()), "unit must be"),
     (lambda: Factorization(unit=-1, factors=((3, -1),)), "multiplicities must be positive"),
+    (lambda: BinomialParams(_in_fq(1), 5, 2), "quadratic extension"),
+    (lambda: BinomialParams(_point(1), 0, 2), "r=0 must be >= 1"),
+    (lambda: BinomialParams(_point(1), 5, 4), r"t=4 out of range 1\.\.3"),
+    (lambda: BinomialParams(_point(1), 5, 0), r"t=0 out of range 1\.\.3"),
+    (lambda: BinomialParams(_point(0), 5, 2), "a must be nonzero"),
+    (lambda: BinomialParams(a=_in_fq(2), r=5, t=2), "quadratic extension"),
+    (lambda: BinomialParams(a=_point(1), r=-1, t=2), "r=-1 must be >= 1"),
+    (lambda: BinomialParams(a=_point(1), r=5, t=4), r"t=4 out of range 1\.\.3"),
+    (lambda: BinomialParams(a=_point(0), r=5, t=1), "a must be nonzero"),
 ])
 def test_records_validate_positional_and_keyword_fields(build, match):
     with pytest.raises(ValueError, match=match):
@@ -97,3 +111,13 @@ def test_valid_records_build_either_way_and_keep_their_reprs():
     assert repr(PPVerdict(True, "brute")) == "PPVerdict(is_pp=True, method='brute', witness=None, note='')"
     assert repr(PrimePower(3, 2)) == "PrimePower(3^2=9)"
     assert hash(PrimePower(3, 2)) == hash(PrimePower(p=3, m=2))
+
+
+def test_binomial_params_are_values_with_z_derived_on_read():
+    a = _point(5)
+    params = BinomialParams(a, 5, 2)
+    assert params == BinomialParams(a=_point(5), r=5, t=2) and params != BinomialParams(a, 7, 2)
+    assert hash(params) == hash(BinomialParams(_point(5), 5, 2))
+    assert repr(params) == "BinomialParams(q=3, r=5, t=2, a=[2,1])"
+    assert (params.q, params.p, params.sub.order, params.ctx2.order) == (3, 3, 3, 9)
+    assert params.z == compute_z(a) and params.z == compute_z(params.a)

@@ -12,7 +12,7 @@ import pytest
 from permbinom import cli, ff, ppcheck, search
 from permbinom.cli import main
 from permbinom.ff import build_tower, compute_z
-from permbinom.ppcheck import BinomialParams, FamilyTag, PPVerdict, is_pp_brute, is_pp_powersum
+from permbinom.ppcheck import BinomialParams, PPVerdict, is_pp_brute, is_pp_powersum
 from permbinom.report import all_ok
 from permbinom.search import (
     catalog_to_csv,
@@ -266,17 +266,28 @@ def _smallest_in_fibre(params):
 
 
 def test_search_propagates_the_representative_tag(tmp_path, monkeypatch):
-    # only each fibre's smallest-index a is classified; its tag is every a's
-    classify = search.classify_family
+    # the sweep classifies only each fibre's smallest-index a; its tag is
+    # every a's (the replay, which classifies a second a, is not counted)
+    classify, replay, swept = search.classify_family, search._replay_catalog, []
 
-    def marked(params):
-        return FamilyTag("marker", ()) if _smallest_in_fibre(params) else classify(params)
-    monkeypatch.setattr(search, "classify_family", marked)
+    def recorded(params):
+        swept.append(params)
+        return classify(params)
+
+    def replay_unrecorded(path):
+        monkeypatch.setattr(search, "classify_family", classify)
+        replay(path)
+    monkeypatch.setattr(search, "classify_family", recorded)
+    monkeypatch.setattr(search, "_replay_catalog", replay_unrecorded)
     out = str(tmp_path / "cat.jsonl")
     search_exceptional(5, 30, include_norm_one=True, out=out)
     _, records, _ = read_catalog(out)
-    assert len(records) > len({(rec.q, rec.z) for rec in records}) > 1
-    assert {rec.family for rec in records} == {"marker"}
+    fibres = {(rec.q, rec.z) for rec in records}
+    assert len(records) > len(fibres) > 1
+    assert len(swept) == len(fibres) and all(map(_smallest_in_fibre, swept))
+    tags = {(params.q, params.z.text): classify(params).tag for params in swept}
+    assert set(tags) == fibres and len(set(tags.values())) > 1
+    assert all(rec.family == tags[rec.q, rec.z] for rec in records)
 
 
 def test_replay_brute_sample_is_live(tmp_path, monkeypatch):
@@ -644,6 +655,18 @@ def test_cli_bad_element_text_exits_2(text, bad, capsys):
     assert err.strip() == f"error: bad element syntax: {bad}"
 
 
+@pytest.mark.parametrize("p, m, text, bad", [
+    (5, 1, "[[1],2]", "[1]"),  # a bracket over F_p is named as that bracket
+    (5, 1, "[1,2,3]", "[1,2,3]"),  # so is a vector longer than the degree
+    (5, 1, "[1,2]]", "[1,2]]"),  # a text whose brackets do not balance is named whole
+    (3, 2, "[[1,2]],[0,1]]", "[[1,2]],[0,1]]"),
+])
+def test_cli_misshapen_bracket_text_exits_2(p, m, text, bad, capsys):
+    err = _assert_usage_error(capsys, "is-pp", "--p", str(p), "--m", str(m), "--r", "3", "--t", "2",
+                              "--a", text)
+    assert err.strip() == f"error: bad element syntax: {bad}"
+
+
 def test_cli_huge_m_exits_2_at_once(capsys):
     # the cap is decided without forming q^2 = 3^200000000
     start = time.perf_counter()
@@ -821,6 +844,40 @@ def test_cli_resume_forged_record_exit_2(tmp_path, capsys):
     assert len(read_catalog(out)[1]) == 146
     err = _assert_usage_error(capsys, *argv, "--resume")
     assert out in err and "round-trip verdict mismatch" in err
+
+
+def test_cli_resume_wrong_family_or_non_hit_exit_2(tmp_path, capsys):
+    # the summary counts every record as a hit and reads the sporadic and
+    # norm-one counts off its family: a relabelled fibre, or a consistent
+    # record of a non-permuting binomial, is refused rather than counted
+    out = str(tmp_path / "cat.jsonl")
+    argv = ("search", "--r", "5", "--q-max", "30", "--include-norm-one", "--out", out)
+
+    def relabel(old, new, count, q_min=0):
+        def apply(records):
+            moved = [d for d in records if d["family"] == old and d["q"] >= q_min]
+            assert len(moved) == count
+            for d in moved:
+                d["family"] = new
+            return records
+        return apply
+
+    def forge(records):
+        d = records[-1]
+        fq2 = build_tower(d["p"], d["m"])[1]
+        k = (d["a_index"] + 1) % (fq2.order - 1)
+        a = fq2.element(fq2.exp(k))
+        assert not is_pp_brute(BinomialParams(a, 5, 2)).is_pp
+        d.update(a=a.text, a_index=k, z=compute_z(a).text, is_pp=False, family="not_pp")
+        return records
+    for edit, problem, named in ((relabel("sporadic", "family_iii", 34), "family mismatch", "family_iii"),
+                                 (relabel("family_i", "sporadic", 37, 19), "family mismatch", "sporadic"),
+                                 (forge, "not a hit", "not_pp")):
+        assert run_cli(*argv) == 0
+        capsys.readouterr()
+        _rewrite_records(out, edit)
+        err = _assert_usage_error(capsys, *argv, "--resume")
+        assert err.startswith(f"error: {out}: {problem} on record {{") and f'"family": "{named}"' in err, err
 
 
 def test_cli_resume_duplicate_record_exit_2(tmp_path, capsys):
