@@ -57,6 +57,7 @@ __all__ = [
     "FieldElement",
     "build_tower",
     "build_subfield",
+    "check_quadratic_unit",
     "compute_z",
     "enumerate_elements",
 ]
@@ -569,20 +570,25 @@ def _subfield(p: int, m: int) -> FieldCtx | PrimeField:
     return fp if m == 1 else FieldCtx(fp, _lex_smallest_irreducible(fp, m))
 
 
+def check_quadratic_unit(a: FieldElement):
+    """ValueError unless a is a nonzero element of a degree-2 extension."""
+    if a.ctx.base is None or a.ctx.degree != 2:
+        raise ValueError("a must live in the quadratic extension")
+    if a.idx == 0:
+        raise ValueError("a must be nonzero")
+
+
 def compute_z(a: FieldElement) -> FieldElement:
     """The derived field value z = (-a)^(-q(q+1)/2) for a in F_{q^2}*, q odd.
 
     The exponent is reduced mod q^2-1 before the table-based power; z^2
     always lies in the subfield F_q.
     """
+    check_quadratic_unit(a)
     ctx2 = a.ctx
-    if ctx2.base is None:
-        raise ValueError("z is defined on the quadratic extension")
     q = ctx2.base.order
     if q % 2 == 0:
         raise ValueError("z requires odd q")
-    if a.idx == 0:
-        raise ValueError("z requires a != 0")
     e = -(q * (q + 1) // 2) % (ctx2.order - 1)
     return FieldElement(ctx2, ctx2.pow(ctx2.neg(a.idx), e))
 

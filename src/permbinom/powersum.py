@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactalg import BiPolyRZ, IntPoly, mp_eval
-from .ff import FieldCtx, FieldElement, compute_z
+from .ff import FieldCtx, FieldElement, check_quadratic_unit, compute_z
 from .report import PASS, FAIL, CheckReport
 
 __all__ = [
@@ -207,16 +207,12 @@ def bracket(alpha: int, r: int, q: int, t: int, p: int) -> tuple:
 def _closed_alpha(r: int, t: int, a: FieldElement, s) -> int | None:
     """The checks both closed forms make, in order; then the alpha of s if
     its sum can be nonzero, None if the sum vanishes outright."""
-    sub = a.ctx.base
-    if sub is None:
-        raise ValueError("a must live in the quadratic extension")
-    q = sub.order
+    check_quadratic_unit(a)
+    q = a.ctx.base.order
     if t == 2 and q % 2 == 0:
         raise ValueError("closed form requires odd q")
     if math.gcd(r, q - 1) != 1:
         raise ValueError("closed form requires gcd(r, q-1) = 1")
-    if a.idx == 0:
-        raise ValueError("a must be nonzero")
     idx = s if isinstance(s, PowerSumIndex) else PowerSumIndex.from_s(int(s), q)
     if idx.alpha + idx.beta == q - 1 and idx.alpha in surviving_alphas(q, t):
         return idx.alpha
@@ -290,13 +286,10 @@ def power_sum_brute(r: int, t: int, a: FieldElement, s: int) -> FieldElement:
     exponents j is counted gcd(r*s, q-1) times (L = 1 for every useful s);
     the sum of (count_j mod p) * g^j is taken with the field's add.
     """
-    ctx2 = a.ctx
-    if ctx2.base is None:
-        raise ValueError("a must live in the quadratic extension")
-    if a.idx == 0:
-        raise ValueError("a must be nonzero")
+    check_quadratic_unit(a)
     if r < 1 or t < 1 or s < 1:
         raise ValueError("r, t, s must be positive")
+    ctx2 = a.ctx
     q = ctx2.base.order
     return power_sum_on_class_row(ctx2, r, s, ctx2.class_logs(a.idx, t * (q - 1), q + 1))
 

@@ -33,7 +33,8 @@ from collections import Counter, namedtuple
 from itertools import cycle
 
 from .exactalg import is_probable_prime, mp_divmod, mp_eval, mp_gcd
-from .ff import FieldCtx, FieldElement, PrimePower, PrimeField, build_subfield, check_cap, compute_z
+from .ff import (FieldCtx, FieldElement, PrimePower, PrimeField, build_subfield, check_cap,
+                 check_quadratic_unit, compute_z)
 from .powersum import PowerSumIndex, bracket, surviving_alphas
 
 __all__ = [
@@ -62,14 +63,11 @@ class BinomialParams(namedtuple("BinomialParams", "a r t")):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.a.ctx.base is None:
-            raise ValueError("a must live in the quadratic extension")
+        check_quadratic_unit(self.a)
         if self.r < 1:
             raise ValueError(f"r={self.r} must be >= 1")
         if not 1 <= self.t <= self.q:
             raise ValueError(f"t={self.t} out of range 1..{self.q}")
-        if self.a.idx == 0:
-            raise ValueError("a must be nonzero")
         return self
 
     @property

@@ -66,11 +66,6 @@ class SearchRecord(namedtuple("SearchRecord", RECORD_TYPES)):
     __slots__ = ()
 
 
-def _record_key(rec: SearchRecord) -> tuple:
-    """Catalog order and uniqueness key of a record."""
-    return (rec.q, rec.r, rec.t, rec.a_index)
-
-
 def _pmap(fn, tasks: list, jobs: int) -> list:
     """[fn(task) for task in tasks], on min(jobs, len(tasks)) forked workers
     when that is more than one."""
@@ -164,12 +159,24 @@ def check_output_path(path: str):
 
 
 def _write_catalog(path: str, header: dict, records: list[SearchRecord], done: list[dict]):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("#PERMBINOM-CATALOG " + json.dumps(header) + "\n")
-        for d in done:
-            fh.write("#DONE " + json.dumps(d) + "\n")
-        for rec in records:
-            fh.write(json.dumps(rec._asdict()) + "\n")
+    """Write to a file beside the file path names, then move it on: a write
+    cut short leaves that file as it was, not #DONE lines over a partial
+    record list.  A path to something else, such as /dev/null, is written."""
+    target = os.path.realpath(path)  # a symlink stays, and names the new file
+    in_place = os.path.exists(target) and not os.path.isfile(target)
+    tmp = target if in_place else f"{target}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write("#PERMBINOM-CATALOG " + json.dumps(header) + "\n")
+            for d in done:
+                fh.write("#DONE " + json.dumps(d) + "\n")
+            for rec in records:
+                fh.write(json.dumps(rec._asdict()) + "\n")
+        if not in_place:
+            os.replace(tmp, target)
+    finally:
+        if not in_place and os.path.exists(tmp):  # the write failed; the file is as it was
+            os.remove(tmp)
 
 
 def _entry(text: str, types: dict, where: str) -> dict:
@@ -257,18 +264,11 @@ def search_exceptional(
             raise ValueError("cannot resume: existing catalog was produced with different flags")
         done_pairs = {(d["q"], d["r"]) for d in done}
         records = [rec for rec in old if (rec.q, rec.r) in done_pairs]
-        # the sweep never repeats a record; a damaged catalog can
-        seen = set()
-        for rec in records:
-            key = _record_key(rec)
-            if key in seen:
-                raise ValueError(f"{out}: duplicate catalog record (q, r, t, a_index) = {key}")
-            seen.add(key)
     tasks = [(p, m, q, r, include_norm_one) for (p, m, q) in qs if (q, r) not in done_pairs]
 
     for q_records in _pmap(_sweep_one_q, tasks, jobs):
         records.extend(q_records)
-    records.sort(key=_record_key)
+    records.sort(key=lambda rec: (rec.q, rec.r, rec.t, rec.a_index))  # the catalog order
 
     if out is not None:
         header = {
@@ -312,57 +312,59 @@ def search_exceptional(
 
 
 def _replay_catalog(path: str):
-    """Re-decide every record of a written catalog, resumed ones included:
-    each must be a hit, its q and modulus those of the tower built from
-    (p, m), its a text the canonical text of its a_index and its z text
-    z(a).  Before the next q, each z-fibre (p, m, r, t, z) is decided once,
-    on its second record in catalog order (its first if it has only one):
-    evidence from an a other than the sweep's, while no sample outlives the
-    cache.  The fast test must pass it, since the t = 2 verdict depends on a
-    only through z, and classify_family, whose one brute walk is the sample,
-    must tag it as a permutation with the family every record of the fibre
-    carries.  ValueError naming the catalog and the record on any mismatch,
-    and on any record value the tower, the parser or the parameters reject."""
+    """Re-decide every record of a written catalog, resumed ones included,
+    by z-fibres (p, m, r, t, z): each record must be a hit, its q and
+    modulus those of the tower built from (p, m), its a_index one of the
+    (q + 1)/2 that expand_z_to_a gives for z, and its a that element's text.
+    Each fibre is decided once, on its second record in catalog order (its
+    first if alone), an a other than the sweep's: z must be z(a), the fast
+    test must pass it, and classify_family, whose one brute walk is the
+    sample, must tag it a permutation of the family all its records carry.
+    Once a q's fibres are decided, each must hold each of its a just once.
+    ValueError naming the catalog and the record on any mismatch, and on
+    any record value the tower, the parser or the parameters reject."""
     _, records, _ = read_catalog(path)
     # newest q first, while the sweep's last towers and bracket rows are
     # still cached; the sort is stable, so each q keeps its catalog order
     for _, q_records in groupby(sorted(records, key=lambda rec: -rec.q), key=lambda rec: rec.q):
-        fibres = {}  # (p, m, r, t, z) -> its [(record, params)] in catalog order
+        fibres = {}  # (p, m, r, t, z) -> its records in catalog order
+        for rec in q_records:
+            fibres.setdefault((rec.p, rec.m, rec.r, rec.t, rec.z), []).append(rec)
+        expanded = []  # (fibre, {a_index: a}) of each fibre decided
         try:  # rec is the record under scrutiny throughout
-            for rec in q_records:
-                params = _replay_params(rec)
-                fibres.setdefault((rec.p, rec.m, rec.r, rec.t, rec.z), []).append((rec, params))
-            for fibre in fibres.values():
-                rec, params = fibre[len(fibre) > 1]
+            for (p, m, r, t, z), fibre in fibres.items():
+                rec = fibre[0]
+                _, fq2 = build_tower(p, m)
+                modulus = fq2.describe()["modulus"]
+                a_of = dict(expand_z_to_a(fq2, fq2.parse(z)))
+                for rec in fibre:
+                    if not rec.is_pp:  # the sweep writes only hits
+                        raise ValueError("not a hit")
+                    if rec.q != p**m or rec.modulus != modulus:
+                        raise ValueError("construction data mismatch")
+                    if rec.a_index not in a_of:
+                        raise ValueError("z mismatch")
+                    if rec.a != a_of[rec.a_index].text:
+                        raise ValueError("non-canonical a text")
+                rec = fibre[len(fibre) > 1]
+                params = BinomialParams(a_of[rec.a_index], r, t)
+                if params.z.text != z:
+                    raise ValueError("z mismatch")
                 if not is_pp_powersum(params).is_pp:
                     raise ValueError("round-trip verdict mismatch")
                 tag = classify_family(params).tag
                 if tag == "not_pp":
                     raise ValueError("brute sample mismatch")
-                for rec, _ in fibre:
+                for rec in fibre:
                     if rec.family != tag:
                         raise ValueError("family mismatch")
+                expanded.append((fibre, a_of))
+            for fibre, a_of in expanded:
+                rec = fibre[0]
+                if sorted(other.a_index for other in fibre) != list(a_of):
+                    raise ValueError("fibre size mismatch")
         except ValueError as exc:
             raise ValueError(f"{path}: {exc} on record {json.dumps(rec._asdict())}") from None
-
-
-def _replay_params(rec: SearchRecord) -> BinomialParams:
-    """The parameters of one catalog record; ValueError if it is not a hit
-    or the tower built from its (p, m) does not reproduce its values."""
-    if not rec.is_pp:  # the sweep writes only hits
-        raise ValueError("not a hit")
-    _, fq2 = build_tower(rec.p, rec.m)
-    idx = fq2.parse(rec.a)
-    params = BinomialParams(fq2.element(idx), rec.r, rec.t)
-    if rec.q != rec.p**rec.m or rec.modulus != fq2.describe()["modulus"]:
-        raise ValueError("construction data mismatch")
-    if fq2.render(idx) != rec.a:
-        raise ValueError("non-canonical a text")
-    if fq2.dlog(idx) != rec.a_index:
-        raise ValueError("a-index mismatch")
-    if params.z.text != rec.z:
-        raise ValueError("z mismatch")
-    return params
 
 
 # ------------------------------------------------------- cross-validation

@@ -17,9 +17,12 @@ from permbinom.ff import (
     PrimePower,
     build_tower,
     build_subfield,
+    check_quadratic_unit,
     compute_z,
     enumerate_elements,
 )
+from permbinom.powersum import power_sum_brute, power_sum_t2_closed
+from permbinom.ppcheck import BinomialParams, is_pp_brute, is_pp_powersum
 
 from table_twin import twin_tables
 from zech_twin import zech_table
@@ -228,6 +231,23 @@ def test_compute_z_preconditions():
     fq, fq2 = build_tower(2, 2)
     with pytest.raises(ValueError):
         compute_z(fq2.one())  # even q
+
+
+def test_a_outside_a_quadratic_extension_is_refused():
+    # F_27 is a cubic extension of F_3, not the F_{q^2} of any q: read as
+    # F_{3^2} it would be taken for q = 3
+    f27 = build_subfield(3, 3)
+    a = f27.generator()
+    for call in (lambda: BinomialParams(a, 5, 2),
+                 lambda: is_pp_brute(BinomialParams(a, 5, 2)),
+                 lambda: is_pp_powersum(BinomialParams(a, 5, 2)),
+                 lambda: compute_z(a),
+                 lambda: power_sum_brute(5, 2, a, 1),
+                 lambda: power_sum_t2_closed(5, a, 1)):
+        with pytest.raises(ValueError, match="a must live in the quadratic extension"):
+            call()
+    with pytest.raises(ValueError, match="a must be nonzero"):
+        check_quadratic_unit(build_tower(3, 1)[1].zero())
 
 
 def test_enumerate():

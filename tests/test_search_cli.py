@@ -2,8 +2,10 @@ import gc
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -742,6 +744,7 @@ def test_cli_resume_wrong_z_exit_2(tmp_path, capsys):
 
 
 def test_cli_resume_wrong_a_index_exit_2(tmp_path, capsys):
+    # the bumped a_index names an a outside the record's z-fibre
     out = str(tmp_path / "cat.jsonl")
     argv = ("search", "--r", "5", "--q-max", "20", "--include-norm-one", "--out", out)
     assert run_cli(*argv) == 0
@@ -754,7 +757,7 @@ def test_cli_resume_wrong_a_index_exit_2(tmp_path, capsys):
         return records
     _rewrite_records(out, bump)
     err = _assert_usage_error(capsys, *argv, "--resume")
-    assert out in err and "a-index mismatch" in err
+    assert err.startswith(f"error: {out}: z mismatch on record {{")
 
 
 def test_cli_resume_wrong_construction_data_exit_2(tmp_path, capsys):
@@ -782,8 +785,8 @@ def test_cli_resume_wrong_construction_data_exit_2(tmp_path, capsys):
 
 
 def test_cli_resume_bad_record_value_exit_2(tmp_path, capsys):
-    # a value the parser, the tower or the parameters reject, and an a text
-    # that parses to the record's index without being its canonical text
+    # a value the tower rejects, and an a text that is not the canonical
+    # text of its a_index's element, whether it parses to it or not at all
     out = str(tmp_path / "cat.jsonl")
     argv = ("search", "--r", "5", "--q-max", "20", "--include-norm-one", "--out", out)
 
@@ -797,7 +800,7 @@ def test_cli_resume_bad_record_value_exit_2(tmp_path, capsys):
     def padded(d):  # [c0 + p, c1] is the element [c0, c1]
         c0, c1 = json.loads(d["a"])
         return f"[{c0 + d['p']},{c1}]"
-    for edit, problem in ((first_prime_q(a=lambda d: "abc"), "bad element syntax: abc"),
+    for edit, problem in ((first_prime_q(a=lambda d: "abc"), "non-canonical a text"),
                           (first_prime_q(p=lambda d: 4), "4 is not prime"),
                           (first_prime_q(a=padded), "non-canonical a text")):
         assert run_cli(*argv) == 0
@@ -881,14 +884,70 @@ def test_cli_resume_wrong_family_or_non_hit_exit_2(tmp_path, capsys):
 
 
 def test_cli_resume_duplicate_record_exit_2(tmp_path, capsys):
+    # the repeated record's fibre holds one of its a twice
     out = str(tmp_path / "cat.jsonl")
     argv = ("search", "--r", "5", "--q-max", "20", "--include-norm-one", "--out", out)
     assert run_cli(*argv) == 0
     capsys.readouterr()
     _rewrite_records(out, lambda records: records + records[-1:])
     err = _assert_usage_error(capsys, *argv, "--resume")
-    last = read_catalog(out)[1][-1]
-    assert out in err and "duplicate" in err and f"({last.q}, 5, 2, {last.a_index})" in err
+    assert err.startswith(f"error: {out}: fibre size mismatch on record {{")
+
+
+@pytest.mark.parametrize("which", [0, 7, -1])
+def test_cli_resume_missing_record_exit_2(which, tmp_path, capsys):
+    # each z-fibre holds all (q + 1)/2 of its a: a record deleted from one,
+    # its first, a middle or its last in catalog order, leaves it short
+    out = str(tmp_path / "cat.jsonl")
+    argv = ("search", "--r", "5", "--q-max", "30", "--include-norm-one", "--out", out)
+    assert run_cli(*argv) == 0
+    capsys.readouterr()
+    before = read_catalog(out)[1]
+
+    def drop(records):
+        last = records[-1]
+        fibre = [d for d in records if (d["q"], d["z"]) == (last["q"], last["z"])]
+        assert len(fibre) == (last["q"] + 1) // 2 == 14
+        records.remove(fibre[which])
+        return records
+    _rewrite_records(out, drop)
+    assert len(read_catalog(out)[1]) == len(before) - 1 == 88
+    err = _assert_usage_error(capsys, *argv, "--resume")
+    assert err.startswith(f"error: {out}: fibre size mismatch on record {{"), err
+
+
+def test_write_catalog_cut_short_leaves_the_old_catalog(tmp_path):
+    # a write that fails part-way, here on a first record json cannot
+    # serialise, after the #DONE lines, leaves the catalog at the path byte
+    # for byte, and nothing beside it
+    out = tmp_path / "cat.jsonl"
+    search_exceptional(5, 13, out=str(out))
+    written = out.read_bytes()
+    header, records, done = read_catalog(str(out))
+    broken = records[0]._replace(a=object())
+    with pytest.raises(TypeError):
+        search._write_catalog(str(out), header, [broken, *records], done)
+    assert out.read_bytes() == written
+    assert os.listdir(tmp_path) == ["cat.jsonl"]
+
+
+def test_write_catalog_keeps_a_symlink_and_writes_a_fifo_in_place(tmp_path):
+    # the file a symlink names is replaced, not the link; a path that is no
+    # regular file, such as /dev/null or this FIFO, is written, never replaced
+    real, link, fifo = tmp_path / "real.jsonl", tmp_path / "link.jsonl", tmp_path / "fifo"
+    real.write_text("old\n")
+    link.symlink_to(real)
+    search_exceptional(5, 13, out=str(link))
+    assert link.is_symlink() and read_catalog(str(real))[1]
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    search._write_catalog(str(fifo), *read_catalog(str(real)))
+    reader.join(timeout=30)
+    assert not reader.is_alive() and got == [real.read_bytes()]
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["fifo", "link.jsonl", "real.jsonl"]
 
 
 def test_read_catalog_rejects_done_marker_without_keys(tmp_path):
