@@ -5,9 +5,10 @@ odd prime powers q, using the fact that the power-sum verdict is a pure
 function of the derived value z(a): each q is decided through the few
 roots of its alpha = 1 bracket, and only passing values are expanded back
 to their a preimages (each z has exactly (q+1)/2 of them), whose family tag
-comes from one brute walk per fibre.  Catalogs are
-JSON Lines with a fixed key order, sorted on a final barrier, so identical
-runs are byte-identical regardless of worker count.
+comes from one brute walk per fibre.  Catalogs are JSON Lines with a fixed
+key order, sorted on a final barrier, so identical runs are byte-identical
+regardless of worker count; a resumed catalog must equal that derivation
+z-fibre by z-fibre before anything is swept or written.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import math
 import os
 import random
 from collections import Counter, namedtuple
-from itertools import groupby
 
 from . import __version__, ppcheck
 from .ff import PrimePower, build_tower, check_cap, enumeration_cap, enumerate_elements
@@ -112,38 +112,66 @@ def _admissible_qs(r: int, q_max: int, cap: int) -> list[tuple[int, int, int]]:
     ]
 
 
+def _fibre_records(fq2, p: int, m: int, r: int, z: int) -> list[SearchRecord]:
+    """The records of the passing z-fibre of z, an index of fq2 = F_{q^2},
+    q = p^m, one per a of expand_z_to_a, in a_index order.  One brute walk,
+    on the first a, tags them all (the tag depends on a only through z); the
+    fast test and classify_family decide the second a again, as a sample.
+    ValueError on any disagreement, since z may come from a resumed catalog."""
+    fibre = [(a_index, BinomialParams(a, r, 2)) for a_index, a in expand_z_to_a(fq2, z)]
+    for _, params in fibre:
+        if params.z.idx != z:
+            raise ValueError(f"a = {params.a.text} lies outside the z-fibre of {fq2.render(z)}")
+    tag = classify_family(fibre[0][1]).tag
+    if tag == "not_pp":
+        raise ValueError("z-level hit disagreed with the brute test")
+    second = fibre[1][1]  # a fibre holds (q + 1)/2 >= 2 values of a
+    if not is_pp_powersum(second).is_pp:
+        raise ValueError("the fast test refused the fibre's second a")
+    if classify_family(second).tag != tag:
+        raise ValueError(f"the brute sample on the fibre's second a is not tagged {tag}")
+    common = dict(p=p, m=m, q=p**m, r=r, t=2, is_pp=True, family=tag, method="powersum",
+                  version=__version__, modulus=fq2.describe()["modulus"])
+    return [SearchRecord(a=params.a.text, a_index=a_index, z=params.z.text, **common)
+            for a_index, params in fibre]
+
+
 def _sweep_one_q(task) -> list[SearchRecord]:
     """Worker: decide every a of one field through its z values; expand hits."""
-    p, m, q, r, include_norm_one = task
+    p, m, _, r, include_norm_one = task
     hits, _ = t2_passing_z(p, m, r, include_norm_one)
     if not hits:
         return []
-    fq, fq2 = build_tower(p, m)
-    desc = fq2.describe()
-    records = []
-    for z in hits:
-        tag = None
-        for a_index, a in expand_z_to_a(fq2, z):
-            params = BinomialParams(a, r, 2)
-            z_a = params.z
-            # the z-level verdict holds for a only if a lies in the hit's fibre
-            if z_a.idx != z:
-                raise AssertionError(f"a = {a.text} lies outside the z-fibre of {fq2.render(z)}")
-            if tag is None:
-                # the tag, brute verdict included, depends on a only through
-                # the fibre: one brute walk, on its smallest-index a, tags it all
-                tag = classify_family(params)
-                if tag.tag == "not_pp":
-                    raise AssertionError("z-level hit disagreed with the brute test")
-            records.append(
-                SearchRecord(
-                    p=p, m=m, q=q, r=r, t=2,
-                    a=a.text, a_index=a_index, z=z_a.text,
-                    is_pp=True, family=tag.tag, method="powersum",
-                    version=__version__, modulus=desc["modulus"],
-                )
-            )
-    return records
+    _, fq2 = build_tower(p, m)
+    return [rec for z in hits for rec in _fibre_records(fq2, p, m, r, z)]
+
+
+def _check_resumed(path: str, r: int, records: list[SearchRecord]):
+    """Refuse resumed records that the sweep would not write: each z-fibre
+    (p, m, z), in a_index order, must equal _fibre_records of its z.  Every
+    fibre is derived before any is compared, so a record that no passing
+    fibre holds is named, not the fibre it was taken from.  ValueError naming
+    the catalog and a record on any difference or value the derivation rejects."""
+    fibres: dict[tuple[int, int, str], list[SearchRecord]] = {}
+    # each tower's fibres together, so a resume builds it once, each in a_index order
+    for rec in sorted(records, key=lambda rec: (rec.p, rec.m, rec.a_index)):
+        fibres.setdefault((rec.p, rec.m, rec.z), []).append(rec)
+    derived = []  # (fibre, the sweep's records of its z)
+    try:  # rec is the record under scrutiny throughout
+        for (p, m, z), fibre in fibres.items():
+            rec = fibre[0]
+            _, fq2 = build_tower(p, m)
+            derived.append((fibre, _fibre_records(fq2, p, m, r, fq2.parse(z))))
+        for fibre, want in derived:
+            rec = fibre[0]
+            if len(fibre) != len(want):
+                raise ValueError("fibre size mismatch")
+            for rec, good in zip(fibre, want):
+                for field, got, expected in zip(RECORD_TYPES, rec, good):
+                    if got != expected:
+                        raise ValueError(f"{field} mismatch")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc} on record {json.dumps(rec._asdict())}") from None
 
 
 def check_output_path(path: str):
@@ -263,7 +291,11 @@ def search_exceptional(
         if old_header.get("params") != params or old_header.get("cap") != cap:
             raise ValueError("cannot resume: existing catalog was produced with different flags")
         done_pairs = {(d["q"], d["r"]) for d in done}
+        stray = sorted(done_pairs - {(q, r) for (_, _, q) in qs})
+        if stray:  # its records would be kept with no q of this run to vouch for them
+            raise ValueError(f"cannot resume: a #DONE marker names (q, r) = {stray[0]}, not swept here")
         records = [rec for rec in old if (rec.q, rec.r) in done_pairs]
+        _check_resumed(out, r, records)
     tasks = [(p, m, q, r, include_norm_one) for (p, m, q) in qs if (q, r) not in done_pairs]
 
     for q_records in _pmap(_sweep_one_q, tasks, jobs):
@@ -282,10 +314,9 @@ def search_exceptional(
         }
         done = [{"q": q, "r": r} for (_, _, q) in qs]
         _write_catalog(out, header, records, done)
-        _replay_catalog(out)  # before the summary reads resumed records' p
 
     # a norm-one hit always satisfies the complete norm-one criterion, so the
-    # family_i tag, which the replay re-derives, is the authoritative norm marker
+    # family_i tag, derived for every record, is the authoritative norm marker
     below = above = sporadic_below = 0
     bounds = {p: thm21_bound(r, p) for p in {rec.p for rec in records}}  # one primality test per p
     for rec in records:
@@ -309,62 +340,6 @@ def search_exceptional(
     if out is not None:
         summary["catalog"] = out
     return summary
-
-
-def _replay_catalog(path: str):
-    """Re-decide every record of a written catalog, resumed ones included,
-    by z-fibres (p, m, r, t, z): each record must be a hit, its q and
-    modulus those of the tower built from (p, m), its a_index one of the
-    (q + 1)/2 that expand_z_to_a gives for z, and its a that element's text.
-    Each fibre is decided once, on its second record in catalog order (its
-    first if alone), an a other than the sweep's: z must be z(a), the fast
-    test must pass it, and classify_family, whose one brute walk is the
-    sample, must tag it a permutation of the family all its records carry.
-    Once a q's fibres are decided, each must hold each of its a just once.
-    ValueError naming the catalog and the record on any mismatch, and on
-    any record value the tower, the parser or the parameters reject."""
-    _, records, _ = read_catalog(path)
-    # newest q first, while the sweep's last towers and bracket rows are
-    # still cached; the sort is stable, so each q keeps its catalog order
-    for _, q_records in groupby(sorted(records, key=lambda rec: -rec.q), key=lambda rec: rec.q):
-        fibres = {}  # (p, m, r, t, z) -> its records in catalog order
-        for rec in q_records:
-            fibres.setdefault((rec.p, rec.m, rec.r, rec.t, rec.z), []).append(rec)
-        expanded = []  # (fibre, {a_index: a}) of each fibre decided
-        try:  # rec is the record under scrutiny throughout
-            for (p, m, r, t, z), fibre in fibres.items():
-                rec = fibre[0]
-                _, fq2 = build_tower(p, m)
-                modulus = fq2.describe()["modulus"]
-                a_of = dict(expand_z_to_a(fq2, fq2.parse(z)))
-                for rec in fibre:
-                    if not rec.is_pp:  # the sweep writes only hits
-                        raise ValueError("not a hit")
-                    if rec.q != p**m or rec.modulus != modulus:
-                        raise ValueError("construction data mismatch")
-                    if rec.a_index not in a_of:
-                        raise ValueError("z mismatch")
-                    if rec.a != a_of[rec.a_index].text:
-                        raise ValueError("non-canonical a text")
-                rec = fibre[len(fibre) > 1]
-                params = BinomialParams(a_of[rec.a_index], r, t)
-                if params.z.text != z:
-                    raise ValueError("z mismatch")
-                if not is_pp_powersum(params).is_pp:
-                    raise ValueError("round-trip verdict mismatch")
-                tag = classify_family(params).tag
-                if tag == "not_pp":
-                    raise ValueError("brute sample mismatch")
-                for rec in fibre:
-                    if rec.family != tag:
-                        raise ValueError("family mismatch")
-                expanded.append((fibre, a_of))
-            for fibre, a_of in expanded:
-                rec = fibre[0]
-                if sorted(other.a_index for other in fibre) != list(a_of):
-                    raise ValueError("fibre size mismatch")
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc} on record {json.dumps(rec._asdict())}") from None
 
 
 # ------------------------------------------------------- cross-validation

@@ -67,7 +67,7 @@ def test_search_refuses_q_max_past_the_cap(tmp_path, monkeypatch, capsys):
 def test_search_brute_disagreement_raises(monkeypatch):
     # a z-level hit the brute walk rejects must not be catalogued as not_pp
     monkeypatch.setattr(ppcheck, "is_pp_brute", lambda params: PPVerdict(False, "brute"))
-    with pytest.raises(AssertionError, match="brute"):
+    with pytest.raises(ValueError, match="brute"):
         search_exceptional(5, 20, include_norm_one=True)
 
 
@@ -158,6 +158,10 @@ def test_search_resume(tmp_path):
     summary = search_exceptional(5, 13, out=out, resume=True)
     assert Path(out).read_bytes() == full
     assert summary["records"] == len(records)
+    # each resumed fibre is compared in a_index order, whatever the line order
+    _rewrite_records(out, lambda records: records[::-1])
+    assert search_exceptional(5, 13, out=out, resume=True) == summary
+    assert Path(out).read_bytes() == full
 
 
 def test_catalog_csv(tmp_path):
@@ -237,7 +241,7 @@ def test_search_fibre_check_is_live(monkeypatch):
     def neighbours(ctx2, z):
         return [(k + 1, ctx2.element(ctx2.exp(k + 1))) for k, _ in expand(ctx2, z)]
     monkeypatch.setattr(search, "expand_z_to_a", neighbours)
-    with pytest.raises(AssertionError, match="fibre"):
+    with pytest.raises(ValueError, match="fibre"):
         search_exceptional(5, 20, include_norm_one=True)
 
 
@@ -256,76 +260,80 @@ def test_search_decides_each_fibre_once(tmp_path, monkeypatch):
     _, records, _ = read_catalog(out)
     fibres = len({(rec.q, rec.z) for rec in records})
     assert counts["fast"] == fibres == 21
-    # one brute walk per fibre in the sweep, one on a second a in the replay
+    # two brute walks per fibre, both in the sweep: its first a and a second
     assert counts["brute"] == 2 * fibres == 42
     assert len(records) == summary["records"] == 315
 
 
-def _smallest_in_fibre(params):
-    """Whether params.a is the smallest-index a of its z-fibre."""
+def _fibre_rank(params):
+    """The place of params.a in its z-fibre, in ascending a_index."""
     ctx2 = params.ctx2
-    return ctx2.dlog(params.a.idx) == ppcheck.expand_z_to_a(ctx2, params.z.idx)[0][0]
+    return [k for k, _ in ppcheck.expand_z_to_a(ctx2, params.z.idx)].index(ctx2.dlog(params.a.idx))
 
 
 def test_search_propagates_the_representative_tag(tmp_path, monkeypatch):
-    # the sweep classifies only each fibre's smallest-index a; its tag is
-    # every a's (the replay, which classifies a second a, is not counted)
-    classify, replay, swept = search.classify_family, search._replay_catalog, []
+    # the sweep classifies each fibre's smallest-index a for its tag and its
+    # second a as a sample; the tag is every a's
+    classify, swept = search.classify_family, []
 
     def recorded(params):
         swept.append(params)
         return classify(params)
-
-    def replay_unrecorded(path):
-        monkeypatch.setattr(search, "classify_family", classify)
-        replay(path)
     monkeypatch.setattr(search, "classify_family", recorded)
-    monkeypatch.setattr(search, "_replay_catalog", replay_unrecorded)
     out = str(tmp_path / "cat.jsonl")
     search_exceptional(5, 30, include_norm_one=True, out=out)
     _, records, _ = read_catalog(out)
     fibres = {(rec.q, rec.z) for rec in records}
     assert len(records) > len(fibres) > 1
-    assert len(swept) == len(fibres) and all(map(_smallest_in_fibre, swept))
-    tags = {(params.q, params.z.text): classify(params).tag for params in swept}
+    assert [_fibre_rank(params) for params in swept] == [0, 1] * len(fibres)
+    tags = {(params.q, params.z.text): classify(params).tag for params in swept[::2]}
     assert set(tags) == fibres and len(set(tags.values())) > 1
     assert all(rec.family == tags[rec.q, rec.z] for rec in records)
 
 
 def test_replay_brute_sample_is_live(tmp_path, monkeypatch):
-    # the replay walks a second a of each fibre, not the sweep's representative
-    brute = ppcheck.is_pp_brute
+    # the sweep decides a second a of each fibre, by the fast test and a brute
+    # walk, not only its representative, and refuses the fibre before any
+    # catalog is written
+    out = tmp_path / "cat.jsonl"
+    brute, fast = ppcheck.is_pp_brute, search.is_pp_powersum
 
-    def first_only(params):
-        return brute(params) if _smallest_in_fibre(params) else PPVerdict(False, "brute")
-    monkeypatch.setattr(ppcheck, "is_pp_brute", first_only)
-    out = str(tmp_path / "cat.jsonl")
-    with pytest.raises(ValueError, match="brute sample mismatch") as exc:
-        search_exceptional(5, 20, include_norm_one=True, out=out)
-    assert str(exc.value).startswith(f"{out}: ")
+    def first_only(test):
+        return lambda params: test(params) if _fibre_rank(params) == 0 else PPVerdict(False, "test")
+    monkeypatch.setattr(ppcheck, "is_pp_brute", first_only(brute))
+    with pytest.raises(ValueError, match="brute sample on the fibre's second a"):
+        search_exceptional(5, 20, include_norm_one=True, out=str(out))
+    monkeypatch.setattr(ppcheck, "is_pp_brute", brute)
+    monkeypatch.setattr(search, "is_pp_powersum", first_only(fast))
+    with pytest.raises(ValueError, match="fast test refused the fibre's second a"):
+        search_exceptional(5, 20, include_norm_one=True, out=str(out))
+    assert not out.exists()
 
 
-def test_replay_reuses_the_towers_the_sweep_left_cached(tmp_path, monkeypatch):
-    # the sweep ends on its largest q; the replay, newest q first, uses the
-    # towers still cached before any miss evicts them
+def test_search_builds_each_tower_with_a_hit_once(tmp_path, monkeypatch):
+    # every walk over a q's tower, both a values of each fibre included, runs
+    # while the sweep of that q holds it: no evicted tower is built again
     monkeypatch.setattr(ff, "_towers", type(ff._towers)())
     monkeypatch.setattr(ff, "TOWER_CACHE_BYTES", 53_333)  # the last few towers of q <= 60
-    replay, seen = search._replay_catalog, {}
+    tower, built = ff.build_tower, []
 
-    def counted_replay(path):
-        seen["cached"], seen["built"] = list(ff._towers), []
-
-        def tower(p, m):
-            if (p, m) not in ff._towers:
-                seen["built"].append((p, m))
-            return ff.build_tower(p, m)
-        monkeypatch.setattr(search, "build_tower", tower)
-        replay(path)
-    monkeypatch.setattr(search, "_replay_catalog", counted_replay)
-    search_exceptional(5, 60, include_norm_one=True, out=str(tmp_path / "cat.jsonl"))
-    assert len(seen["cached"]) >= 3 and seen["built"]
-    assert not set(seen["cached"]) & set(seen["built"])
-    assert len(seen["built"]) == len(set(seen["built"]))
+    def counted(p, m):
+        if (p, m) not in ff._towers:
+            built.append((p, m))
+        return tower(p, m)
+    monkeypatch.setattr(search, "build_tower", counted)
+    out = str(tmp_path / "cat.jsonl")
+    search_exceptional(5, 60, include_norm_one=True, out=out)
+    with_hits = {(rec.p, rec.m): rec.q for rec in read_catalog(out)[1]}
+    assert len(with_hits) > 10
+    assert built == sorted(with_hits, key=with_hits.get)
+    # the resume check derives the fibres tower by tower, so each is built
+    # once even by a cache that keeps only the newest tower
+    monkeypatch.setattr(ff, "_towers", type(ff._towers)())
+    monkeypatch.setattr(ff, "TOWER_CACHE_BYTES", 1)
+    built.clear()
+    search_exceptional(5, 60, include_norm_one=True, out=out, resume=True)
+    assert sorted(built) == sorted(with_hits)
 
 
 def _live_contexts() -> list:
@@ -335,25 +343,19 @@ def _live_contexts() -> list:
 
 
 def test_replay_keeps_tables_within_the_tower_cache_bound(tmp_path, monkeypatch):
-    # each brute sample is walked before the replay builds the next q's tower,
-    # so what is alive then is the cache plus at most the tower being walked
+    # each q's brute walks run before the sweep builds the next q's tower, so
+    # what is alive at any walk is the cache plus at most the tower walked
     monkeypatch.setattr(ff, "_towers", type(ff._towers)())
     monkeypatch.setattr(ff, "TOWER_CACHE_BYTES", 20_000)  # about one tower near q = 49
-    brute, replay, live = ppcheck.is_pp_brute, search._replay_catalog, []
+    brute, live = ppcheck.is_pp_brute, []
     earlier = _live_contexts()  # held elsewhere in the session; kept, so no id is reused
     old = set(map(id, earlier))
 
     def measured_brute(params):
-        if live:
-            held = sum(ff._table_bytes((ctx,)) for ctx in _live_contexts() if id(ctx) not in old)
-            live.append((held, ff._table_bytes((params.sub, params.ctx2))))
+        held = sum(ff._table_bytes((ctx,)) for ctx in _live_contexts() if id(ctx) not in old)
+        live.append((held, ff._table_bytes((params.sub, params.ctx2))))
         return brute(params)
-
-    def measured_replay(path):
-        live.append((0, 0))  # from here on, every brute walk is the replay's
-        replay(path)
     monkeypatch.setattr(ppcheck, "is_pp_brute", measured_brute)
-    monkeypatch.setattr(search, "_replay_catalog", measured_replay)
     search_exceptional(5, 60, include_norm_one=True, out=str(tmp_path / "cat.jsonl"))
     biggest = max(tower for _, tower in live)
     assert len(live) > 10 and max(held for held, _ in live) <= ff.TOWER_CACHE_BYTES + biggest
@@ -727,8 +729,46 @@ def test_cli_resume_with_other_flags_or_cap_exit_2(tmp_path, capsys, monkeypatch
     assert Path(out).read_bytes() == written
 
 
+def test_cli_resume_done_marker_of_an_unswept_q_exit_2(tmp_path, capsys):
+    # q = 25 and 27, done with their records by a --q-max 30 run, are no q
+    # of a --q-max 20 run: kept, their records would enter its catalog with
+    # no #DONE line and its summary
+    out, wider = str(tmp_path / "cat.jsonl"), str(tmp_path / "wider.jsonl")
+    argv = ("search", "--r", "5", "--q-max", "20", "--include-norm-one", "--out", out)
+    assert run_cli(*argv) == 0
+    assert run_cli("search", "--r", "5", "--q-max", "30", "--include-norm-one", "--out", wider) == 0
+    capsys.readouterr()
+    lines = Path(wider).read_text().splitlines()
+    extra = [line for line in lines if not line.startswith("#PERMBINOM")
+             and json.loads(line.removeprefix("#DONE "))["q"] in (25, 27)]
+    assert len(extra) == 2 + 27
+    with open(out, "a") as fh:
+        fh.write("\n".join(extra) + "\n")
+    written = Path(out).read_bytes()
+    err = _assert_usage_error(capsys, *argv, "--resume")
+    assert err.startswith("error: cannot resume: a #DONE marker names (q, r) = (25, 5)"), err
+    assert Path(out).read_bytes() == written
+
+
+def test_cli_refused_resume_leaves_the_catalog_as_it_was(tmp_path, capsys):
+    # every resumed fibre is checked before anything is swept or written
+    out = tmp_path / "cat.jsonl"
+    argv = ("search", "--r", "5", "--q-max", "30", "--include-norm-one", "--out", str(out))
+    assert run_cli(*argv) == 0
+    capsys.readouterr()
+    lines = out.read_text().splitlines()
+    first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    out.write_text("\n".join(lines[:first] + lines[-1:] + lines[first:]) + "\n")
+    written = out.read_bytes()
+    assert hashlib.sha256(written).hexdigest().startswith("59b44e3b")
+    err = _assert_usage_error(capsys, *argv, "--resume")
+    assert err.startswith(f"error: {out}: fibre size mismatch on record {{"), err
+    assert out.read_bytes() == written
+
+
 def test_cli_resume_wrong_z_exit_2(tmp_path, capsys):
-    # a record's z text is swapped for another passing z of its q
+    # a record's z text is swapped for another passing z of its q: that fibre
+    # gains a record and its own loses one
     out = str(tmp_path / "cat.jsonl")
     argv = ("search", "--r", "5", "--q-max", "20", "--include-norm-one", "--out", out)
     assert run_cli(*argv) == 0
@@ -740,11 +780,12 @@ def test_cli_resume_wrong_z_exit_2(tmp_path, capsys):
         return records
     _rewrite_records(out, swap_z)
     err = _assert_usage_error(capsys, *argv, "--resume")
-    assert err.startswith(f"error: {out}: z mismatch on record {{")
+    assert err.startswith(f"error: {out}: fibre size mismatch on record {{")
 
 
 def test_cli_resume_wrong_a_index_exit_2(tmp_path, capsys):
-    # the bumped a_index names an a outside the record's z-fibre
+    # the bumped a_index names an a outside the record's z-fibre, and not
+    # the a the record's text names
     out = str(tmp_path / "cat.jsonl")
     argv = ("search", "--r", "5", "--q-max", "20", "--include-norm-one", "--out", out)
     assert run_cli(*argv) == 0
@@ -757,12 +798,12 @@ def test_cli_resume_wrong_a_index_exit_2(tmp_path, capsys):
         return records
     _rewrite_records(out, bump)
     err = _assert_usage_error(capsys, *argv, "--resume")
-    assert err.startswith(f"error: {out}: z mismatch on record {{")
+    assert err.startswith(f"error: {out}: a_index mismatch on record {{")
 
 
 def test_cli_resume_wrong_construction_data_exit_2(tmp_path, capsys):
-    # the replay rebuilds each record's tower from (p, m): a record whose q
-    # is not p^m, or whose modulus is not the tower's, is refused
+    # each resumed fibre is derived on the tower built from (p, m): a record
+    # whose q is not p^m, or whose modulus is not the tower's, is refused
     out = str(tmp_path / "cat.jsonl")
     argv = ("search", "--r", "5", "--q-max", "20", "--include-norm-one", "--out", out)
 
@@ -776,17 +817,18 @@ def test_cli_resume_wrong_construction_data_exit_2(tmp_path, capsys):
         d = next(d for d in records if d["m"] == 1)
         d["modulus"] = [(d["modulus"][0] + 1) % d["p"]] + d["modulus"][1:]
         return records
-    for edit in (move_q, edit_modulus):
+    for edit, field in ((move_q, "q"), (edit_modulus, "modulus")):
         assert run_cli(*argv) == 0
         capsys.readouterr()
         _rewrite_records(out, edit)
         err = _assert_usage_error(capsys, *argv, "--resume")
-        assert out in err and "construction data mismatch" in err
+        assert err.startswith(f"error: {out}: {field} mismatch on record {{"), err
 
 
 def test_cli_resume_bad_record_value_exit_2(tmp_path, capsys):
     # a value the tower rejects, and an a text that is not the canonical
-    # text of its a_index's element, whether it parses to it or not at all
+    # text of its a_index's element, whether it parses to it or not at all:
+    # no a text is parsed, each is compared with the derived one
     out = str(tmp_path / "cat.jsonl")
     argv = ("search", "--r", "5", "--q-max", "20", "--include-norm-one", "--out", out)
 
@@ -800,9 +842,9 @@ def test_cli_resume_bad_record_value_exit_2(tmp_path, capsys):
     def padded(d):  # [c0 + p, c1] is the element [c0, c1]
         c0, c1 = json.loads(d["a"])
         return f"[{c0 + d['p']},{c1}]"
-    for edit, problem in ((first_prime_q(a=lambda d: "abc"), "non-canonical a text"),
+    for edit, problem in ((first_prime_q(a=lambda d: "abc"), "a mismatch"),
                           (first_prime_q(p=lambda d: 4), "4 is not prime"),
-                          (first_prime_q(a=padded), "non-canonical a text")):
+                          (first_prime_q(a=padded), "a mismatch")):
         assert run_cli(*argv) == 0
         capsys.readouterr()
         _rewrite_records(out, edit)
@@ -830,7 +872,8 @@ def test_cli_resume_huge_m_exit_2(tmp_path, capsys):
 def test_cli_resume_forged_record_exit_2(tmp_path, capsys):
     # the last record is swapped for its neighbour a, a consistent record
     # (a, a_index and z agree) of a non-permuting binomial; every resumed
-    # record is replayed, so it is caught wherever it sits in the catalog
+    # fibre is derived before any is compared, so the forged record, alone in
+    # its fibre, is named, not the fibre it was taken from
     out = str(tmp_path / "cat7.jsonl")
     argv = ("search", "--r", "7", "--q-max", "40", "--include-norm-one", "--out", out)
     assert run_cli(*argv) == 0
@@ -845,8 +888,9 @@ def test_cli_resume_forged_record_exit_2(tmp_path, capsys):
         return records
     _rewrite_records(out, forge)
     assert len(read_catalog(out)[1]) == 146
+    forged = json.dumps(read_catalog(out)[1][-1]._asdict())
     err = _assert_usage_error(capsys, *argv, "--resume")
-    assert out in err and "round-trip verdict mismatch" in err
+    assert err == f"error: {out}: z-level hit disagreed with the brute test on record {forged}\n"
 
 
 def test_cli_resume_wrong_family_or_non_hit_exit_2(tmp_path, capsys):
@@ -875,7 +919,7 @@ def test_cli_resume_wrong_family_or_non_hit_exit_2(tmp_path, capsys):
         return records
     for edit, problem, named in ((relabel("sporadic", "family_iii", 34), "family mismatch", "family_iii"),
                                  (relabel("family_i", "sporadic", 37, 19), "family mismatch", "sporadic"),
-                                 (forge, "not a hit", "not_pp")):
+                                 (forge, "z-level hit disagreed with the brute test", "not_pp")):
         assert run_cli(*argv) == 0
         capsys.readouterr()
         _rewrite_records(out, edit)
