@@ -7,8 +7,8 @@ roots of its alpha = 1 bracket, and only passing values are expanded back
 to their a preimages (each z has exactly (q+1)/2 of them), whose family tag
 comes from one brute walk per fibre.  Catalogs are JSON Lines with a fixed
 key order, sorted on a final barrier, so identical runs are byte-identical
-regardless of worker count; a resumed catalog must equal that derivation
-z-fibre by z-fibre before anything is swept or written.
+regardless of worker count; a resumed catalog's records of its done q must
+equal the sweep's own before anything is written.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import math
 import os
 import random
 from collections import Counter, namedtuple
+from itertools import zip_longest
 
 from . import __version__, ppcheck
 from .ff import PrimePower, build_tower, check_cap, enumeration_cap, enumerate_elements
@@ -117,7 +118,7 @@ def _fibre_records(fq2, p: int, m: int, r: int, z: int) -> list[SearchRecord]:
     q = p^m, one per a of expand_z_to_a, in a_index order.  One brute walk,
     on the first a, tags them all (the tag depends on a only through z); the
     fast test and classify_family decide the second a again, as a sample.
-    ValueError on any disagreement, since z may come from a resumed catalog."""
+    ValueError on any disagreement."""
     fibre = [(a_index, BinomialParams(a, r, 2)) for a_index, a in expand_z_to_a(fq2, z)]
     for _, params in fibre:
         if params.z.idx != z:
@@ -146,32 +147,17 @@ def _sweep_one_q(task) -> list[SearchRecord]:
     return [rec for z in hits for rec in _fibre_records(fq2, p, m, r, z)]
 
 
-def _check_resumed(path: str, r: int, records: list[SearchRecord]):
-    """Refuse resumed records that the sweep would not write: each z-fibre
-    (p, m, z), in a_index order, must equal _fibre_records of its z.  Every
-    fibre is derived before any is compared, so a record that no passing
-    fibre holds is named, not the fibre it was taken from.  ValueError naming
-    the catalog and a record on any difference or value the derivation rejects."""
-    fibres: dict[tuple[int, int, str], list[SearchRecord]] = {}
-    # each tower's fibres together, so a resume builds it once, each in a_index order
-    for rec in sorted(records, key=lambda rec: (rec.p, rec.m, rec.a_index)):
-        fibres.setdefault((rec.p, rec.m, rec.z), []).append(rec)
-    derived = []  # (fibre, the sweep's records of its z)
-    try:  # rec is the record under scrutiny throughout
-        for (p, m, z), fibre in fibres.items():
-            rec = fibre[0]
-            _, fq2 = build_tower(p, m)
-            derived.append((fibre, _fibre_records(fq2, p, m, r, fq2.parse(z))))
-        for fibre, want in derived:
-            rec = fibre[0]
-            if len(fibre) != len(want):
-                raise ValueError("fibre size mismatch")
-            for rec, good in zip(fibre, want):
-                for field, got, expected in zip(RECORD_TYPES, rec, good):
-                    if got != expected:
-                        raise ValueError(f"{field} mismatch")
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc} on record {json.dumps(rec._asdict())}") from None
+def _check_resumed(path: str, old: list[SearchRecord], done_qs: set[int], records: list[SearchRecord]):
+    """Refuse a resumed catalog that is not the sweep's: its old records of the
+    q in done_qs, sorted by (q, a_index), must equal the sweep's records of
+    those q, in catalog order.  ValueError naming the catalog and the first
+    old record that differs, or the sweep's record that the catalog lacks."""
+    resumed = sorted((rec for rec in old if rec.q in done_qs), key=lambda rec: (rec.q, rec.a_index))
+    for got, want in zip_longest(resumed, (rec for rec in records if rec.q in done_qs)):
+        if got is None:
+            raise ValueError(f"{path}: lacks the sweep's record {json.dumps(want._asdict())}")
+        if got != want:
+            raise ValueError(f"{path}: differs from the sweep at record {json.dumps(got._asdict())}")
 
 
 def check_output_path(path: str):
@@ -284,23 +270,21 @@ def search_exceptional(
         raise ValueError(f"q_max = {q_max} puts q^2 past the enumeration cap {cap}; "
                          f"q_max may be at most {math.isqrt(cap)}")
     params = {"r": r, "t": 2, "q_min": 3, "q_max": q_max, "include_norm_one": include_norm_one}
-    done_pairs: set[tuple[int, int]] = set()
-    records: list[SearchRecord] = []
+    resumed = None  # (the catalog's records, the q of its #DONE markers)
     if resume and out is not None and os.path.exists(out):
         old_header, old, done = read_catalog(out)
         if old_header.get("params") != params or old_header.get("cap") != cap:
             raise ValueError("cannot resume: existing catalog was produced with different flags")
-        done_pairs = {(d["q"], d["r"]) for d in done}
-        stray = sorted(done_pairs - {(q, r) for (_, _, q) in qs})
-        if stray:  # its records would be kept with no q of this run to vouch for them
+        stray = sorted({(d["q"], d["r"]) for d in done} - {(q, r) for (_, _, q) in qs})
+        if stray:  # no q of this run would vouch for its records
             raise ValueError(f"cannot resume: a #DONE marker names (q, r) = {stray[0]}, not swept here")
-        records = [rec for rec in old if (rec.q, rec.r) in done_pairs]
-        _check_resumed(out, r, records)
-    tasks = [(p, m, q, r, include_norm_one) for (p, m, q) in qs if (q, r) not in done_pairs]
+        resumed = (old, {d["q"] for d in done})
 
-    for q_records in _pmap(_sweep_one_q, tasks, jobs):
-        records.extend(q_records)
+    tasks = [(p, m, q, r, include_norm_one) for (p, m, q) in qs]
+    records = [rec for q_records in _pmap(_sweep_one_q, tasks, jobs) for rec in q_records]
     records.sort(key=lambda rec: (rec.q, rec.r, rec.t, rec.a_index))  # the catalog order
+    if resumed is not None:
+        _check_resumed(out, *resumed, records)
 
     if out is not None:
         header = {

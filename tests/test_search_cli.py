@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -140,7 +141,8 @@ def test_search_determinism_and_jobs(tmp_path):
     assert b1 == b2 == b3
 
 
-def test_search_resume(tmp_path):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_search_resume(jobs, tmp_path):
     out = str(tmp_path / "cat.jsonl")
     search_exceptional(5, 13, out=out)
     full = Path(out).read_bytes()
@@ -155,13 +157,21 @@ def test_search_resume(tmp_path):
             fh.write("#DONE " + json.dumps(d) + "\n")
         for rec in kept_records:
             fh.write(json.dumps(rec) + "\n")
-    summary = search_exceptional(5, 13, out=out, resume=True)
+    summary = search_exceptional(5, 13, jobs=jobs, out=out, resume=True)
     assert Path(out).read_bytes() == full
     assert summary["records"] == len(records)
-    # each resumed fibre is compared in a_index order, whatever the line order
+    # the resumed records are compared in (q, a_index) order, whatever the line order
     _rewrite_records(out, lambda records: records[::-1])
-    assert search_exceptional(5, 13, out=out, resume=True) == summary
+    assert search_exceptional(5, 13, jobs=jobs, out=out, resume=True) == summary
     assert Path(out).read_bytes() == full
+    # the pool's records are checked as one process's are: a tamper is refused alike
+    _rewrite_records(out, lambda records: records[1:])
+    errors = []
+    for j in (1, jobs):
+        with pytest.raises(ValueError, match=f"^{re.escape(out)}: differs from the sweep at record ") as exc:
+            search_exceptional(5, 13, jobs=j, out=out, resume=True)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
 
 
 def test_catalog_csv(tmp_path):
@@ -327,8 +337,8 @@ def test_search_builds_each_tower_with_a_hit_once(tmp_path, monkeypatch):
     with_hits = {(rec.p, rec.m): rec.q for rec in read_catalog(out)[1]}
     assert len(with_hits) > 10
     assert built == sorted(with_hits, key=with_hits.get)
-    # the resume check derives the fibres tower by tower, so each is built
-    # once even by a cache that keeps only the newest tower
+    # a resume runs the same sweep, so each is built once even by a cache
+    # that keeps only the newest tower
     monkeypatch.setattr(ff, "_towers", type(ff._towers)())
     monkeypatch.setattr(ff, "TOWER_CACHE_BYTES", 1)
     built.clear()
@@ -751,7 +761,7 @@ def test_cli_resume_done_marker_of_an_unswept_q_exit_2(tmp_path, capsys):
 
 
 def test_cli_refused_resume_leaves_the_catalog_as_it_was(tmp_path, capsys):
-    # every resumed fibre is checked before anything is swept or written
+    # the resumed records are checked before anything is written
     out = tmp_path / "cat.jsonl"
     argv = ("search", "--r", "5", "--q-max", "30", "--include-norm-one", "--out", str(out))
     assert run_cli(*argv) == 0
@@ -762,7 +772,7 @@ def test_cli_refused_resume_leaves_the_catalog_as_it_was(tmp_path, capsys):
     written = out.read_bytes()
     assert hashlib.sha256(written).hexdigest().startswith("59b44e3b")
     err = _assert_usage_error(capsys, *argv, "--resume")
-    assert err.startswith(f"error: {out}: fibre size mismatch on record {{"), err
+    assert err.startswith(f"error: {out}: differs from the sweep at record {{"), err
     assert out.read_bytes() == written
 
 
@@ -780,7 +790,7 @@ def test_cli_resume_wrong_z_exit_2(tmp_path, capsys):
         return records
     _rewrite_records(out, swap_z)
     err = _assert_usage_error(capsys, *argv, "--resume")
-    assert err.startswith(f"error: {out}: fibre size mismatch on record {{")
+    assert err.startswith(f"error: {out}: differs from the sweep at record {{")
 
 
 def test_cli_resume_wrong_a_index_exit_2(tmp_path, capsys):
@@ -798,12 +808,12 @@ def test_cli_resume_wrong_a_index_exit_2(tmp_path, capsys):
         return records
     _rewrite_records(out, bump)
     err = _assert_usage_error(capsys, *argv, "--resume")
-    assert err.startswith(f"error: {out}: a_index mismatch on record {{")
+    assert err.startswith(f"error: {out}: differs from the sweep at record {{")
 
 
 def test_cli_resume_wrong_construction_data_exit_2(tmp_path, capsys):
-    # each resumed fibre is derived on the tower built from (p, m): a record
-    # whose q is not p^m, or whose modulus is not the tower's, is refused
+    # a record whose q is not p^m, or whose modulus is not the tower's, is
+    # not the sweep's
     out = str(tmp_path / "cat.jsonl")
     argv = ("search", "--r", "5", "--q-max", "20", "--include-norm-one", "--out", out)
 
@@ -817,18 +827,18 @@ def test_cli_resume_wrong_construction_data_exit_2(tmp_path, capsys):
         d = next(d for d in records if d["m"] == 1)
         d["modulus"] = [(d["modulus"][0] + 1) % d["p"]] + d["modulus"][1:]
         return records
-    for edit, field in ((move_q, "q"), (edit_modulus, "modulus")):
+    for edit in (move_q, edit_modulus):
         assert run_cli(*argv) == 0
         capsys.readouterr()
         _rewrite_records(out, edit)
         err = _assert_usage_error(capsys, *argv, "--resume")
-        assert err.startswith(f"error: {out}: {field} mismatch on record {{"), err
+        assert err.startswith(f"error: {out}: differs from the sweep at record {{"), err
 
 
 def test_cli_resume_bad_record_value_exit_2(tmp_path, capsys):
-    # a value the tower rejects, and an a text that is not the canonical
-    # text of its a_index's element, whether it parses to it or not at all:
-    # no a text is parsed, each is compared with the derived one
+    # a p that is not prime, and an a text that is not the canonical text of
+    # its a_index's element, whether it parses to it or not at all: no value
+    # is parsed or built on, each is compared with the sweep's
     out = str(tmp_path / "cat.jsonl")
     argv = ("search", "--r", "5", "--q-max", "20", "--include-norm-one", "--out", out)
 
@@ -842,18 +852,16 @@ def test_cli_resume_bad_record_value_exit_2(tmp_path, capsys):
     def padded(d):  # [c0 + p, c1] is the element [c0, c1]
         c0, c1 = json.loads(d["a"])
         return f"[{c0 + d['p']},{c1}]"
-    for edit, problem in ((first_prime_q(a=lambda d: "abc"), "a mismatch"),
-                          (first_prime_q(p=lambda d: 4), "4 is not prime"),
-                          (first_prime_q(a=padded), "a mismatch")):
+    for edit in (first_prime_q(a=lambda d: "abc"), first_prime_q(p=lambda d: 4), first_prime_q(a=padded)):
         assert run_cli(*argv) == 0
         capsys.readouterr()
         _rewrite_records(out, edit)
         err = _assert_usage_error(capsys, *argv, "--resume")
-        assert err.startswith(f"error: {out}: {problem}") and "on record {" in err, err
+        assert err.startswith(f"error: {out}: differs from the sweep at record {{"), err
 
 
 def test_cli_resume_huge_m_exit_2(tmp_path, capsys):
-    # a resumed record's m reaches build_tower, which refuses it at once
+    # a resumed record's m is compared, never built on, so it is refused at once
     out = str(tmp_path / "cat.jsonl")
     argv = ("search", "--r", "5", "--q-max", "20", "--include-norm-one", "--out", out)
     assert run_cli(*argv) == 0
@@ -866,14 +874,13 @@ def test_cli_resume_huge_m_exit_2(tmp_path, capsys):
     start = time.perf_counter()
     err = _assert_usage_error(capsys, *argv, "--resume")
     assert time.perf_counter() - start < 5
-    assert err.startswith(f"error: {out}: q^2 = ") and "exceeds the enumeration cap" in err
+    assert err.startswith(f"error: {out}: differs from the sweep at record {{") and '"m": 100000000' in err, err
 
 
 def test_cli_resume_forged_record_exit_2(tmp_path, capsys):
     # the last record is swapped for its neighbour a, a consistent record
-    # (a, a_index and z agree) of a non-permuting binomial; every resumed
-    # fibre is derived before any is compared, so the forged record, alone in
-    # its fibre, is named, not the fibre it was taken from
+    # (a, a_index and z agree) of a non-permuting binomial; it sorts where
+    # the record it replaced stood, so it is the first to differ and is named
     out = str(tmp_path / "cat7.jsonl")
     argv = ("search", "--r", "7", "--q-max", "40", "--include-norm-one", "--out", out)
     assert run_cli(*argv) == 0
@@ -890,7 +897,7 @@ def test_cli_resume_forged_record_exit_2(tmp_path, capsys):
     assert len(read_catalog(out)[1]) == 146
     forged = json.dumps(read_catalog(out)[1][-1]._asdict())
     err = _assert_usage_error(capsys, *argv, "--resume")
-    assert err == f"error: {out}: z-level hit disagreed with the brute test on record {forged}\n"
+    assert err == f"error: {out}: differs from the sweep at record {forged}\n"
 
 
 def test_cli_resume_wrong_family_or_non_hit_exit_2(tmp_path, capsys):
@@ -917,31 +924,32 @@ def test_cli_resume_wrong_family_or_non_hit_exit_2(tmp_path, capsys):
         assert not is_pp_brute(BinomialParams(a, 5, 2)).is_pp
         d.update(a=a.text, a_index=k, z=compute_z(a).text, is_pp=False, family="not_pp")
         return records
-    for edit, problem, named in ((relabel("sporadic", "family_iii", 34), "family mismatch", "family_iii"),
-                                 (relabel("family_i", "sporadic", 37, 19), "family mismatch", "sporadic"),
-                                 (forge, "z-level hit disagreed with the brute test", "not_pp")):
+    for edit, named in ((relabel("sporadic", "family_iii", 34), "family_iii"),
+                        (relabel("family_i", "sporadic", 37, 19), "sporadic"),
+                        (forge, "not_pp")):
         assert run_cli(*argv) == 0
         capsys.readouterr()
         _rewrite_records(out, edit)
         err = _assert_usage_error(capsys, *argv, "--resume")
-        assert err.startswith(f"error: {out}: {problem} on record {{") and f'"family": "{named}"' in err, err
+        assert err.startswith(f"error: {out}: differs from the sweep at record {{") and f'"family": "{named}"' in err, err
 
 
 def test_cli_resume_duplicate_record_exit_2(tmp_path, capsys):
-    # the repeated record's fibre holds one of its a twice
+    # the repeated record is one more than the sweep writes
     out = str(tmp_path / "cat.jsonl")
     argv = ("search", "--r", "5", "--q-max", "20", "--include-norm-one", "--out", out)
     assert run_cli(*argv) == 0
     capsys.readouterr()
     _rewrite_records(out, lambda records: records + records[-1:])
     err = _assert_usage_error(capsys, *argv, "--resume")
-    assert err.startswith(f"error: {out}: fibre size mismatch on record {{")
+    assert err.startswith(f"error: {out}: differs from the sweep at record {{")
 
 
-@pytest.mark.parametrize("which", [0, 7, -1])
+@pytest.mark.parametrize("which", [0, 7, -1, "fibre", "q"])
 def test_cli_resume_missing_record_exit_2(which, tmp_path, capsys):
-    # each z-fibre holds all (q + 1)/2 of its a: a record deleted from one,
-    # its first, a middle or its last in catalog order, leaves it short
+    # a done q's records are all the sweep's: one deleted from a z-fibre, its
+    # first, a middle or its last in catalog order, the whole fibre, or every
+    # record of its q with its #DONE kept, leaves the catalog short
     out = str(tmp_path / "cat.jsonl")
     argv = ("search", "--r", "5", "--q-max", "30", "--include-norm-one", "--out", out)
     assert run_cli(*argv) == 0
@@ -952,12 +960,16 @@ def test_cli_resume_missing_record_exit_2(which, tmp_path, capsys):
         last = records[-1]
         fibre = [d for d in records if (d["q"], d["z"]) == (last["q"], last["z"])]
         assert len(fibre) == (last["q"] + 1) // 2 == 14
-        records.remove(fibre[which])
-        return records
+        gone = {"fibre": fibre, "q": [d for d in records if d["q"] == last["q"]]}.get(which)
+        return [d for d in records if d not in (gone or [fibre[which]])]
     _rewrite_records(out, drop)
-    assert len(read_catalog(out)[1]) == len(before) - 1 == 88
+    assert len(read_catalog(out)[1]) == len(before) - (1 if which in (0, 7, -1) else 14)
+    assert 27 in {d["q"] for d in read_catalog(out)[2]}
+    written = Path(out).read_bytes()
     err = _assert_usage_error(capsys, *argv, "--resume")
-    assert err.startswith(f"error: {out}: fibre size mismatch on record {{"), err
+    problem = "differs from the sweep at record" if which in (0, 7) else "lacks the sweep's record"
+    assert err.startswith(f"error: {out}: {problem} {{") and '"q": 27' in err, err
+    assert Path(out).read_bytes() == written
 
 
 def test_write_catalog_cut_short_leaves_the_old_catalog(tmp_path):
