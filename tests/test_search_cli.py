@@ -141,8 +141,7 @@ def test_search_determinism_and_jobs(tmp_path):
     assert b1 == b2 == b3
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_search_resume(jobs, tmp_path):
+def _check_resume(jobs, tmp_path):
     out = str(tmp_path / "cat.jsonl")
     search_exceptional(5, 13, out=out)
     full = Path(out).read_bytes()
@@ -172,6 +171,14 @@ def test_search_resume(jobs, tmp_path):
             search_exceptional(5, 13, jobs=j, out=out, resume=True)
         errors.append(str(exc.value))
     assert errors[0] == errors[1]
+
+
+def test_search_resume(tmp_path):
+    _check_resume(1, tmp_path)
+
+
+def test_search_resume_in_a_pool(tmp_path):
+    _check_resume(2, tmp_path)
 
 
 def test_catalog_csv(tmp_path):
