@@ -322,8 +322,12 @@ def mp_divmod(a, b, F):
 
 
 def mp_eval(a, x, F):
-    """Horner evaluation of a at x."""
+    """Horner evaluation of a at x; on plain ints mod p over a PrimeField (base None)."""
     acc = 0
+    if getattr(F, "base", F) is None:
+        for c in reversed(a):
+            acc = (acc * x + c) % F.char
+        return acc
     for c in reversed(a):
         acc = F.add(F.mul(acc, x), c)
     return acc

@@ -19,12 +19,12 @@ halves, the d = q-1 branch and the t = 1 bracket differ only in shift; for
 t = 2, P(Z) = E(Z^2) + Z*O(Z^2) interleaves the halves.  P is evaluated at
 a point of F_q by exactalg.mp_eval over the subfield.
 
-Binomial coefficients mod p have one kernel, binom_intmod: Lucas' product
-of base-p digits, exact for any integer upper entry, since binom(., k) mod p
-depends on its argument only mod p^L once p^L > k.  The rational vanishing
+Binomial coefficients mod p come from binom_intmod, Lucas' product of
+base-p digits, exact for any integer upper entry, since binom(., k) mod p
+depends on its argument only mod p^L once p^L > k; a row with alpha < p <
+alpha^2 reads them from factorial tables mod p.  The rational vanishing
 identities are one integer sum over a common denominator; the Fraction and
-residue falling-factorial binomials they are checked against live in the
-tests.
+residue falling-factorial binomials they are checked against live in the tests.
 """
 
 from __future__ import annotations
@@ -148,6 +148,16 @@ def surviving_alphas(q: int, t: int) -> range:
 BRACKET_ROW_CACHE = 256
 
 
+@lru_cache(maxsize=4)
+def _factorials(p: int) -> tuple:
+    """(n!, 1/n!) mod p for 0 <= n < p; 1/(p-1)! = -1 by Wilson."""
+    fact, inv = [1] * p, [p - 1] * p
+    for n in range(1, p):
+        fact[n] = fact[n - 1] * n % p
+        inv[p - 1 - n] = inv[p - n] * (p - n) % p
+    return fact, inv
+
+
 @lru_cache(maxsize=BRACKET_ROW_CACHE)
 def bracket_row(alpha: int, shift: int, p: int) -> tuple:
     """The bracket row binom(alpha,i) (-1)^i binom(i + shift, alpha) mod p,
@@ -155,8 +165,18 @@ def bracket_row(alpha: int, shift: int, p: int) -> tuple:
 
     shift is an integer representative; any representative correct mod p^L
     with p^L > alpha gives the same row.  Memoised apart from bracket, as
-    one (alpha, shift) serves brackets of different r.
+    one (alpha, shift) serves brackets of different r.  Where alpha < p <
+    alpha^2, Lucas leaves binom(m, alpha) at m = (i + shift) mod p, and entry
+    i is m!/(i! (alpha-i)! (m-alpha)!) from the tables of p, 0 for m < alpha.
     """
+    if alpha < p < alpha * alpha:
+        fact, inv = _factorials(p)
+        out = []
+        for i in range(alpha + 1):  # a loop, not a comprehension, keeps alpha, shift and p fast locals
+            m = (i + shift) % p
+            v = fact[m] * inv[m - alpha] * inv[i] * inv[alpha - i] if m >= alpha else 0
+            out.append((-v if i & 1 else v) % p)
+        return tuple(out)
     out = []
     sign = 1
     for i in range(alpha + 1):

@@ -30,7 +30,7 @@ from permbinom.exactalg import (
     resultant_univar,
     to_modp,
 )
-from permbinom.ff import build_subfield
+from permbinom.ff import PrimeField, build_subfield
 from permbinom.registry import REG
 from rational_twin import BiPolyRQ, RatPoly, to_rq
 from rational_twin import resultant_bivar_z as resultant_bivar_z_rational
@@ -137,6 +137,22 @@ def test_arith_and_eval():
     F = EXT_FIELDS[0]
     h = rand_fq_poly(random.Random(5), F, max_deg=8)
     assert [mp_eval(h, x, F) for x in range(F.order)] == [_fq_eval(h, x, F) for x in range(F.order)]
+
+
+def test_mp_eval_over_a_prime_field_is_the_generic_horner(monkeypatch):
+    # the int Horner over PrimeField against F.add/F.mul, empty polynomial
+    # and x = 0 included; then the same evaluations with both methods gone
+    rng = random.Random(41)
+    cases = []
+    for p in (2, 3, 1009, 2**31 - 1):
+        F = PrimeField(p)
+        for a in [[]] + [[rng.randrange(p) for _ in range(rng.randint(1, 12))] for _ in range(40)]:
+            for x in (0, 1, p - 1, rng.randrange(p)):
+                cases.append((a, x, F, _fq_eval(a, x, F)))
+    assert all(mp_eval(a, x, F) == want for a, x, F, want in cases)
+    for name in ("add", "mul"):
+        monkeypatch.delattr(PrimeField, name)
+    assert [mp_eval(a, x, F) for a, x, F, _ in cases] == [want for *_, want in cases]
 
 
 def test_ratpoly_divmod_and_monic():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from permbinom import powersum
-from permbinom.exactalg import BiPolyRZ, IntPoly, mp_eval, to_modp
+from permbinom.exactalg import BiPolyRZ, IntPoly, is_probable_prime, mp_eval, to_modp
 from permbinom.ff import build_tower, build_subfield, enumerate_elements
 from permbinom.powersum import (
     CDPair,
@@ -140,6 +140,49 @@ def test_bracket_row_matches_rational_reference():
                     assert exact.denominator == 1
                     expected.append(exact.numerator % p)
                 assert bracket_row(alpha, shift, p) == tuple(expected), (p, alpha, shift)
+
+
+def _table_binom(n: int, k: int, p: int) -> int:
+    """binom(n, k) mod p for 0 <= k < p as the table rows read it: Lucas
+    leaves binom(n mod p, k), one quotient of factorials mod p."""
+    fact, inv = powersum._factorials(p)
+    m = n % p
+    return fact[m] * inv[k] * inv[m - k] % p if m >= k else 0
+
+
+def test_factorial_tables_match_lucas():
+    # every (n, k) with 0 <= k < p <= 97, n over the full period p (k < p
+    # has one base-p digit) and a period either side of it
+    for p in filter(is_probable_prime, range(2, 98)):
+        fact, inv = powersum._factorials(p)
+        assert len(fact) == len(inv) == p
+        assert all(f * i % p == 1 for f, i in zip(fact, inv))
+        ns = range(-p, 2 * p)
+        for k in range(p):
+            assert [_table_binom(n, k, p) for n in ns] == [binom_intmod(n, k, p) for n in ns], (p, k)
+
+
+def _lucas_row(alpha: int, shift: int, p: int) -> tuple:
+    """The bracket row with every binomial from binom_intmod's digit products."""
+    return tuple((-1) ** i * binom_intmod(alpha, i, p) * binom_intmod(i + shift, alpha, p) % p
+                 for i in range(alpha + 1))
+
+
+@pytest.mark.parametrize("p", (11, 13, 97, 1009))
+def test_bracket_row_tables_match_lucas(p, monkeypatch):
+    # rows with alpha^2 <= p or alpha >= p take Lucas, the ones between read
+    # the tables of p; shifts run below zero and past p (and past p^2, the
+    # period once alpha >= p)
+    built = []
+    tables = powersum._factorials
+    monkeypatch.setattr(powersum, "_factorials", lambda p: built.append(p) or tables(p))
+    powersum.bracket_row.cache_clear()
+    root = math.isqrt(p)
+    for alpha in sorted({1, 2, root, root + 1, root + 2, p // 2, p - 2, p - 1, p, p + 1}):
+        for shift in (-p * p - 3, -2 * p - 1, -p, -alpha, -1, 0, 1, (p - 1) // 2, alpha,
+                      p - alpha, p - 1, p, p + 3, 3 * p + 2, p * p + 1):
+            assert bracket_row(alpha, shift, p) == _lucas_row(alpha, shift, p), (p, alpha, shift)
+    assert set(built) == {p}
 
 
 def test_bracket_entry_points_are_rows():

@@ -724,6 +724,20 @@ def test_desk_sweep_builds_no_extension_field(monkeypatch):
     assert built and all(m == 1 for _, m in built), sorted(set(built))
 
 
+def test_desk_sweep_builds_factorial_tables_only_below_25(monkeypatch):
+    # the r = 5 sweep's brackets have alpha <= 5, so a row reads factorial
+    # tables only where alpha^2 > p, p < 25; a table for every p swept made
+    # the r = 5 sweep to q = 10^6 run for over 10 minutes
+    built = set()
+    tables = powersum._factorials
+    monkeypatch.setattr(powersum, "_factorials", lambda p: built.add(p) or tables(p))
+    powersum.bracket.cache_clear()
+    powersum.bracket_row.cache_clear()
+    out = thm21_desk_sweep(5, 2 * 10**6)
+    assert (out["q_swept"], out["first_failure"]) == DESK_SWEEP_PINS[5]
+    assert built and all(p < 25 for p in built), sorted(built)
+
+
 def _norm_one_bracket_loop(sub, q, r, z):
     """The bracket loop at y = z^2 = 1, the twin of the closed-form verdict."""
     for alpha in surviving_alphas(q, 2):
